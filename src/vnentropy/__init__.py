@@ -9,7 +9,6 @@ top probability), and a random-projection route for low-rank matrices.
 from .chebyshev import (
     ChebCoefficients,
     cheb_coefficients,
-    cheb_quadratic_form,
     cheb_scalar_eval,
     chebyshev_entropy,
     default_m_cheb,
@@ -26,7 +25,7 @@ from .densmat import (
     read_matrix_market,
     write_matrix_market,
 )
-from .hutchinson import QuadraticFormOracle, default_s, estimate_trace
+from .hutchinson import default_s, probe_average
 from .linalg import (
     dense_eigh,
     entropy_from_probs,
@@ -34,7 +33,7 @@ from .linalg import (
     householder_qr,
     thin_singular_values,
 )
-from .power import PowerEstimate, default_power_params, estimate_u, power_method
+from .power import PowerEstimate, default_power_params, power_method
 from .report import (
     AssumptionCheck,
     EstimateReport,
@@ -56,7 +55,6 @@ from .sketch import (
 from .taylor import (
     default_m_taylor,
     taylor_entropy,
-    taylor_quadratic_form,
     taylor_series_terms,
 )
 

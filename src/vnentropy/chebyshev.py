@@ -16,18 +16,14 @@ matvec per degree.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .densmat import SparseSymMatrix, SpectralModel
-from .hutchinson import default_s
-from .report import EstimateReport, EstimatorConfig, assemble_report, resolve_u
-from .rng import RngStream, gaussian_vector
+from .report import EstimateReport, EstimatorConfig, PolynomialSeries, polynomial_entropy
+from .rng import gaussian_vector
 
-PROBE_CHUNK = 128
 DOMAIN_SLACK = 1e-12
 
 
@@ -115,16 +111,6 @@ def _batched_cheb_forms(
     return 0.5 * (a[0] * gg + np.einsum("ij,ij->j", probes, y0 - y2))
 
 
-def cheb_quadratic_form(
-    R: SparseSymMatrix, coeffs: ChebCoefficients, g: np.ndarray
-) -> float:
-    """g^T f_m(R) g for one probe vector."""
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != (R.n,):
-        raise ValueError(f"probe shape {g.shape} does not match n={R.n}")
-    return float(_batched_cheb_forms(R, coeffs, g[:, None])[0])
-
-
 def default_m_cheb(u: float, ell: float, epsilon: float) -> int:
     """ceil(sqrt(u / (2 eps ell ln(1/(1-ell))))), at least 1."""
     if not 0.0 < epsilon < 1.0:
@@ -146,35 +132,6 @@ def chebyshev_entropy(
     eigenvalues (zero-padded to the full dimension, where f_m is still
     defined), isolating truncation error from probe noise.
     """
-    t0 = time.perf_counter()
-    root = RngStream(cfg.seed)
-    u, _ = resolve_u(R, cfg, root.child(0))
-    m = cfg.m_override if cfg.m_override is not None else default_m_cheb(
-        u, cfg.ell, cfg.epsilon
-    )
-    coeffs = cheb_coefficients(u, m)
-
-    if cfg.nte:
-        if model is not None and model.probs is not None:
-            probs = np.asarray(model.probs)
-        else:
-            _, oracle_model = linalg.exact_entropy(R)
-            probs = oracle_model.probs
-        full = np.concatenate([probs, np.zeros(R.n - probs.size)])
-        estimate = -float(_clenshaw_scalar(coeffs, full).sum())
-        s_used = 0
-    else:
-        s_used = cfg.s_override if cfg.s_override else default_s(cfg.epsilon, cfg.delta)
-        base = root.child(1)
-        per_probe = np.empty(s_used, dtype=np.float64)
-        for start in range(0, s_used, PROBE_CHUNK):
-            stop = min(start + PROBE_CHUNK, s_used)
-            g = np.column_stack(
-                [gaussian_vector(base.child(i), R.n) for i in range(start, stop)]
-            )
-            per_probe[start:stop] = _batched_cheb_forms(R, coeffs, g)
-        estimate = -float(per_probe.sum() / s_used)
-
     extra = ()
     if (
         cfg.ell is not None
@@ -184,15 +141,20 @@ def chebyshev_entropy(
     ):
         extra = ("assumption violated: top probability exceeds 1 - ell",)
 
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return assemble_report(
-        estimate=estimate,
-        method="chebyshev",
-        m_used=m,
-        s_used=s_used,
-        u_used=u,
-        wall_ms=wall_ms,
-        cfg=cfg,
-        model=model,
-        extra_warnings=extra,
+    def series(u: float, m: int) -> PolynomialSeries:
+        coeffs = cheb_coefficients(u, m)
+
+        def exact_trace(probs: np.ndarray) -> float:
+            full = np.concatenate([probs, np.zeros(R.n - probs.size)])
+            return float(_clenshaw_scalar(coeffs, full).sum())
+
+        return PolynomialSeries(
+            kernel=lambda block: _batched_cheb_forms(R, coeffs, block),
+            exact_trace=exact_trace,
+            finish=lambda trace: -trace,
+        )
+
+    # Pass this module's gaussian_vector so that wrapping it traces the probe draws.
+    return polynomial_entropy(
+        R, cfg, model, "chebyshev", default_m_cheb, series, gaussian_vector, extra
     )

@@ -68,9 +68,12 @@ def parse_u_mode(text: str) -> tuple[str, float | None]:
         return text, None
     if text.startswith("manual:"):
         try:
-            return "manual", float(text.split(":", 1)[1])
+            value = float(text.split(":", 1)[1])
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad manual u value in {text!r}")
+        if not 0.0 < value <= 1.0:
+            raise argparse.ArgumentTypeError(f"manual u must lie in (0, 1], got {value}")
+        return "manual", value
     raise argparse.ArgumentTypeError(
         f"u-mode {text!r} must be six, raw, or manual:<value>"
     )
@@ -242,15 +245,39 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _parse_grid_entry(parse, value, what: str):
+    # str() first, so non-string JSON values (floats, booleans) are rejected too
+    try:
+        return parse(str(value))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"grid {what} {value!r}: {exc}")
+
+
 def _load_grid(path) -> dict:
+    """Read a bench grid and validate it before any cell runs.
+
+    Seeds become ints in parse_seed's range and each ``u_modes`` entry
+    becomes a ``(text, (mode, value))`` pair.  Repetition r of a cell runs
+    seed + r * 2**32, so repeated grids need seeds below 2**32.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         grid = json.load(fh)
     for key in ("matrix", "methods", "seeds"):
         if key not in grid:
             raise UsageError(f"grid is missing the {key!r} field")
     for key in ("methods", "seeds"):
-        if not grid[key]:
+        if not isinstance(grid[key], list) or not grid[key]:
             raise UsageError(f"grid field {key!r} must be a nonempty list")
+    reps = grid.get("repetitions", 1)
+    if isinstance(reps, bool) or not isinstance(reps, int) or reps < 1:
+        raise UsageError(f"grid field 'repetitions' must be an integer >= 1, got {reps!r}")
+    grid["seeds"] = [_parse_grid_entry(parse_seed, seed, "seed") for seed in grid["seeds"]]
+    if reps > 1 and max(grid["seeds"]) >= 2**32:
+        raise UsageError("with repetitions > 1, grid seeds must be below 2**32")
+    grid["u_modes"] = [
+        (text, _parse_grid_entry(parse_u_mode, text, "u-mode"))
+        for text in grid.get("u_modes", ["six"])
+    ]
     return grid
 
 
@@ -276,9 +303,8 @@ def _grid_matrix(spec) -> tuple[SparseSymMatrix, SpectralModel | None]:
 def _bench_cells(grid, model) -> list[dict]:
     m_values = grid.get("m_values", [])
     s_values = grid.get("s_values", [])
-    u_modes = grid.get("u_modes", ["six"])
     seeds = grid["seeds"]
-    reps = int(grid.get("repetitions", 1))
+    reps = grid.get("repetitions", 1)
     cells = []
     for method in grid["methods"]:
         base = method.split(":", 1)[0].removesuffix("_nte")
@@ -291,14 +317,14 @@ def _bench_cells(grid, model) -> list[dict]:
             raise UsageError(f"unknown bench method {method!r}")
         ms = m_values if base in ("taylor", "chebyshev") else [None]
         ss = [None] if base == "exact" or nte else (s_values or [None])
-        us = u_modes if base in ("taylor", "chebyshev") else [None]
+        us = grid["u_modes"] if base in ("taylor", "chebyshev") else [(None, None)]
         for m in ms:
             for s in ss:
-                for u_mode in us:
+                for u_mode, u in us:
                     for seed in seeds:
                         for rep in range(reps):
                             cells.append(
-                                dict(method=method, m=m, s=s, u_mode=u_mode, seed=seed, rep=rep)
+                                dict(method=method, m=m, s=s, u_mode=u_mode, u=u, seed=seed, rep=rep)
                             )
     return cells
 
@@ -309,7 +335,7 @@ def _run_cell(cell, matrix, model, grid):
     try:
         method = cell["method"]
         base = method.split(":", 1)[0].removesuffix("_nte")
-        seed = int(cell["seed"]) + (cell["rep"] << 32)
+        seed = cell["seed"] + (cell["rep"] << 32)
         if base == "exact":
             t0 = time.perf_counter()
             estimate, _ = linalg.exact_entropy(matrix)
@@ -329,9 +355,7 @@ def _run_cell(cell, matrix, model, grid):
             ell = None
             if model is not None and model.probs is not None and model.p_min > 0:
                 ell = model.p_min
-            mode, value = parse_u_mode(grid.get("u_mode_default", "six"))
-            if cell["u_mode"]:
-                mode, value = parse_u_mode(cell["u_mode"])
+            mode, value = cell["u"]
             cfg = EstimatorConfig(
                 epsilon=float(grid.get("epsilon", 0.1)),
                 delta=float(grid.get("delta", 0.1)),

@@ -1,39 +1,22 @@
-"""Gaussian trace estimator for implicitly defined PSD operators.
+"""Gaussian block probe driver shared by the Taylor and Chebyshev estimators.
 
-The estimator never materializes the operator: it only needs the
-quadratic form g -> g^T A g, supplied by a :class:`QuadraticFormOracle`.
-Probe i draws its Gaussian vector from ``stream.child(i)`` and the probe
-contributions are reduced in fixed index order, so results are bitwise
-reproducible no matter how the probes are scheduled.
+Probe i draws its Gaussian vector from ``stream.child(i)``.  The probes are
+stacked into n x b blocks of at most ``PROBE_CHUNK`` columns, each block is
+handed to a caller-supplied kernel that returns one value per column, and
+the per-probe values are reduced in fixed index order, so results are
+bitwise reproducible however the probes are scheduled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .rng import RngStream, gaussian_vector
 
-
-@dataclass(frozen=True)
-class QuadraticFormOracle:
-    """Evaluator for g^T A g of an implicit symmetric PSD operator A.
-
-    The evaluator must be deterministic in g and safe to share read-only;
-    quadratic forms should only dip below zero by noise (>= -1e-8 |g|^2).
-    """
-
-    dimension: int
-    evaluate: Callable[[np.ndarray], float]
-
-
-def for_matrix(a: np.ndarray) -> QuadraticFormOracle:
-    """Oracle wrapping an explicit dense symmetric matrix (test helper)."""
-    a = np.asarray(a, dtype=np.float64)
-    return QuadraticFormOracle(dimension=a.shape[0], evaluate=lambda g: float(g @ (a @ g)))
+PROBE_CHUNK = 128
 
 
 def default_s(epsilon: float, delta: float) -> int:
@@ -45,12 +28,24 @@ def default_s(epsilon: float, delta: float) -> int:
     return math.ceil(20.0 * math.log(2.0 / delta) / epsilon**2)
 
 
-def estimate_trace(oracle: QuadraticFormOracle, s: int, stream: RngStream) -> float:
-    """Mean of s Gaussian quadratic forms: unbiased estimate of trace(A)."""
+def probe_average(
+    n: int,
+    s: int,
+    stream: RngStream,
+    kernel: Callable[[np.ndarray], np.ndarray],
+    draw: Callable[[RngStream, int], np.ndarray] = gaussian_vector,
+) -> float:
+    """Mean of kernel(G) over s Gaussian probes: for a kernel returning the
+    quadratic forms g^T A g of the columns g of G, an unbiased estimate of
+    trace(A).
+
+    ``draw(stream, n)`` generates one probe vector.
+    """
     if s < 1:
         raise ValueError("s must be at least 1")
-    contributions = np.empty(s, dtype=np.float64)
-    for i in range(s):
-        g = gaussian_vector(stream.child(i), oracle.dimension)
-        contributions[i] = oracle.evaluate(g)
-    return float(contributions.sum() / s)
+    per_probe = np.empty(s, dtype=np.float64)
+    for start in range(0, s, PROBE_CHUNK):
+        stop = min(start + PROBE_CHUNK, s)
+        block = np.column_stack([draw(stream.child(i), n) for i in range(start, stop)])
+        per_probe[start:stop] = kernel(block)
+    return float(per_probe.sum() / s)

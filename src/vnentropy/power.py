@@ -76,25 +76,3 @@ def u_from_p1(p1_tilde: float, mode: str) -> float:
         raise ValueError("power method returned a nonpositive estimate; cannot form u")
     return u
 
-
-def estimate_u(
-    R: SparseSymMatrix,
-    delta: float,
-    mode: str,
-    stream: RngStream,
-    value: float | None = None,
-) -> float:
-    """Upper bound u on the spectrum per the selected mode.
-
-    ``six``   -> min(1, 6 * p1_tilde) with default power parameters;
-    ``raw``   -> min(1, p1_tilde) (heuristic, no guarantee);
-    ``manual``-> the given value in (0, 1].
-    """
-    if mode == "manual":
-        if value is None or not 0.0 < value <= 1.0:
-            raise ValueError(f"manual u must lie in (0, 1], got {value}")
-        return float(value)
-    if mode not in U_MODES:
-        raise ValueError(f"unknown u mode {mode!r}")
-    t, q = default_power_params(R.n, delta)
-    return u_from_p1(power_method(R, t, q, stream).p1_tilde, mode)

@@ -1,13 +1,18 @@
 """Shared result assembly: estimator configuration, reports, assumption
-checks against known spectra, and relative error."""
+checks against known spectra, relative error, and the skeleton the Taylor
+and Chebyshev estimators share."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .densmat import SparseSymMatrix, SpectralModel
+from .hutchinson import default_s, probe_average
 from .power import (
     U_MODES,
     PowerEstimate,
@@ -153,8 +158,6 @@ def assemble_report(
     extra_warnings: tuple[str, ...] = (),
 ) -> EstimateReport:
     """Fill in exact value, relative error, and assumption flags."""
-    from .linalg import ENTROPY_CLAMP, entropy_from_probs
-
     assumptions = check_assumptions(model, u=u_used, ell=cfg.ell)
     warnings = list(extra_warnings)
     if cfg.u_mode == "raw":
@@ -163,7 +166,7 @@ def assemble_report(
 
     exact = rel = None
     if model is not None and model.probs is not None:
-        exact = entropy_from_probs(model.probs, ENTROPY_CLAMP)
+        exact = linalg.entropy_from_probs(model.probs, linalg.ENTROPY_CLAMP)
         if exact > 0.0:
             rel = relative_error(estimate, exact)
         else:
@@ -180,4 +183,64 @@ def assemble_report(
         rel_err=rel,
         assumptions=assumptions,
         warnings=tuple(warnings),
+    )
+
+
+class PolynomialSeries(NamedTuple):
+    """What sets one polynomial estimator apart once u and m are fixed."""
+
+    kernel: Callable[[np.ndarray], np.ndarray]  # n x b probe block -> b quadratic forms
+    exact_trace: Callable[[np.ndarray], float]  # known eigenvalues -> trace (nte mode)
+    finish: Callable[[float], float]  # trace estimate -> entropy estimate
+
+
+def polynomial_entropy(
+    R: SparseSymMatrix,
+    cfg: EstimatorConfig,
+    model: SpectralModel | None,
+    method: str,
+    default_m: Callable[[float, float, float], int],
+    series: Callable[[float, int], PolynomialSeries],
+    draw: Callable[[RngStream, int], np.ndarray],
+    extra_warnings: tuple[str, ...] = (),
+) -> EstimateReport:
+    """Run a polynomial estimator and assemble its report.
+
+    Resolves u on child stream 0 of ``cfg.seed``, takes m from
+    ``cfg.m_override`` or ``default_m(u, ell, epsilon)``, then traces
+    ``series(u, m)``: exactly over known eigenvalues with ``cfg.nte`` (the
+    attached model, else the dense oracle), otherwise with the probe driver
+    over ``cfg.s_override`` (else ``default_s``) probes that ``draw`` takes
+    from child stream 1.
+    """
+    t0 = time.perf_counter()
+    root = RngStream(cfg.seed)
+    u, _ = resolve_u(R, cfg, root.child(0))
+    m = cfg.m_override if cfg.m_override is not None else default_m(u, cfg.ell, cfg.epsilon)
+    poly = series(u, m)
+
+    if cfg.nte:
+        if model is not None and model.probs is not None:
+            probs = np.asarray(model.probs)
+        else:
+            _, oracle_model = linalg.exact_entropy(R)
+            probs = oracle_model.probs
+        trace = poly.exact_trace(probs)
+        s_used = 0
+    else:
+        s_used = cfg.s_override if cfg.s_override else default_s(cfg.epsilon, cfg.delta)
+        trace = probe_average(R.n, s_used, root.child(1), poly.kernel, draw)
+    estimate = poly.finish(trace)
+
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    return assemble_report(
+        estimate=estimate,
+        method=method,
+        m_used=m,
+        s_used=s_used,
+        u_used=u,
+        wall_ms=wall_ms,
+        cfg=cfg,
+        model=model,
+        extra_warnings=extra_warnings,
     )

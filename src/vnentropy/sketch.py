@@ -140,15 +140,6 @@ def apply_countsketch(R: SparseSymMatrix, s: int, stream: RngStream) -> np.ndarr
     return (R.scipy_csr @ pi).toarray()
 
 
-def countsketch_matrix(s: int, n: int, stream: RngStream) -> np.ndarray:
-    """Dense Pi of the countsketch projection (small-case inspection helper)."""
-    cols = uniform_indices(stream.child(0), s, n)
-    signs = rademacher_vector(stream.child(1), n)
-    pi = np.zeros((n, s), dtype=np.float64)
-    pi[np.arange(n), cols] = signs
-    return pi
-
-
 def default_s_sketch(
     kind: str, n: int, k: int, epsilon: float, scale: float = 1.0
 ) -> int:

@@ -11,17 +11,12 @@ costs one sparse matvec per retained term.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
-from . import linalg
 from .densmat import SparseSymMatrix, SpectralModel
-from .hutchinson import default_s
-from .report import EstimateReport, EstimatorConfig, assemble_report, resolve_u
-from .rng import RngStream, gaussian_vector
-
-PROBE_CHUNK = 128
+from .report import EstimateReport, EstimatorConfig, PolynomialSeries, polynomial_entropy
+from .rng import gaussian_vector
 
 
 def default_m_taylor(u: float, ell: float, epsilon: float) -> int:
@@ -33,44 +28,17 @@ def default_m_taylor(u: float, ell: float, epsilon: float) -> int:
     return max(1, math.ceil((u / ell) * math.log(1.0 / epsilon)))
 
 
-def taylor_term_series(
-    R: SparseSymMatrix, u: float, m: int, g: np.ndarray
-) -> np.ndarray:
-    """Per-term values g^T R (I - R/u)^k g / k for k = 1..m.
-
-    Maintains w = (I - R/u)^k g with a single matvec per term: the product
-    z = R w serves both the term g.z/k and the next update w <- w - z/u.
-    When u bounds the spectrum every term is nonnegative up to roundoff.
-    """
-    if u <= 0.0:
-        raise ValueError(f"u must be positive, got {u}")
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != (R.n,):
-        raise ValueError(f"probe shape {g.shape} does not match n={R.n}")
-    terms = np.empty(m, dtype=np.float64)
-    if m == 0:
-        return terms
-    w = g.copy()
-    z = R.matvec(w)
-    for k in range(1, m + 1):
-        w -= z / u
-        z = R.matvec(w)
-        terms[k - 1] = float(g @ z) / k
-    return terms
-
-
-def taylor_quadratic_form(
-    R: SparseSymMatrix, u: float, m: int, g: np.ndarray
-) -> float:
-    """sum_{k=1..m} g^T R (I - R/u)^k g / k for one probe vector."""
-    return float(taylor_term_series(R, u, m, g).sum())
-
-
 def _batched_quadratic_forms(
     R: SparseSymMatrix, u: float, m: int, probes: np.ndarray
 ) -> np.ndarray:
-    """taylor_quadratic_form for each column of ``probes`` (one matvec batch
-    per term; columns never interact, so this matches the per-probe path)."""
+    """sum_{k=1..m} g^T R (I - R/u)^k g / k for each probe column g.
+
+    Maintains W = (I - R/u)^k G with one matvec batch per term: the product
+    Z = R W serves both the terms G.Z/k and the next update W <- W - Z/u.
+    When u bounds the spectrum every term is nonnegative up to roundoff.
+    Columns never interact, so a block gives the same values as its columns
+    one at a time.
+    """
     if m == 0:
         return np.zeros(probes.shape[1])
     w = probes.copy()
@@ -112,41 +80,15 @@ def taylor_entropy(
     eigenvalues (the attached model, else the dense oracle), isolating
     truncation error from probe noise.
     """
-    t0 = time.perf_counter()
-    root = RngStream(cfg.seed)
-    u, _ = resolve_u(R, cfg, root.child(0))
-    m = cfg.m_override if cfg.m_override is not None else default_m_taylor(
-        u, cfg.ell, cfg.epsilon
-    )
 
-    if cfg.nte:
-        if model is not None and model.probs is not None:
-            probs = np.asarray(model.probs)
-        else:
-            _, oracle_model = linalg.exact_entropy(R)
-            probs = oracle_model.probs
-        estimate = math.log(1.0 / u) + float(taylor_series_terms(probs, u, m).sum())
-        s_used = 0
-    else:
-        s_used = cfg.s_override if cfg.s_override else default_s(cfg.epsilon, cfg.delta)
-        base = root.child(1)
-        per_probe = np.empty(s_used, dtype=np.float64)
-        for start in range(0, s_used, PROBE_CHUNK):
-            stop = min(start + PROBE_CHUNK, s_used)
-            g = np.column_stack(
-                [gaussian_vector(base.child(i), R.n) for i in range(start, stop)]
-            )
-            per_probe[start:stop] = _batched_quadratic_forms(R, u, m, g)
-        estimate = math.log(1.0 / u) + float(per_probe.sum() / s_used)
+    def series(u: float, m: int) -> PolynomialSeries:
+        return PolynomialSeries(
+            kernel=lambda block: _batched_quadratic_forms(R, u, m, block),
+            exact_trace=lambda probs: float(taylor_series_terms(probs, u, m).sum()),
+            finish=lambda trace: math.log(1.0 / u) + trace,
+        )
 
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return assemble_report(
-        estimate=estimate,
-        method="taylor",
-        m_used=m,
-        s_used=s_used,
-        u_used=u,
-        wall_ms=wall_ms,
-        cfg=cfg,
-        model=model,
+    # Pass this module's gaussian_vector so that wrapping it traces the probe draws.
+    return polynomial_entropy(
+        R, cfg, model, "taylor", default_m_taylor, series, gaussian_vector
     )

@@ -17,31 +17,29 @@ from conftest import diagonal_matrix, rotated_density
 from vnentropy import (
     EstimatorConfig,
     ProjectionSpec,
-    QuadraticFormOracle,
     RngStream,
     SparseSymMatrix,
     apply_countsketch,
     cheb_coefficients,
-    cheb_quadratic_form,
     cheb_scalar_eval,
     chebyshev_entropy,
     default_m_taylor,
     default_power_params,
     default_s_sketch,
     entropy_from_probs,
-    estimate_trace,
     generate_low_rank_density,
     generate_tridiagonal_poisson,
     householder_qr,
     power_method,
+    probe_average,
     sketch_entropy,
     taylor_entropy,
     taylor_series_terms,
     write_matrix_market,
 )
+from vnentropy.chebyshev import _batched_cheb_forms
 from vnentropy.cli import main as cli_main
 from vnentropy.rng import gaussian_vector, uniform_doubles
-from vnentropy.taylor import taylor_quadratic_form
 
 
 def report(num, name, ok, detail):
@@ -94,7 +92,7 @@ def test_02_clenshaw_identities():
         m = 1 + (seed % 12)
         coeffs = cheb_coefficients(0.8, m)
         g = gaussian_vector(RngStream(seed, 555), 4)
-        matrix_form = cheb_quadratic_form(r, coeffs, g)
+        matrix_form = float(_batched_cheb_forms(r, coeffs, g[:, None])[0])
         scalar_form = float(np.sum(g**2 * cheb_scalar_eval(coeffs, probs)))
         if not np.isclose(matrix_form, scalar_form, rtol=1e-10, atol=1e-12):
             report(2, "Clenshaw identities", False,
@@ -179,9 +177,9 @@ def test_06_trace_estimator_guarantee():
     t0 = time.perf_counter()
     diag = np.arange(1, 101, dtype=np.float64)
     diag /= diag.sum()
-    oracle = QuadraticFormOracle(100, lambda g: float(g @ (diag * g)))
+    forms = lambda block: np.einsum("ij,ij->j", block, diag[:, None] * block)
     failures = sum(
-        abs(estimate_trace(oracle, 1498, RngStream(trial)) - 1.0) > 0.2
+        abs(probe_average(100, 1498, RngStream(trial), forms) - 1.0) > 0.2
         for trial in range(200)
     )
     ok = failures / 200 <= 0.15

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from vnentropy import SparseSymMatrix, write_matrix_market
+from vnentropy import SparseSymMatrix, cli, write_matrix_market
 from vnentropy.cli import main, parse_seed, parse_u_mode
 
 
@@ -32,8 +32,10 @@ def test_parse_u_mode():
     assert parse_u_mode("six") == ("six", None)
     assert parse_u_mode("raw") == ("raw", None)
     assert parse_u_mode("manual:0.25") == ("manual", 0.25)
-    with pytest.raises(Exception):
-        parse_u_mode("auto")
+    assert parse_u_mode("manual:1") == ("manual", 1.0)
+    for bad in ("auto", "manual:x", "manual:0", "manual:1.5", "manual:nan"):
+        with pytest.raises(Exception):
+            parse_u_mode(bad)
 
 
 def test_generate_tridiagonal_writes_matrix_and_spectrum(tmp_path, capsys):
@@ -266,3 +268,86 @@ def test_bench_rejects_malformed_grid(tmp_path, capsys):
         main(["bench", str(grid)])
     assert excinfo.value.code == 1
     capsys.readouterr()
+
+
+BAD_GRIDS = {
+    "seed-above-64-bits": {"seeds": [2**64]},
+    "negative-seed": {"seeds": [-1]},
+    "fractional-seed": {"seeds": [1.5]},
+    "boolean-seed": {"seeds": [True]},
+    "unparsable-seed": {"seeds": ["seven"]},
+    "zero-repetitions": {"repetitions": 0},
+    "fractional-repetitions": {"repetitions": 2.5},
+    "string-repetitions": {"repetitions": "2"},
+    "repeated-seed-at-2**32": {"seeds": [0, 2**32], "repetitions": 2},
+    "mixed-bad-seeds": {"seeds": [2**64 - 1, -1, 0, 2**32], "repetitions": 2},
+    "bad-u-mode": {"u_modes": ["six", "manual:x"]},
+    "manual-u-above-one": {"u_modes": ["manual:1.5"]},
+    "unknown-u-mode": {"u_modes": ["sixx"]},
+    "non-string-u-mode": {"u_modes": [6]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GRIDS))
+def test_bench_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, monkeypatch, name):
+    grid = tmp_path / "grid.json"
+    spec = {
+        "matrix": {"family": "tridiagonal", "n": 8},
+        "methods": ["taylor"],
+        "m_values": [2],
+        "s_values": [2],
+        "seeds": [0],
+    }
+    grid.write_text(json.dumps({**spec, **BAD_GRIDS[name]}))
+    ran = []
+    monkeypatch.setattr(cli, "_run_cell", lambda *args: ran.append(args))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", str(grid)])
+    assert excinfo.value.code == 1
+    assert "usage error" in capsys.readouterr().err
+    assert ran == []
+
+
+def bench_rows(tmp_path, capsys, spec):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(spec))
+    out_csv = tmp_path / "out.csv"
+    code, _, _ = run_cli(capsys, "bench", str(grid), "--out", str(out_csv), "--no-timings")
+    assert code == 0
+    lines = [l for l in out_csv.read_text().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, l.split(","))) for l in lines[1:]]
+
+
+def test_bench_accepts_seeds_at_the_range_limits(tmp_path, capsys):
+    spec = {
+        "matrix": {"family": "tridiagonal", "n": 16},
+        "methods": ["taylor"],
+        "m_values": [3],
+        "s_values": [4],
+        "seeds": [2**64 - 1],
+    }
+    rows = bench_rows(tmp_path, capsys, spec)
+    assert [(r["seed"], r["rep"], r["error"]) for r in rows] == [(str(2**64 - 1), "0", "")]
+
+    rows = bench_rows(tmp_path, capsys, {**spec, "seeds": [0, 2**32 - 1], "repetitions": 2})
+    assert [(r["seed"], r["rep"]) for r in rows] == [
+        ("0", "0"), ("0", "1"), (str(2**32 - 1), "0"), (str(2**32 - 1), "1")
+    ]
+    assert all(r["error"] == "" for r in rows)
+    assert len({r["estimate"] for r in rows}) == 4  # no two cells share a stream
+
+
+def test_bench_string_seeds_parse_like_the_seed_flag(tmp_path, capsys):
+    spec = {
+        "matrix": {"family": "tridiagonal", "n": 16},
+        "methods": ["chebyshev"],
+        "m_values": [3],
+        "s_values": [4],
+        "u_modes": ["manual:0.5"],
+    }
+    by_text = bench_rows(tmp_path, capsys, {**spec, "seeds": ["0x2A", "42"]})
+    by_int = bench_rows(tmp_path, capsys, {**spec, "seeds": [42]})
+    assert [r["seed"] for r in by_text] == ["42", "42"]
+    assert by_text[0]["estimate"] == by_text[1]["estimate"] == by_int[0]["estimate"]
+    assert by_int[0]["u_mode"] == "manual:0.5" and by_int[0]["error"] == ""

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import diagonal_matrix, rotated_density
-from vnentropy import RngStream, default_power_params, estimate_u, power_method
+from vnentropy import EstimatorConfig, RngStream, default_power_params, power_method
 from vnentropy.power import u_from_p1
+from vnentropy.report import resolve_u
 from vnentropy.rng import gaussian_vector
 
 
@@ -67,20 +68,26 @@ def test_u_mode_mapping():
     assert u_from_p1(0.5, "raw") == 0.5
 
 
-def test_estimate_u_manual():
+def manual_u(value):
+    return EstimatorConfig(delta=0.1, u_mode="manual", u_value=value, m_override=1)
+
+
+def test_resolve_u_manual():
     r = diagonal_matrix([0.5, 0.5])
-    assert estimate_u(r, 0.1, "manual", RngStream(0), value=1.0) == 1.0
+    assert resolve_u(r, manual_u(1.0), RngStream(0)) == (1.0, None)
     with pytest.raises(ValueError):
-        estimate_u(r, 0.1, "manual", RngStream(0), value=1.5)
+        resolve_u(r, manual_u(1.5), RngStream(0))
     with pytest.raises(ValueError):
-        estimate_u(r, 0.1, "manual", RngStream(0), value=0.0)
+        resolve_u(r, manual_u(0.0), RngStream(0))
 
 
-def test_estimate_u_six_covers_p1_when_lower_bound_holds():
+def test_resolve_u_six_covers_p1_when_lower_bound_holds():
     r, model = rotated_density([0.3, 0.3, 0.2, 0.2], RngStream(4))
+    cfg = EstimatorConfig(delta=0.1, u_mode="six", m_override=1)
     for seed in range(20):
-        u = estimate_u(r, 0.1, "six", RngStream(seed))
-        p1t = power_method(r, *default_power_params(4, 0.1), RngStream(seed)).p1_tilde
+        u, pe = resolve_u(r, cfg, RngStream(seed))
+        assert pe == power_method(r, *default_power_params(4, 0.1), RngStream(seed))
+        p1t = pe.p1_tilde
         if p1t >= model.p_max / 6.0:  # conditional guarantee
             assert u >= model.p_max - 1e-12
 

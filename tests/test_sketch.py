@@ -20,7 +20,15 @@ from vnentropy import (
     sketch_entropy,
 )
 from vnentropy.rng import gaussian_vector, rademacher_vector, uniform_indices
-from vnentropy.sketch import countsketch_matrix
+
+
+def countsketch_matrix(s, n, stream):
+    """Dense Pi of the countsketch projection, drawn as apply_countsketch draws it."""
+    cols = uniform_indices(stream.child(0), s, n)
+    signs = rademacher_vector(stream.child(1), n)
+    pi = np.zeros((n, s), dtype=np.float64)
+    pi[np.arange(n), cols] = signs
+    return pi
 
 
 def hadamard_dense(n):
