@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,15 +37,23 @@ from .densmat import (
     read_matrix_market,
     write_matrix_market,
 )
-from .report import EstimatorConfig, check_assumptions, relative_error
+from .report import EstimatorConfig, check_assumptions, compare_to_exact
 from .rng import RngStream
-from .sketch import ProjectionSpec, default_s_sketch, sketch_entropy
+from .sketch import PROJECTION_KINDS, ProjectionSpec, default_s_sketch, sketch_entropy
 from .taylor import taylor_entropy
 
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 FAMILIES = ("haar", "tridiagonal", "lowrank", "linuniform")
 METHODS = ("exact", "taylor", "chebyshev", "sketch")
+SERIES = ("taylor", "chebyshev")
+# bench grid method name -> (method, projection kind, nte)
+GRID_METHODS = {
+    "exact": ("exact", None, False),
+    **{name: (name, None, False) for name in SERIES},
+    **{f"{name}_nte": (name, None, True) for name in SERIES},
+    **{f"sketch:{kind}": ("sketch", kind, False) for kind in PROJECTION_KINDS},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,7 +146,7 @@ def cmd_generate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# estimate
+# estimate, and the one run path it shares with bench
 # ---------------------------------------------------------------------------
 
 
@@ -144,13 +154,88 @@ class UsageError(Exception):
     pass
 
 
-def _estimator_config(args, need_s: bool = True) -> EstimatorConfig:
+@dataclass(frozen=True)
+class RunSpec:
+    """One estimator run: ``cfg`` for taylor and chebyshev, ``proj`` and
+    ``rank`` for sketch, nothing more for exact."""
+
+    method: str
+    seed: int
+    cfg: EstimatorConfig | None = None
+    proj: ProjectionSpec | None = None
+    rank: int | None = None
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """What one run produced.  ``exact`` and ``rel_err`` are None when no
+    spectrum is known, ``rel_err`` alone for a pure state.  ``fields`` holds
+    the method's own outputs in the order ``estimate`` prints them."""
+
+    estimate: float
+    wall_ms: float
+    exact: float | None
+    rel_err: float | None
+    warnings: tuple[str, ...]
+    fields: dict
+
+
+def run_method(
+    matrix: SparseSymMatrix, model: SpectralModel | None, spec: RunSpec
+) -> RunRecord:
+    """Run one estimator and compare it with the exact entropy of ``model``
+    (``exact`` with the spectrum it computes).  The one place that
+    dispatches on the method, for ``estimate`` and ``bench`` alike."""
+    t0 = time.perf_counter()
+    if spec.method in SERIES:
+        run = taylor_entropy if spec.method == "taylor" else chebyshev_entropy
+        rep = run(matrix, spec.cfg, model)
+        fields = {"m": rep.m_used, "s": rep.s_used, "u": rep.u_used, "seed": spec.seed}
+        return RunRecord(rep.estimate, rep.wall_ms, rep.exact, rep.rel_err, rep.warnings, fields)
+    if spec.method == "exact":
+        estimate, model = linalg.exact_entropy(matrix)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        warnings, fields = (), {"seed": spec.seed}
+    else:  # sketch
+        out = sketch_entropy(matrix, spec.rank, spec.proj)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        estimate = out.entropy_tilde
+        warnings = tuple(check_assumptions(model, k=spec.rank).warnings())
+        fields = {
+            "s": out.s,
+            "proj": out.kind,
+            "rank": spec.rank,
+            "seed": spec.seed,
+            "probs": [float(p) for p in out.probs_tilde],
+        }
+    exact, rel_err, pure = compare_to_exact(estimate, model)
+    return RunRecord(estimate, wall_ms, exact, rel_err, warnings + pure, fields)
+
+
+def _sketch_spec(kind: str, s: int, rank: int, seed: int, n: int) -> RunSpec:
+    if not 1 <= rank <= n:
+        raise ValueError(f"sketch rank must lie in [1, {n}], got {rank}")
+    return RunSpec("sketch", seed, proj=ProjectionSpec(kind, s, RngStream(seed)), rank=rank)
+
+
+def _estimate_spec(args, n: int) -> RunSpec:
+    """The run the flags ask for; out-of-range values raise ValueError."""
+    if args.method == "exact":
+        return RunSpec("exact", args.seed)
+    if args.method == "sketch":
+        if args.rank is None or args.proj is None:
+            raise UsageError("sketch needs --rank and --proj")
+        kind = "exact_debug" if args.proj == "exact" else args.proj
+        s = args.s
+        if not s:
+            s = n if kind == "exact_debug" else default_s_sketch(kind, n, args.rank, args.eps)
+        return _sketch_spec(kind, s, args.rank, args.seed, n)
     if args.m is None and args.ell is None:
         raise UsageError("provide --ell (with --eps/--delta) or an explicit --m")
-    if args.m is not None and need_s and args.s is None and not args.nte:
+    if args.m is not None and args.s is None and not args.nte:
         raise UsageError("provide --s alongside --m (or use --nte)")
     mode, value = args.u_mode
-    return EstimatorConfig(
+    cfg = EstimatorConfig(
         epsilon=args.eps,
         delta=args.delta,
         ell=args.ell,
@@ -161,76 +246,32 @@ def _estimator_config(args, need_s: bool = True) -> EstimatorConfig:
         nte=args.nte,
         seed=args.seed,
     )
+    return RunSpec(args.method, args.seed, cfg=cfg)
 
 
 def cmd_estimate(args) -> int:
     matrix, model = load_matrix(args.matrix)
-    record: dict = {"method": args.method, "n": matrix.n, "nnz": matrix.nnz}
-    warnings: list[str] = []
-    wall_ms: float | None = None
-    exact = None
+    try:
+        spec = _estimate_spec(args, matrix.n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if args.compute_exact and model is None and args.method != "exact":
+        _, model = linalg.exact_entropy(matrix)
+    rec = run_method(matrix, model, spec)
 
-    if args.compute_exact or args.method == "exact":
-        t0 = time.perf_counter()
-        exact, oracle_model = linalg.exact_entropy(matrix)
-        oracle_ms = (time.perf_counter() - t0) * 1e3
-        if model is None:
-            model = oracle_model
-
-    if args.method == "exact":
-        record["seed"] = args.seed
-        record["estimate"] = exact
-        wall_ms = oracle_ms
-        record_exact, rel = exact, 0.0
-    elif args.method in ("taylor", "chebyshev"):
-        cfg = _estimator_config(args)
-        run = taylor_entropy if args.method == "taylor" else chebyshev_entropy
-        rep = run(matrix, cfg, model)
-        record.update(m=rep.m_used, s=rep.s_used, u=rep.u_used, seed=args.seed)
-        record["estimate"] = rep.estimate
-        wall_ms = rep.wall_ms
-        record_exact, rel = rep.exact, rep.rel_err
-        warnings.extend(rep.warnings)
-        if exact is not None and record_exact is None:
-            record_exact = exact
-            rel = relative_error(rep.estimate, exact) if exact > 0 else None
-    else:  # sketch
-        if args.rank is None or args.proj is None:
-            raise UsageError("sketch needs --rank and --proj")
-        kind = "exact_debug" if args.proj == "exact" else args.proj
-        if args.s:
-            s = args.s
-        elif kind == "exact_debug":
-            s = matrix.n
+    if not math.isfinite(rec.estimate):
+        raise ValueError(f"estimate is not finite: {rec.estimate!r}")
+    record = {"method": args.method, "n": matrix.n, "nnz": matrix.nnz, **rec.fields}
+    record["estimate"] = rec.estimate
+    if not args.no_timings:
+        record["wall_ms"] = rec.wall_ms
+    if rec.exact is not None:
+        record["exact"] = rec.exact
+        if rec.rel_err is not None:
+            record["rel_err"] = rec.rel_err
         else:
-            s = default_s_sketch(kind, matrix.n, args.rank, args.eps)
-        t0 = time.perf_counter()
-        out = sketch_entropy(
-            matrix, args.rank, ProjectionSpec(kind, max(1, s), RngStream(args.seed))
-        )
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        record.update(s=out.s, proj=out.kind, rank=args.rank, seed=args.seed)
-        record["probs"] = [float(p) for p in out.probs_tilde]
-        record["estimate"] = out.entropy_tilde
-        checks = check_assumptions(model, k=args.rank)
-        warnings.extend(checks.warnings())
-        record_exact = rel = None
-        if model is not None and model.probs is not None:
-            record_exact = linalg.entropy_from_probs(model.probs, linalg.ENTROPY_CLAMP)
-            rel = None if record_exact <= 0 else relative_error(out.entropy_tilde, record_exact)
-
-    if not math.isfinite(record["estimate"]):
-        raise ValueError(f"estimate is not finite: {record['estimate']!r}")
-    if not args.no_timings and wall_ms is not None:
-        record["wall_ms"] = wall_ms
-    if record_exact is not None:
-        record["exact"] = record_exact
-        if rel is not None:
-            record["rel_err"] = rel
-        else:
-            record["abs_err"] = abs(record["estimate"] - record_exact)
-            warnings.append("exact entropy is zero (pure state); reporting abs_err")
-    record["warnings"] = warnings
+            record["abs_err"] = abs(rec.estimate - rec.exact)
+    record["warnings"] = rec.warnings
     line = json.dumps(record)
     if args.out:
         with open(args.out, "a", encoding="ascii") as fh:
@@ -253,12 +294,17 @@ def _parse_grid_entry(parse, value, what: str):
         raise UsageError(f"grid {what} {value!r}: {exc}")
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _load_grid(path) -> dict:
     """Read a bench grid and validate it before any cell runs.
 
-    Seeds become ints in parse_seed's range and each ``u_modes`` entry
-    becomes a ``(text, (mode, value))`` pair.  Repetition r of a cell runs
-    seed + r * 2**32, so repeated grids need seeds below 2**32.
+    Seeds become ints in parse_seed's range, each ``u_modes`` entry becomes
+    a ``(text, (mode, value))`` pair and each ``methods`` entry a
+    ``(name, (method, projection kind, nte))`` pair.  Repetition r of a cell
+    runs seed + r * 2**32, so repeated grids need seeds below 2**32.
     """
     with open(path, "r", encoding="utf-8") as fh:
         grid = json.load(fh)
@@ -269,7 +315,7 @@ def _load_grid(path) -> dict:
         if not isinstance(grid[key], list) or not grid[key]:
             raise UsageError(f"grid field {key!r} must be a nonempty list")
     reps = grid.get("repetitions", 1)
-    if isinstance(reps, bool) or not isinstance(reps, int) or reps < 1:
+    if not _is_count(reps):
         raise UsageError(f"grid field 'repetitions' must be an integer >= 1, got {reps!r}")
     grid["seeds"] = [_parse_grid_entry(parse_seed, seed, "seed") for seed in grid["seeds"]]
     if reps > 1 and max(grid["seeds"]) >= 2**32:
@@ -278,6 +324,20 @@ def _load_grid(path) -> dict:
         (text, _parse_grid_entry(parse_u_mode, text, "u-mode"))
         for text in grid.get("u_modes", ["six"])
     ]
+    methods = []
+    for name in grid["methods"]:
+        parsed = GRID_METHODS.get(name) if isinstance(name, str) else None
+        if parsed is None:
+            raise UsageError(f"unknown bench method {name!r}")
+        method, _, nte = parsed
+        if method in SERIES and not grid.get("m_values"):
+            raise UsageError(f"method {name!r} needs nonempty m_values")
+        if method != "exact" and not nte and not grid.get("s_values"):
+            raise UsageError(f"method {name!r} needs nonempty s_values")
+        if method == "sketch" and not _is_count(grid.get("rank")):
+            raise UsageError(f"method {name!r} needs an integer rank >= 1")
+        methods.append((name, parsed))
+    grid["methods"] = methods
     return grid
 
 
@@ -300,98 +360,67 @@ def _grid_matrix(spec) -> tuple[SparseSymMatrix, SpectralModel | None]:
     raise UsageError(f"unknown matrix family {family!r}")
 
 
-def _bench_cells(grid, model) -> list[dict]:
-    m_values = grid.get("m_values", [])
-    s_values = grid.get("s_values", [])
-    seeds = grid["seeds"]
-    reps = grid.get("repetitions", 1)
+def _bench_cells(grid, n: int, model: SpectralModel | None) -> list[tuple[tuple, RunSpec]]:
+    """Every cell of a loaded grid as (row labels, run spec), in row order.
+
+    The labels are (method, m, s, u_mode, seed, rep) as the CSV prints them.
+    Out-of-range grid values raise ValueError or TypeError here, before any
+    cell runs.
+    """
+    ell = None
+    if model is not None and model.probs is not None and model.p_min > 0:
+        ell = model.p_min
     cells = []
-    for method in grid["methods"]:
-        base = method.split(":", 1)[0].removesuffix("_nte")
-        nte = method.endswith("_nte")
-        if base in ("taylor", "chebyshev") and not m_values:
-            raise UsageError(f"method {method!r} needs nonempty m_values")
-        if base == "sketch" and not s_values:
-            raise UsageError("sketch methods need nonempty s_values")
-        if base not in ("exact", "taylor", "chebyshev", "sketch"):
-            raise UsageError(f"unknown bench method {method!r}")
-        ms = m_values if base in ("taylor", "chebyshev") else [None]
-        ss = [None] if base == "exact" or nte else (s_values or [None])
-        us = grid["u_modes"] if base in ("taylor", "chebyshev") else [(None, None)]
-        for m in ms:
-            for s in ss:
-                for u_mode, u in us:
-                    for seed in seeds:
-                        for rep in range(reps):
-                            cells.append(
-                                dict(method=method, m=m, s=s, u_mode=u_mode, u=u, seed=seed, rep=rep)
-                            )
+    for name, (method, kind, nte) in grid["methods"]:
+        series = method in SERIES
+        ms = grid["m_values"] if series else [None]
+        ss = [None] if method == "exact" or nte else grid["s_values"]
+        us = grid["u_modes"] if series else [(None, (None, None))]
+        cases = itertools.product(ms, ss, us, grid["seeds"], range(grid.get("repetitions", 1)))
+        for m, s, (u_text, (mode, value)), seed, rep in cases:
+            run_seed = seed + (rep << 32)
+            if method == "exact":
+                spec = RunSpec("exact", run_seed)
+            elif method == "sketch":
+                spec = _sketch_spec(kind, int(s), grid["rank"], run_seed, n)
+            else:
+                cfg = EstimatorConfig(
+                    epsilon=float(grid.get("epsilon", 0.1)),
+                    delta=float(grid.get("delta", 0.1)),
+                    ell=ell,
+                    u_mode=mode,
+                    u_value=value,
+                    m_override=int(m),
+                    s_override=0 if nte else int(s),
+                    nte=nte,
+                    seed=run_seed,
+                )
+                spec = RunSpec(method, run_seed, cfg=cfg)
+            cells.append(((name, m, s, u_text, seed, rep), spec))
     return cells
 
 
-def _run_cell(cell, matrix, model, grid):
-    row = {k: cell[k] for k in ("method", "m", "s", "u_mode", "seed", "rep")}
-    row.update(estimate=None, exact=None, rel_err=None, wall_ms=None, error="")
+def _run_cell(cell, matrix, model):
+    labels, spec = cell
     try:
-        method = cell["method"]
-        base = method.split(":", 1)[0].removesuffix("_nte")
-        seed = cell["seed"] + (cell["rep"] << 32)
-        if base == "exact":
-            t0 = time.perf_counter()
-            estimate, _ = linalg.exact_entropy(matrix)
-            row["wall_ms"] = (time.perf_counter() - t0) * 1e3
-            row["estimate"], row["exact"], row["rel_err"] = estimate, estimate, 0.0
-            return row
-        if base == "sketch":
-            kind = method.split(":", 1)[1] if ":" in method else "gaussian"
-            rank = int(grid["rank"])
-            t0 = time.perf_counter()
-            out = sketch_entropy(
-                matrix, rank, ProjectionSpec(kind, int(cell["s"]), RngStream(seed))
-            )
-            row["wall_ms"] = (time.perf_counter() - t0) * 1e3
-            row["estimate"] = out.entropy_tilde
-        else:
-            ell = None
-            if model is not None and model.probs is not None and model.p_min > 0:
-                ell = model.p_min
-            mode, value = cell["u"]
-            cfg = EstimatorConfig(
-                epsilon=float(grid.get("epsilon", 0.1)),
-                delta=float(grid.get("delta", 0.1)),
-                ell=ell,
-                u_mode=mode,
-                u_value=value,
-                m_override=int(cell["m"]),
-                s_override=0 if method.endswith("_nte") else int(cell["s"]),
-                nte=method.endswith("_nte"),
-                seed=seed,
-            )
-            run = taylor_entropy if base == "taylor" else chebyshev_entropy
-            rep = run(matrix, cfg, model)
-            row["estimate"], row["wall_ms"] = rep.estimate, rep.wall_ms
-            row["exact"], row["rel_err"] = rep.exact, rep.rel_err
-            return row
-        if model is not None and model.probs is not None:
-            exact = linalg.entropy_from_probs(model.probs, linalg.ENTROPY_CLAMP)
-            row["exact"] = exact
-            if exact > 0:
-                row["rel_err"] = relative_error(row["estimate"], exact)
+        return labels, run_method(matrix, model, spec), ""
     except Exception as exc:  # cell failures are recorded, the sweep continues
-        row["error"] = type(exc).__name__
-    return row
+        return labels, None, type(exc).__name__
 
 
 def cmd_bench(args) -> int:
     grid = _load_grid(args.grid)
     matrix, model = _grid_matrix(grid["matrix"])
-    cells = _bench_cells(grid, model)
+    try:
+        cells = _bench_cells(grid, matrix.n, model)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"grid cell: {exc}") from exc
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(lambda c: _run_cell(c, matrix, model, grid), cells))
+            rows = list(pool.map(lambda c: _run_cell(c, matrix, model), cells))
     else:
-        rows = [_run_cell(c, matrix, model, grid) for c in cells]
+        rows = [_run_cell(c, matrix, model) for c in cells]
 
     out = open(args.out, "w", newline="", encoding="ascii") if args.out else sys.stdout
     try:
@@ -399,42 +428,20 @@ def cmd_bench(args) -> int:
         writer.writerow(
             ["method", "m", "s", "u_mode", "seed", "rep", "estimate", "exact", "rel_err", "wall_ms", "error"]
         )
-        for row in rows:
-            wall = "" if args.no_timings else (
-                "" if row["wall_ms"] is None else f"{row['wall_ms']:.3f}"
-            )
-            writer.writerow(
-                [
-                    row["method"],
-                    _fmt(row["m"]),
-                    _fmt(row["s"]),
-                    _fmt(row["u_mode"]),
-                    _fmt(row["seed"]),
-                    _fmt(row["rep"]),
-                    _fmt(row["estimate"]),
-                    _fmt(row["exact"]),
-                    _fmt(row["rel_err"]),
-                    wall,
-                    row["error"],
-                ]
-            )
+        for labels, rec, error in rows:
+            values = (rec.estimate, rec.exact, rec.rel_err) if rec else (None, None, None)
+            wall = f"{rec.wall_ms:.3f}" if rec and not args.no_timings else ""
+            writer.writerow([_fmt(v) for v in labels + values] + [wall, error])
         out.write("# summary,method,m,s,u_mode,mean_rel_err,max_rel_err\n")
         seen: dict[tuple, list[float]] = {}
-        order: list[tuple] = []
-        for row in rows:
-            key = (row["method"], row["m"], row["s"], row["u_mode"])
-            if key not in seen:
-                seen[key] = []
-                order.append(key)
-            if row["rel_err"] is not None:
-                seen[key].append(row["rel_err"])
-        for key in order:
-            errs = seen[key]
+        for labels, rec, _ in rows:
+            errs = seen.setdefault(labels[:4], [])
+            if rec and rec.rel_err is not None:
+                errs.append(rec.rel_err)
+        for key, errs in seen.items():
             mean_err = _fmt(sum(errs) / len(errs)) if errs else ""
             max_err = _fmt(max(errs)) if errs else ""
-            out.write(
-                f"# summary,{key[0]},{_fmt(key[1])},{_fmt(key[2])},{_fmt(key[3])},{mean_err},{max_err}\n"
-            )
+            out.write(f"# summary,{','.join(_fmt(k) for k in key)},{mean_err},{max_err}\n")
     finally:
         if args.out:
             out.close()
@@ -449,8 +456,6 @@ def cmd_bench(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="vnentropy", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    default_threads = int(os.environ.get("VNENTROPY_THREADS", "1"))
 
     gen = sub.add_parser("generate", help="write a matrix (+ spectrum sidecar) to disk")
     gen.add_argument("--family", required=True, choices=FAMILIES)
@@ -476,7 +481,6 @@ def build_parser() -> _Parser:
     )
     est.add_argument("--rank", type=int, default=None)
     est.add_argument("--seed", type=parse_seed, default=0)
-    est.add_argument("--threads", type=int, default=default_threads)
     est.add_argument("--no-timings", action="store_true")
     est.add_argument("--compute-exact", action="store_true")
     est.add_argument("--out", default=None)
@@ -485,7 +489,9 @@ def build_parser() -> _Parser:
     ben = sub.add_parser("bench", help="run a grid of estimator cells, emit CSV")
     ben.add_argument("grid")
     ben.add_argument("--out", default=None)
-    ben.add_argument("--threads", type=int, default=default_threads)
+    ben.add_argument(
+        "--threads", type=int, default=int(os.environ.get("VNENTROPY_THREADS", "1"))
+    )
     ben.add_argument("--no-timings", action="store_true")
     ben.set_defaults(func=cmd_bench)
 

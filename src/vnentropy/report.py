@@ -118,6 +118,20 @@ def relative_error(estimate: float, exact: float) -> float:
     return abs(estimate - exact) / exact
 
 
+def compare_to_exact(
+    estimate: float, model: SpectralModel | None
+) -> tuple[float | None, float | None, tuple[str, ...]]:
+    """Exact entropy of the model's spectrum, the relative error of
+    ``estimate``, and warnings: (None, None, ()) with no known spectrum; for
+    a pure state (zero entropy) no relative error and one warning."""
+    if model is None or model.probs is None:
+        return None, None, ()
+    exact = linalg.entropy_from_probs(model.probs, linalg.ENTROPY_CLAMP)
+    if exact > 0.0:
+        return exact, relative_error(estimate, exact), ()
+    return exact, None, ("exact entropy is zero (pure state); rel_err omitted",)
+
+
 @dataclass
 class EstimateReport:
     """Output envelope of one estimator run."""
@@ -164,13 +178,8 @@ def assemble_report(
         warnings.append("u_mode 'raw' is heuristic: u >= p1 is not guaranteed")
     warnings.extend(assumptions.warnings())
 
-    exact = rel = None
-    if model is not None and model.probs is not None:
-        exact = linalg.entropy_from_probs(model.probs, linalg.ENTROPY_CLAMP)
-        if exact > 0.0:
-            rel = relative_error(estimate, exact)
-        else:
-            warnings.append("exact entropy is zero (pure state); rel_err omitted")
+    exact, rel, pure = compare_to_exact(estimate, model)
+    warnings.extend(pure)
     return EstimateReport(
         estimate=estimate,
         method=method,

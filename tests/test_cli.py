@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,19 +132,6 @@ def test_estimate_warns_on_violated_ell(tmp_path, capsys):
     assert any("ell" in w for w in record["warnings"])
 
 
-def test_estimate_threads_do_not_change_output(tmp_path, capsys):
-    out_path = tmp_path / "tri.mtx"
-    run_cli(capsys, "generate", "--family", "tridiagonal", "--n", "32", "--out", str(out_path))
-    outputs = []
-    for threads in ("1", "3"):
-        _, out, _ = run_cli(
-            capsys, "estimate", str(out_path), "--method", "chebyshev",
-            "--m", "8", "--s", "16", "--threads", threads, "--no-timings",
-        )
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
-
-
 def test_usage_errors_exit_one(tmp_path, capsys):
     path = write_identity_density(tmp_path, 4)
     with pytest.raises(SystemExit) as excinfo:
@@ -158,6 +146,56 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         main(["estimate", str(path), "--method", "taylor"])  # no ell and no m
     assert excinfo.value.code == 1
     capsys.readouterr()
+
+
+BAD_ESTIMATE_FLAGS = {
+    "taylor-zero-m": ("--method", "taylor", "--m", "0", "--s", "4"),
+    "taylor-negative-s": ("--method", "taylor", "--m", "3", "--s", "-2"),
+    "taylor-eps-above-one": ("--method", "taylor", "--m", "3", "--s", "4", "--eps", "2"),
+    "chebyshev-zero-ell": ("--method", "chebyshev", "--ell", "0"),
+    "sketch-zero-rank": ("--method", "sketch", "--proj", "gaussian", "--rank", "0", "--s", "4"),
+    "sketch-rank-above-n": ("--method", "sketch", "--proj", "countsketch", "--rank", "5", "--s", "4"),
+    "sketch-negative-s": ("--method", "sketch", "--proj", "srht", "--rank", "2", "--s", "-5"),
+    "sketch-eps-above-one": ("--method", "sketch", "--proj", "gaussian", "--rank", "2", "--eps", "2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ESTIMATE_FLAGS))
+def test_estimate_out_of_range_flags_are_usage_errors(tmp_path, capsys, name):
+    path = write_identity_density(tmp_path, 4)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["estimate", str(path), *BAD_ESTIMATE_FLAGS[name]])
+    assert excinfo.value.code == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_pure_state_record_carries_one_warning(tmp_path, capsys):
+    path = tmp_path / "pure.mtx"
+    write_matrix_market(SparseSymMatrix.from_dense(np.diag([1.0, 0.0, 0.0, 0.0])), path)
+    for flags in (
+        ("--method", "exact"),
+        ("--method", "taylor", "--m", "3", "--s", "4"),
+        ("--method", "chebyshev", "--m", "3", "--nte"),
+        ("--method", "sketch", "--proj", "countsketch", "--rank", "1", "--s", "4"),
+    ):
+        code, out, _ = run_cli(
+            capsys, "estimate", str(path), *flags, "--compute-exact", "--no-timings"
+        )
+        record = json.loads(out)
+        assert code == 0
+        assert sum("pure state" in w for w in record["warnings"]) == 1, flags
+        assert "rel_err" not in record and record["exact"] == 0.0 and "abs_err" in record
+
+
+def test_compute_exact_uses_the_sidecar_without_the_oracle(tmp_path, capsys, monkeypatch):
+    out_path = tmp_path / "tri.mtx"
+    run_cli(capsys, "generate", "--family", "tridiagonal", "--n", "16", "--out", str(out_path))
+    monkeypatch.setattr(cli.linalg, "exact_entropy", lambda *a, **k: pytest.fail("oracle ran"))
+    code, out, _ = run_cli(
+        capsys, "estimate", str(out_path), "--method", "taylor",
+        "--m", "3", "--s", "4", "--compute-exact", "--no-timings",
+    )
+    assert code == 0 and "rel_err" in json.loads(out)
 
 
 def test_numerical_failures_exit_two(tmp_path, capsys):
@@ -227,9 +265,11 @@ def test_bench_repeat_and_threads_byte_identical(tmp_path, capsys):
 def test_bench_records_cell_failures_and_continues(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({
-        "matrix": {"family": "tridiagonal", "n": 16},
-        "methods": ["sketch:countsketch", "exact"],  # sketch fails: no rank given
-        "s_values": [8],
+        "matrix": {"family": "tridiagonal", "n": 5000},
+        "methods": ["exact", "taylor"],  # exact fails: n is above the oracle limit
+        "m_values": [2],
+        "s_values": [2],
+        "u_modes": ["manual:0.01"],
         "seeds": [0],
     }))
     out_csv = tmp_path / "out.csv"
@@ -238,8 +278,7 @@ def test_bench_records_cell_failures_and_continues(tmp_path, capsys):
     lines = [l for l in out_csv.read_text().splitlines() if not l.startswith("#")]
     error_col = lines[0].split(",").index("error")
     cells = [l.split(",") for l in lines[1:]]
-    assert any(row[error_col] == "KeyError" for row in cells)
-    assert any(row[0] == "exact" and row[error_col] == "" for row in cells)
+    assert [(row[0], row[error_col]) for row in cells] == [("exact", "ValueError"), ("taylor", "")]
 
 
 def test_bench_repetitions_add_rows_with_fresh_streams(tmp_path, capsys):
@@ -285,6 +324,20 @@ BAD_GRIDS = {
     "manual-u-above-one": {"u_modes": ["manual:1.5"]},
     "unknown-u-mode": {"u_modes": ["sixx"]},
     "non-string-u-mode": {"u_modes": [6]},
+    "unknown-method-suffix": {"methods": ["taylor:foo"]},
+    "exact-nte": {"methods": ["exact_nte"]},
+    "sketch-nte": {"methods": ["sketch_nte"], "rank": 2},
+    "unknown-projection": {"methods": ["sketch:bogus"], "rank": 2},
+    "non-string-method": {"methods": [["taylor"]]},
+    "series-without-s-values": {"s_values": []},
+    "sketch-without-rank": {"methods": ["sketch:gaussian"]},
+    "sketch-zero-rank": {"methods": ["sketch:gaussian"], "rank": 0},
+    "sketch-fractional-rank": {"methods": ["sketch:srht"], "rank": 1.5},
+    "sketch-boolean-rank": {"methods": ["sketch:countsketch"], "rank": True},
+    "sketch-string-rank": {"methods": ["sketch:countsketch"], "rank": "2"},
+    "sketch-rank-above-n": {"methods": ["sketch:gaussian"], "rank": 9},
+    "zero-m": {"m_values": [0]},
+    "epsilon-above-one": {"epsilon": 2},
 }
 
 
@@ -351,3 +404,48 @@ def test_bench_string_seeds_parse_like_the_seed_flag(tmp_path, capsys):
     assert [r["seed"] for r in by_text] == ["42", "42"]
     assert by_text[0]["estimate"] == by_text[1]["estimate"] == by_int[0]["estimate"]
     assert by_int[0]["u_mode"] == "manual:0.5" and by_int[0]["error"] == ""
+
+
+def test_estimate_and_bench_agree_on_one_cell(tmp_path, capsys):
+    matrix = tmp_path / "lr.mtx"
+    run_cli(capsys, "generate", "--family", "lowrank", "--n", "48", "--k", "3",
+            "--decay", "exponential", "--out", str(matrix))
+    flags = {
+        "taylor": ("--method", "taylor", "--m", "4", "--s", "16"),
+        "chebyshev_nte": ("--method", "chebyshev", "--m", "4", "--nte"),
+        "sketch:countsketch": ("--method", "sketch", "--proj", "countsketch", "--rank", "3", "--s", "16"),
+        "exact": ("--method", "exact"),
+    }
+    rows = bench_rows(tmp_path, capsys, {
+        "matrix": {"path": str(matrix)},
+        "methods": list(flags),
+        "m_values": [4],
+        "s_values": [16],
+        "seeds": [5],
+        "rank": 3,
+    })
+    assert [r["method"] for r in rows] == list(flags)
+    for row in rows:
+        _, out, _ = run_cli(capsys, "estimate", str(matrix), *flags[row["method"]],
+                            "--seed", "5", "--no-timings")
+        record = json.loads(out)
+        assert row["error"] == ""
+        for key in ("estimate", "exact", "rel_err"):
+            assert float(row[key]) == record[key], (row["method"], key)
+
+
+GRID_DIR = Path(__file__).resolve().parent.parent / "grids"
+GRID_CELLS = {
+    "error_vs_terms": 360,
+    "projection_sweep_exponential_k10": 60,
+    "projection_sweep_exponential_k50": 60,
+    "projection_sweep_linear_k10": 60,
+    "projection_sweep_linear_k50": 60,
+}
+
+
+@pytest.mark.parametrize("path", sorted(GRID_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_checked_in_grids_build_every_cell(path):
+    grid = cli._load_grid(path)
+    matrix, model = cli._grid_matrix(grid["matrix"])
+    assert len(cli._bench_cells(grid, matrix.n, model)) == GRID_CELLS[path.stem]
