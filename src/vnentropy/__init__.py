@@ -49,7 +49,6 @@ from .sketch import (
     apply_gaussian,
     apply_srht,
     default_s_sketch,
-    fwht_inplace,
     sketch_entropy,
 )
 from .taylor import (

@@ -16,7 +16,6 @@ import csv
 import itertools
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -113,7 +112,13 @@ def read_spectrum(path) -> np.ndarray:
 
 
 def load_matrix(path) -> tuple[SparseSymMatrix, SpectralModel | None]:
+    """Read a stored density matrix and its spectrum sidecar, if any; a
+    trace off 1 raises ValueError."""
     matrix = read_matrix_market(path)
+    try:
+        matrix.validate_density()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     side = sidecar_path(path)
     model = SpectralModel(probs=read_spectrum(side)) if side.exists() else None
     return matrix, model
@@ -124,21 +129,26 @@ def load_matrix(path) -> tuple[SparseSymMatrix, SpectralModel | None]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(args) -> int:
-    stream = RngStream(args.seed)
-    if args.family == "haar":
-        matrix, model = generate_haar_like_density(args.n, stream)
-    elif args.family == "tridiagonal":
-        matrix, model = generate_tridiagonal_poisson(args.n)
-    elif args.family == "lowrank":
-        if args.k is None:
-            raise UsageError("--k is required for the lowrank family")
-        matrix, model = generate_low_rank_density(args.n, args.k, args.decay, stream)
-    else:
-        if args.k is None:
-            raise UsageError("--k is required for the linuniform family")
-        matrix, model = generate_linear_plus_uniform(args.n, args.k, stream)
+def generate_family(
+    family: str, n: int, k: int | None, decay: str, seed: int
+) -> tuple[SparseSymMatrix, SpectralModel]:
+    """The matrix ``generate`` writes and a bench grid's family spec names."""
+    stream = RngStream(seed)
+    if family == "haar":
+        return generate_haar_like_density(n, stream)
+    if family == "tridiagonal":
+        return generate_tridiagonal_poisson(n)
+    if family not in FAMILIES:
+        raise UsageError(f"unknown matrix family {family!r}")
+    if k is None:
+        raise UsageError(f"k is required for the {family} family")
+    if family == "lowrank":
+        return generate_low_rank_density(n, k, decay, stream)
+    return generate_linear_plus_uniform(n, k, stream)
 
+
+def cmd_generate(args) -> int:
+    matrix, model = generate_family(args.family, args.n, args.k, args.decay, args.seed)
     write_matrix_market(matrix, args.out)
     if model.probs is not None:
         write_spectrum(model.probs, sidecar_path(args.out))
@@ -227,7 +237,7 @@ def _estimate_spec(args, n: int) -> RunSpec:
             raise UsageError("sketch needs --rank and --proj")
         kind = "exact_debug" if args.proj == "exact" else args.proj
         s = args.s
-        if not s:
+        if s is None:
             s = n if kind == "exact_debug" else default_s_sketch(kind, n, args.rank, args.eps)
         return _sketch_spec(kind, s, args.rank, args.seed, n)
     if args.m is None and args.ell is None:
@@ -346,18 +356,16 @@ def _grid_matrix(spec) -> tuple[SparseSymMatrix, SpectralModel | None]:
         if not Path(spec["path"]).exists():
             raise UsageError(f"matrix file {spec['path']!r} does not exist")
         return load_matrix(spec["path"])
-    family = spec.get("family")
-    stream = RngStream(int(spec.get("seed", 0)))
-    n = int(spec["n"])
-    if family == "tridiagonal":
-        return generate_tridiagonal_poisson(n)
-    if family == "haar":
-        return generate_haar_like_density(n, stream)
-    if family == "lowrank":
-        return generate_low_rank_density(n, int(spec["k"]), spec.get("decay", "linear"), stream)
-    if family == "linuniform":
-        return generate_linear_plus_uniform(n, int(spec["k"]), stream)
-    raise UsageError(f"unknown matrix family {family!r}")
+    if "n" not in spec:
+        raise UsageError("grid matrix needs a 'path' or an 'n'")
+    k = spec.get("k")
+    return generate_family(
+        spec.get("family"),
+        int(spec["n"]),
+        None if k is None else int(k),
+        spec.get("decay", "linear"),
+        int(spec.get("seed", 0)),
+    )
 
 
 def _bench_cells(grid, n: int, model: SpectralModel | None) -> list[tuple[tuple, RunSpec]]:
@@ -489,9 +497,7 @@ def build_parser() -> _Parser:
     ben = sub.add_parser("bench", help="run a grid of estimator cells, emit CSV")
     ben.add_argument("grid")
     ben.add_argument("--out", default=None)
-    ben.add_argument(
-        "--threads", type=int, default=int(os.environ.get("VNENTROPY_THREADS", "1"))
-    )
+    ben.add_argument("--threads", type=int, default=1)
     ben.add_argument("--no-timings", action="store_true")
     ben.set_defaults(func=cmd_bench)
 

@@ -95,22 +95,6 @@ class SparseSymMatrix:
         if abs(t - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {t!r} is not 1 within {TRACE_TOL}")
 
-    def validate_structure(self) -> None:
-        """Check CSR invariants and exact structural/numeric symmetry."""
-        if self.row_offsets.shape != (self.n + 1,):
-            raise ValueError("row_offsets must have length n+1")
-        if np.any(np.diff(self.row_offsets) < 0):
-            raise ValueError("row_offsets must be monotone")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("stored values must be finite")
-        for i in range(self.n):
-            cols = self.col_indices[self.row_offsets[i] : self.row_offsets[i + 1]]
-            if cols.size and (np.any(np.diff(cols) <= 0) or cols[0] < 0 or cols[-1] >= self.n):
-                raise ValueError(f"row {i}: column indices not sorted/in range")
-        a = self.to_dense()
-        if not np.array_equal(a, a.T):
-            raise ValueError("stored matrix is not exactly symmetric")
-
 
 @dataclass
 class SpectralModel:

@@ -9,7 +9,8 @@ R~ = R Pi.  Three projections are provided:
   E[Pi Pi^T] = I;
 * ``srht``: subsampled randomized Hadamard transform
   sqrt(n'/s) * D H S with the dimension zero-padded to the next power of
-  two n';
+  two n'; only the s sampled columns of H are formed, entry by entry from
+  the bits of their row and column indices;
 * ``countsketch``: one random +-1 per input coordinate, applied in
   O(nnz(R)).
 
@@ -62,32 +63,6 @@ class SketchSpectrum:
     s: int
 
 
-def fwht_inplace(x: np.ndarray) -> np.ndarray:
-    """Orthonormal Walsh-Hadamard transform of a power-of-two-length vector,
-    in place (the array is also returned)."""
-    if x.ndim != 1:
-        raise ValueError("expected a 1-d array")
-    _fwht_axis0(x[:, None])
-    return x
-
-
-def _fwht_axis0(a: np.ndarray) -> np.ndarray:
-    """Apply the orthonormal Hadamard transform down each column, in place."""
-    n = a.shape[0]
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"length {n} is not a power of two")
-    h = 1
-    while h < n:
-        view = a.reshape(n // (2 * h), 2, h, -1)
-        top = view[:, 0].copy()
-        bot = view[:, 1].copy()
-        view[:, 0] = top + bot
-        view[:, 1] = top - bot
-        h *= 2
-    a /= math.sqrt(n)
-    return a
-
-
 def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
@@ -104,12 +79,25 @@ def apply_gaussian(R: SparseSymMatrix, s: int, stream: RngStream) -> np.ndarray:
     return R.matmat(g / math.sqrt(s))
 
 
+def _hadamard_signs(rows: int, cols: np.ndarray) -> np.ndarray:
+    """Entries (-1)^popcount(i & j) of the unnormalised Sylvester-Hadamard
+    matrix for i < rows and j in ``cols``, as a (rows, len(cols)) array.
+
+    The parity of popcount(x) is the low bit of x folded onto itself by
+    xor-shifts, which needs no numpy 2 ``bitwise_count``.
+    """
+    x = np.arange(rows, dtype=np.int64)[:, None] & cols[None, :]
+    for shift in (32, 16, 8, 4, 2, 1):
+        x ^= x >> shift
+    return 1.0 - 2.0 * (x & 1)
+
+
 def apply_srht(R: SparseSymMatrix, s: int, stream: RngStream) -> np.ndarray:
     """Sketch through Pi = sqrt(n'/s) D H S, padded to n' = next power of two.
 
-    Exploits symmetry: rows of H D R_pad at the s sampled indices are the
-    transposed sketch columns.  The dense O(n'^2 log n') transform is fine
-    at desk scale.
+    Only the s sampled columns of H, restricted to the first n rows, are
+    built: every entry of Pi is then +-1/sqrt(s), and the sketch costs
+    O(nnz(R) s + n s) with no dense copy of R.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
@@ -117,11 +105,8 @@ def apply_srht(R: SparseSymMatrix, s: int, stream: RngStream) -> np.ndarray:
     np2 = _next_pow2(n)
     signs = rademacher_vector(stream.child(0), np2)
     sampled = uniform_indices(stream.child(1), np2, s)
-    a = np.zeros((np2, n), dtype=np.float64)
-    a[:n, :] = R.to_dense()
-    a *= signs[:, None]
-    _fwht_axis0(a)
-    return math.sqrt(np2 / s) * a[sampled, :].T
+    pi = signs[:n, None] * _hadamard_signs(n, sampled)
+    return R.matmat(pi) / math.sqrt(s)
 
 
 def apply_countsketch(R: SparseSymMatrix, s: int, stream: RngStream) -> np.ndarray:

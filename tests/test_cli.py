@@ -156,6 +156,7 @@ BAD_ESTIMATE_FLAGS = {
     "sketch-zero-rank": ("--method", "sketch", "--proj", "gaussian", "--rank", "0", "--s", "4"),
     "sketch-rank-above-n": ("--method", "sketch", "--proj", "countsketch", "--rank", "5", "--s", "4"),
     "sketch-negative-s": ("--method", "sketch", "--proj", "srht", "--rank", "2", "--s", "-5"),
+    "sketch-zero-s": ("--method", "sketch", "--proj", "gaussian", "--rank", "2", "--s", "0"),
     "sketch-eps-above-one": ("--method", "sketch", "--proj", "gaussian", "--rank", "2", "--eps", "2"),
 }
 
@@ -205,6 +206,19 @@ def test_numerical_failures_exit_two(tmp_path, capsys):
     bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n9 9 1.0\n")
     code, _, err = run_cli(capsys, "estimate", str(bad), "--method", "exact")
     assert code == 2 and ":3:" in err
+
+
+def test_trace_off_one_exits_two(tmp_path, capsys):
+    path = tmp_path / "trace2.mtx"
+    write_matrix_market(SparseSymMatrix.from_dense(np.eye(2)), path)
+    code, out, err = run_cli(capsys, "estimate", str(path), "--method", "exact")
+    assert code == 2 and out == ""
+    assert str(path) in err and "trace 2.0" in err
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"matrix": {"path": str(path)}, "methods": ["exact"], "seeds": [0]}))
+    code, out, err = run_cli(capsys, "bench", str(grid))
+    assert code == 2 and out == ""
+    assert str(path) in err and "trace 2.0" in err
 
 
 def test_bench_exact_only_grid(tmp_path, capsys):
@@ -338,6 +352,10 @@ BAD_GRIDS = {
     "sketch-rank-above-n": {"methods": ["sketch:gaussian"], "rank": 9},
     "zero-m": {"m_values": [0]},
     "epsilon-above-one": {"epsilon": 2},
+    "lowrank-without-k": {"matrix": {"family": "lowrank", "n": 8}},
+    "linuniform-without-k": {"matrix": {"family": "linuniform", "n": 8}},
+    "family-without-n": {"matrix": {"family": "tridiagonal"}},
+    "unknown-family": {"matrix": {"family": "wavelet", "n": 8}},
 }
 
 

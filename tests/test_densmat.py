@@ -95,6 +95,9 @@ def test_tridiagonal_poisson_small_values():
 def test_tridiagonal_spectrum_matches_eigensolver():
     for n in (8, 32):
         r, model = generate_tridiagonal_poisson(n)
+        csr = r.scipy_csr
+        assert abs(csr - csr.T).max() == 0
+        assert csr.has_sorted_indices
         w, _ = dense_eigh(r.to_dense())
         assert np.max(np.abs(w[::-1] - model.probs)) < 1e-8
         assert np.max(np.abs(np.sort(poisson_spectrum(n)) - w)) < 1e-12
@@ -238,8 +241,3 @@ def test_validate_density_catches_bad_trace():
     r = diagonal_matrix([0.5, 0.4])
     with pytest.raises(ValueError):
         r.validate_density()
-
-
-def test_structure_validation_passes_on_generated():
-    r, _ = generate_tridiagonal_poisson(6)
-    r.validate_structure()

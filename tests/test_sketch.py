@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg
 
 from conftest import diagonal_matrix
 from vnentropy import (
@@ -14,12 +14,13 @@ from vnentropy import (
     apply_srht,
     default_s_sketch,
     entropy_from_probs,
-    fwht_inplace,
     generate_linear_plus_uniform,
     generate_low_rank_density,
+    generate_tridiagonal_poisson,
     sketch_entropy,
 )
-from vnentropy.rng import gaussian_vector, rademacher_vector, uniform_indices
+from vnentropy.rng import rademacher_vector, uniform_indices
+from vnentropy.sketch import _hadamard_signs
 
 
 def countsketch_matrix(s, n, stream):
@@ -32,33 +33,26 @@ def countsketch_matrix(s, n, stream):
 
 
 def hadamard_dense(n):
-    h = np.zeros((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        h[:, j] = fwht_inplace(e)
-    return h
+    return scipy.linalg.hadamard(n) / math.sqrt(n)
 
 
-def test_fwht_first_column():
-    x = np.array([1.0, 0.0])
-    assert np.allclose(fwht_inplace(x), [1 / math.sqrt(2)] * 2, atol=1e-15)
+@pytest.mark.parametrize("n_pad", [1, 2, 8, 64])
+def test_hadamard_columns_match_scipy(n_pad):
+    rows = n_pad // 2 + 1  # 1, 2, 5, 33: below n_pad, and no power of two past 2
+    cols = uniform_indices(RngStream(n_pad), n_pad, 3 * n_pad)  # repeats allowed
+    expected = scipy.linalg.hadamard(n_pad)[:rows, cols]
+    assert np.array_equal(_hadamard_signs(rows, cols), expected)
 
 
-@given(st.integers(min_value=0, max_value=2**32), st.sampled_from([2, 8, 64]))
-@settings(max_examples=25, deadline=None)
-def test_fwht_involution_and_isometry(seed, n):
-    x = gaussian_vector(RngStream(seed), n)
-    original = x.copy()
-    y = fwht_inplace(x.copy())
-    assert abs(np.linalg.norm(y) - np.linalg.norm(original)) < 1e-12
-    z = fwht_inplace(y)
-    assert np.max(np.abs(z - original)) < 1e-12
+def test_srht_builds_no_dense_copy_at_n_65536(monkeypatch):
+    r, _ = generate_tridiagonal_poisson(65536)
 
+    def refuse(self):
+        raise AssertionError("to_dense called")
 
-def test_fwht_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        fwht_inplace(np.ones(3))
+    monkeypatch.setattr(SparseSymMatrix, "to_dense", refuse)
+    sketch = apply_srht(r, 16, RngStream(1))
+    assert sketch.shape == (65536, 16) and np.all(np.isfinite(sketch))
 
 
 def test_gaussian_sketch_of_zero_matrix():
