@@ -6,13 +6,7 @@ oracle: a truncated-series estimator, a Chebyshev-polynomial estimator
 top probability), and a random-projection route for low-rank matrices.
 """
 
-from .chebyshev import (
-    ChebCoefficients,
-    cheb_coefficients,
-    cheb_scalar_eval,
-    chebyshev_entropy,
-    default_m_cheb,
-)
+from .chebyshev import cheb_coefficients, chebyshev_entropy, default_m_cheb
 from .densmat import (
     SparseSymMatrix,
     SpectralModel,
@@ -20,7 +14,6 @@ from .densmat import (
     generate_linear_plus_uniform,
     generate_low_rank_density,
     generate_tridiagonal_poisson,
-    matvec,
     poisson_spectrum,
     read_matrix_market,
     write_matrix_market,
@@ -41,7 +34,7 @@ from .report import (
     check_assumptions,
     relative_error,
 )
-from .rng import RngStream, gaussian_vector, rademacher_vector, uniform_index
+from .rng import RngStream, gaussian_vector, rademacher_vector
 from .sketch import (
     ProjectionSpec,
     SketchSpectrum,
@@ -51,11 +44,7 @@ from .sketch import (
     default_s_sketch,
     sketch_entropy,
 )
-from .taylor import (
-    default_m_taylor,
-    taylor_entropy,
-    taylor_series_terms,
-)
+from .taylor import default_m_taylor, taylor_entropy
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -8,15 +8,16 @@ On [0, u] the function h has the closed-form Chebyshev series
     alpha_w = (-1)^w u / (w^3 - w)   for w >= 2,
 
 with |h - f_m| <= u / (2 m (m+1)) everywhere on the interval.  The
-entropy estimate is the Gaussian probe average of -g^T f_m(R) g, each
-probe evaluated by the backward (Clenshaw) recurrence at one sparse
-matvec per degree.
+entropy estimate is the Gaussian probe average of -g^T f_m(R) g
+= -sum_w alpha_w g^T T_w((2/u) R - I) g, with the moments g^T T_w g taken
+from the forward three-term recurrence at one sparse matvec per probe
+and degree (as in the kernel polynomial method).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,23 +25,9 @@ from .densmat import SparseSymMatrix, SpectralModel
 from .report import EstimateReport, EstimatorConfig, PolynomialSeries, polynomial_entropy
 from .rng import gaussian_vector
 
-DOMAIN_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class ChebCoefficients:
-    """Series coefficients alpha_0..alpha_m for the interval [0, u]."""
-
-    u: float
-    alphas: np.ndarray
-
-    @property
-    def degree(self) -> int:
-        return self.alphas.size - 1
-
-
-def cheb_coefficients(u: float, m: int) -> ChebCoefficients:
-    """Closed-form coefficients of the degree-m expansion of x ln x on [0, u]."""
+def cheb_coefficients(u: float, m: int) -> np.ndarray:
+    """Closed-form coefficients alpha_0..alpha_m of the degree-m expansion
+    of x ln x on [0, u]."""
     if not 0.0 < u <= 1.0:
         raise ValueError(f"u must lie in (0, 1], got {u}")
     if m < 1:
@@ -51,64 +38,36 @@ def cheb_coefficients(u: float, m: int) -> ChebCoefficients:
     alphas[1] = (u / 4.0) * (2.0 * math.log(u / 4.0) + 3.0)
     if m >= 2:
         alphas[2:] = np.where(w % 2 == 0, u, -u) / (w**3 - w)
-    return ChebCoefficients(u=u, alphas=alphas)
+    return alphas
 
 
-def _clenshaw_scalar(coeffs: ChebCoefficients, x: np.ndarray) -> np.ndarray:
-    """Clenshaw evaluation of the series at points x; no domain check."""
-    a = coeffs.alphas
-    xp = (2.0 / coeffs.u) * x - 1.0
-    b_kp1 = np.zeros_like(xp)
-    b_kp2 = np.zeros_like(xp)
-    b2 = np.zeros_like(xp)
-    for k in range(coeffs.degree, -1, -1):
-        b = a[k] + 2.0 * xp * b_kp1 - b_kp2
-        if k == 2:
-            b2 = b
-        b_kp2 = b_kp1
-        b_kp1 = b
-    return 0.5 * (a[0] + b_kp1 - b2)
-
-
-def cheb_scalar_eval(coeffs: ChebCoefficients, x) -> np.ndarray | float:
-    """f_m(x) for scalar or array x in [0, u].
-
-    The final combination (alpha_0 + b_0 - b_2) / 2 reproduces the full
-    series including the whole alpha_0 term.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < -DOMAIN_SLACK) or np.any(arr > coeffs.u + DOMAIN_SLACK):
-        raise ValueError(f"argument outside the domain [0, {coeffs.u}]")
-    out = _clenshaw_scalar(coeffs, arr)
-    return float(out) if np.isscalar(x) else out
-
-
-def _batched_cheb_forms(
-    R: SparseSymMatrix, coeffs: ChebCoefficients, probes: np.ndarray
+def moments(
+    apply: Callable[[np.ndarray], np.ndarray], G: np.ndarray, u: float, m: int
 ) -> np.ndarray:
-    """g^T f_m(R) g for each probe column, one matvec batch per degree.
+    """b x (m+1) array whose column k holds g^T T_k((2/u) R - I) g,
+    k = 0..m, for each column g of the n x b block G; ``apply`` multiplies
+    by R.
 
-    Backward recurrence y_k = alpha_k g + (4/u) R y_{k+1} - 2 y_{k+1} -
-    y_{k+2}, then (alpha_0 g.g + g.(y_0 - y_2)) / 2.  Only three work
-    blocks are live at a time.
+    Forward recurrence T_0 = G, T_1 = (2/u) R G - G,
+    T_{k+1} = (4/u) R T_k - 2 T_k - T_{k-1}, one product per degree, each
+    new block updated in place.
     """
-    a = coeffs.alphas
-    m = coeffs.degree
-    y_kp1 = np.zeros_like(probes)
-    y_kp2 = np.zeros_like(probes)
-    y2 = np.zeros_like(probes)
-    for k in range(m, -1, -1):
+    forms = np.empty((G.shape[1], m + 1))
+    forms[:, 0] = np.einsum("ij,ij->j", G, G)
+    t_prev, t = G, apply(G)
+    t *= 2.0 / u
+    t -= G
+    for k in range(1, m + 1):
+        forms[:, k] = np.einsum("ij,ij->j", G, t)
         if k == m:
-            y = a[k] * probes
-        else:
-            y = a[k] * probes + (4.0 / coeffs.u) * R.matmat(y_kp1) - 2.0 * y_kp1 - y_kp2
-        if k == 2:
-            y2 = y
-        y_kp2 = y_kp1
-        y_kp1 = y
-    y0 = y_kp1
-    gg = np.einsum("ij,ij->j", probes, probes)
-    return 0.5 * (a[0] * gg + np.einsum("ij,ij->j", probes, y0 - y2))
+            break
+        z = apply(t)
+        z *= 4.0 / u
+        z -= t
+        z -= t
+        z -= t_prev
+        t_prev, t = t, z
+    return forms
 
 
 def default_m_cheb(u: float, ell: float, epsilon: float) -> int:
@@ -142,17 +101,7 @@ def chebyshev_entropy(
         extra = ("assumption violated: top probability exceeds 1 - ell",)
 
     def series(u: float, m: int) -> PolynomialSeries:
-        coeffs = cheb_coefficients(u, m)
-
-        def exact_trace(probs: np.ndarray) -> float:
-            full = np.concatenate([probs, np.zeros(R.n - probs.size)])
-            return float(_clenshaw_scalar(coeffs, full).sum())
-
-        return PolynomialSeries(
-            kernel=lambda block: _batched_cheb_forms(R, coeffs, block),
-            exact_trace=exact_trace,
-            finish=lambda trace: -trace,
-        )
+        return PolynomialSeries(moments, -cheb_coefficients(u, m), 0.0)
 
     # Pass this module's gaussian_vector so that wrapping it traces the probe draws.
     return polynomial_entropy(

@@ -44,6 +44,7 @@ from .taylor import taylor_entropy
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 FAMILIES = ("haar", "tridiagonal", "lowrank", "linuniform")
+DECAYS = ("exponential", "linear")
 METHODS = ("exact", "taylor", "chebyshev", "sketch")
 SERIES = ("taylor", "chebyshev")
 # bench grid method name -> (method, projection kind, nte)
@@ -132,17 +133,27 @@ def load_matrix(path) -> tuple[SparseSymMatrix, SpectralModel | None]:
 def generate_family(
     family: str, n: int, k: int | None, decay: str, seed: int
 ) -> tuple[SparseSymMatrix, SpectralModel]:
-    """The matrix ``generate`` writes and a bench grid's family spec names."""
+    """The matrix ``generate`` writes and a bench grid's family spec names.
+
+    A family, size or decay the generators would refuse is a UsageError.
+    """
+    if family not in FAMILIES:
+        raise UsageError(f"unknown matrix family {family!r}")
+    min_n = 2 if family == "tridiagonal" else 1
+    if n < min_n:
+        raise UsageError(f"the {family} family needs n >= {min_n}, got {n}")
     stream = RngStream(seed)
     if family == "haar":
         return generate_haar_like_density(n, stream)
     if family == "tridiagonal":
         return generate_tridiagonal_poisson(n)
-    if family not in FAMILIES:
-        raise UsageError(f"unknown matrix family {family!r}")
     if k is None:
         raise UsageError(f"k is required for the {family} family")
+    if not 1 <= k <= n:
+        raise UsageError(f"the {family} family needs 1 <= k <= n, got k={k}, n={n}")
     if family == "lowrank":
+        if decay not in DECAYS:
+            raise UsageError(f"decay must be one of {DECAYS}, got {decay!r}")
         return generate_low_rank_density(n, k, decay, stream)
     return generate_linear_plus_uniform(n, k, stream)
 
@@ -358,13 +369,16 @@ def _grid_matrix(spec) -> tuple[SparseSymMatrix, SpectralModel | None]:
         return load_matrix(spec["path"])
     if "n" not in spec:
         raise UsageError("grid matrix needs a 'path' or an 'n'")
-    k = spec.get("k")
+    for key in ("n", "k"):
+        value = spec.get(key)
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+            raise UsageError(f"grid matrix {key!r} must be an integer, got {value!r}")
     return generate_family(
         spec.get("family"),
-        int(spec["n"]),
-        None if k is None else int(k),
+        spec["n"],
+        spec.get("k"),
         spec.get("decay", "linear"),
-        int(spec.get("seed", 0)),
+        _parse_grid_entry(parse_seed, spec.get("seed", 0), "matrix seed"),
     )
 
 
@@ -417,6 +431,8 @@ def _run_cell(cell, matrix, model):
 
 
 def cmd_bench(args) -> int:
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     grid = _load_grid(args.grid)
     matrix, model = _grid_matrix(grid["matrix"])
     try:
@@ -469,7 +485,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--family", required=True, choices=FAMILIES)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--k", type=int, default=None)
-    gen.add_argument("--decay", choices=("exponential", "linear"), default="linear")
+    gen.add_argument("--decay", choices=DECAYS, default="linear")
     gen.add_argument("--seed", type=parse_seed, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_generate)

@@ -77,7 +77,13 @@ class SparseSymMatrix:
         return self.scipy_csr.toarray()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return matvec(self, x)
+        """Product with a vector of shape (n,), O(nnz)."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.n,):
+            raise ValueError(
+                f"dimension mismatch: matrix is {self.n}x{self.n}, vector has shape {x.shape}"
+            )
+        return self.scipy_csr @ x
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
         """Product with a dense matrix of shape (n, s), O(nnz * s)."""
@@ -133,14 +139,6 @@ class SpectralModel:
         return float(self.probs[-1])
 
 
-def matvec(R: SparseSymMatrix, x: np.ndarray) -> np.ndarray:
-    """y = R @ x in O(nnz)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (R.n,):
-        raise ValueError(f"dimension mismatch: matrix is {R.n}x{R.n}, vector has shape {x.shape}")
-    return R.scipy_csr @ x
-
-
 def _sym_from_product(q: np.ndarray, probs: np.ndarray) -> SparseSymMatrix:
     dense = (q * probs) @ q.T
     dense = (dense + dense.T) / 2.0  # make symmetry exact
@@ -148,12 +146,12 @@ def _sym_from_product(q: np.ndarray, probs: np.ndarray) -> SparseSymMatrix:
 
 
 def generate_haar_like_density(
-    n: int, stream: RngStream, oracle_limit: int = 4096
+    n: int, stream: RngStream
 ) -> tuple[SparseSymMatrix, SpectralModel]:
     """Random dense density matrix R = G G^T / trace(G G^T), G Gaussian.
 
     The spectrum is recovered by the exact eigendecomposition oracle when
-    n is within ``oracle_limit``; otherwise the model carries no
+    n is within its default size limit; otherwise the model carries no
     probabilities.
     """
     if n < 1:
@@ -162,10 +160,10 @@ def generate_haar_like_density(
     w = g @ g.T
     w = (w + w.T) / 2.0
     r = SparseSymMatrix.from_dense(w / np.trace(w))
-    if n <= oracle_limit:
-        from . import linalg
+    from . import linalg
 
-        _, model = linalg.exact_entropy(r, max_n=oracle_limit)
+    if n <= linalg.DEFAULT_ORACLE_LIMIT:
+        _, model = linalg.exact_entropy(r)
     else:
         model = SpectralModel(probs=None)
     return r, model

@@ -196,11 +196,14 @@ def assemble_report(
 
 
 class PolynomialSeries(NamedTuple):
-    """What sets one polynomial estimator apart once u and m are fixed."""
+    """One polynomial estimator once u and m are fixed: the entropy estimate
+    is offset + sum_k weights[k] trace(P_k(R)), and
+    ``moments(apply, G, u, m)`` returns the b x len(weights) forms
+    g^T P_k(R) g of the columns g of G, with ``apply`` multiplying by R."""
 
-    kernel: Callable[[np.ndarray], np.ndarray]  # n x b probe block -> b quadratic forms
-    exact_trace: Callable[[np.ndarray], float]  # known eigenvalues -> trace (nte mode)
-    finish: Callable[[float], float]  # trace estimate -> entropy estimate
+    moments: Callable[..., np.ndarray]
+    weights: np.ndarray
+    offset: float
 
 
 def polynomial_entropy(
@@ -217,10 +220,10 @@ def polynomial_entropy(
 
     Resolves u on child stream 0 of ``cfg.seed``, takes m from
     ``cfg.m_override`` or ``default_m(u, ell, epsilon)``, then traces
-    ``series(u, m)``: exactly over known eigenvalues with ``cfg.nte`` (the
-    attached model, else the dense oracle), otherwise with the probe driver
-    over ``cfg.s_override`` (else ``default_s``) probes that ``draw`` takes
-    from child stream 1.
+    ``series(u, m)`` through its one ``moments`` recurrence: exactly over
+    known eigenvalues with ``cfg.nte`` (the attached model, else the dense
+    oracle), otherwise with the probe driver over ``cfg.s_override`` (else
+    ``default_s``) probes that ``draw`` takes from child stream 1.
     """
     t0 = time.perf_counter()
     root = RngStream(cfg.seed)
@@ -228,18 +231,33 @@ def polynomial_entropy(
     m = cfg.m_override if cfg.m_override is not None else default_m(u, cfg.ell, cfg.epsilon)
     poly = series(u, m)
 
+    def traces(apply: Callable[[np.ndarray], np.ndarray], G: np.ndarray) -> np.ndarray:
+        # sum_k weights[k] forms[:, k] in degree order; a BLAS product here
+        # would round differently for different block widths
+        forms = poly.moments(apply, G, u, m)
+        acc = np.zeros(G.shape[1])
+        for k, w in enumerate(poly.weights):
+            acc += forms[:, k] * w
+        return acc
+
     if cfg.nte:
         if model is not None and model.probs is not None:
             probs = np.asarray(model.probs)
         else:
             _, oracle_model = linalg.exact_entropy(R)
             probs = oracle_model.probs
-        trace = poly.exact_trace(probs)
+        # The eigenvalues padded to n with zeros, as a diagonal R, and one
+        # all-ones probe: its form is the exact trace.
+        spectrum = np.zeros((R.n, 1))
+        spectrum[: probs.size, 0] = probs
+        trace = float(traces(lambda X: spectrum * X, np.ones((R.n, 1)))[0])
         s_used = 0
     else:
         s_used = cfg.s_override if cfg.s_override else default_s(cfg.epsilon, cfg.delta)
-        trace = probe_average(R.n, s_used, root.child(1), poly.kernel, draw)
-    estimate = poly.finish(trace)
+        trace = probe_average(
+            R.n, s_used, root.child(1), lambda G: traces(R.matmat, G), draw
+        )
+    estimate = poly.offset + trace
 
     wall_ms = (time.perf_counter() - t0) * 1e3
     return assemble_report(

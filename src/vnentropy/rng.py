@@ -125,7 +125,3 @@ def uniform_indices(stream: RngStream, bound: int, count: int) -> np.ndarray:
         filled += take.size
     return out
 
-
-def uniform_index(stream: RngStream, bound: int) -> int:
-    """One unbiased draw from {0, ..., bound-1}."""
-    return int(uniform_indices(stream, bound, 1)[0])

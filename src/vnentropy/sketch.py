@@ -125,15 +125,12 @@ def apply_countsketch(R: SparseSymMatrix, s: int, stream: RngStream) -> np.ndarr
     return (R.scipy_csr @ pi).toarray()
 
 
-def default_s_sketch(
-    kind: str, n: int, k: int, epsilon: float, scale: float = 1.0
-) -> int:
+def default_s_sketch(kind: str, n: int, k: int, epsilon: float) -> int:
     """Sketch width for the requested projection, capped at n.
 
     gaussian / srht: ceil((k + ceil(ln n)) * max(1, ceil(ln k)) / eps^2);
     countsketch:     ceil(k^2 / eps^2).
-    Only asymptotic widths are known, so the leading constant is exposed
-    as ``scale`` rather than being tuned silently.
+    Only asymptotic widths are known; the leading constant is taken as 1.
     """
     if kind not in ("gaussian", "srht", "countsketch"):
         raise ValueError(f"no default width for projection kind {kind!r}")
@@ -141,13 +138,11 @@ def default_s_sketch(
         raise ValueError("n and k must be at least 1")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
     if kind == "countsketch":
-        s = math.ceil(scale * k**2 / epsilon**2)
+        s = math.ceil(k**2 / epsilon**2)
     else:
         s = math.ceil(
-            scale * (k + math.ceil(math.log(n))) * max(1, math.ceil(math.log(k))) / epsilon**2
+            (k + math.ceil(math.log(n))) * max(1, math.ceil(math.log(k))) / epsilon**2
         )
     return min(n, max(1, s))
 

@@ -4,13 +4,15 @@ Gaussian probe average.
 
 For a unit-trace PSD matrix whose spectrum lies in [ell, u] the infinite
 series equals the entropy exactly; truncating at
-m = ceil((u/ell) ln(1/eps)) leaves a relative tail below eps.  Each probe
-costs one sparse matvec per retained term.
+m = ceil((u/ell) ln(1/eps)) leaves a relative tail below eps.  The terms
+come from the forward recurrence Q_0 = R G, Q_k = Q_{k-1} - R Q_{k-1} / u,
+one sparse matvec per probe and degree.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -28,45 +30,22 @@ def default_m_taylor(u: float, ell: float, epsilon: float) -> int:
     return max(1, math.ceil((u / ell) * math.log(1.0 / epsilon)))
 
 
-def _batched_quadratic_forms(
-    R: SparseSymMatrix, u: float, m: int, probes: np.ndarray
+def moments(
+    apply: Callable[[np.ndarray], np.ndarray], G: np.ndarray, u: float, m: int
 ) -> np.ndarray:
-    """sum_{k=1..m} g^T R (I - R/u)^k g / k for each probe column g.
+    """b x m array whose column k-1 holds g^T R (I - R/u)^k g, k = 1..m, for
+    each column g of the n x b block G; ``apply`` multiplies by R.
 
-    Maintains W = (I - R/u)^k G with one matvec batch per term: the product
-    Z = R W serves both the terms G.Z/k and the next update W <- W - Z/u.
-    When u bounds the spectrum every term is nonnegative up to roundoff.
-    Columns never interact, so a block gives the same values as its columns
-    one at a time.
+    Runs Q_0 = R G, Q_k = Q_{k-1} - R Q_{k-1} / u at one product per degree
+    plus one.  When u bounds the spectrum every form is nonnegative up to
+    roundoff.
     """
-    if m == 0:
-        return np.zeros(probes.shape[1])
-    w = probes.copy()
-    z = R.matmat(w)
-    acc = np.zeros(probes.shape[1], dtype=np.float64)
-    for k in range(1, m + 1):
-        w -= z / u
-        z = R.matmat(w)
-        acc += np.einsum("ij,ij->j", probes, z) / k
-    return acc
-
-
-def taylor_series_terms(probs: np.ndarray, u: float, m: int) -> np.ndarray:
-    """Exact trace terms sum_j p_j (1 - p_j/u)^k / k for k = 1..m.
-
-    The scalar-series oracle: on a matrix with known spectrum this is what
-    the probe average estimates.
-    """
-    if u <= 0.0:
-        raise ValueError(f"u must be positive, got {u}")
-    p = np.asarray(probs, dtype=np.float64)
-    q = 1.0 - p / u
-    terms = np.empty(m, dtype=np.float64)
-    v = p * q
-    for k in range(1, m + 1):
-        terms[k - 1] = v.sum() / k
-        v = v * q
-    return terms
+    forms = np.empty((G.shape[1], m))
+    q = apply(G)
+    for k in range(m):
+        q -= apply(q) / u
+        forms[:, k] = np.einsum("ij,ij->j", G, q)
+    return forms
 
 
 def taylor_entropy(
@@ -82,11 +61,7 @@ def taylor_entropy(
     """
 
     def series(u: float, m: int) -> PolynomialSeries:
-        return PolynomialSeries(
-            kernel=lambda block: _batched_quadratic_forms(R, u, m, block),
-            exact_trace=lambda probs: float(taylor_series_terms(probs, u, m).sum()),
-            finish=lambda trace: math.log(1.0 / u) + trace,
-        )
+        return PolynomialSeries(moments, 1.0 / np.arange(1, m + 1), math.log(1.0 / u))
 
     # Pass this module's gaussian_vector so that wrapping it traces the probe draws.
     return polynomial_entropy(

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 from conftest import diagonal_matrix, rotated_density
 from vnentropy import (
@@ -19,9 +20,9 @@ from vnentropy import (
     ProjectionSpec,
     RngStream,
     SparseSymMatrix,
+    SpectralModel,
     apply_countsketch,
     cheb_coefficients,
-    cheb_scalar_eval,
     chebyshev_entropy,
     default_m_taylor,
     default_power_params,
@@ -34,10 +35,9 @@ from vnentropy import (
     probe_average,
     sketch_entropy,
     taylor_entropy,
-    taylor_series_terms,
     write_matrix_market,
 )
-from vnentropy.chebyshev import _batched_cheb_forms
+from vnentropy import chebyshev, taylor
 from vnentropy.cli import main as cli_main
 from vnentropy.rng import gaussian_vector, uniform_doubles
 
@@ -58,7 +58,7 @@ def test_01_chebyshev_scalar_truncation_bound():
         grid = np.linspace(0.0, u, 10**4)
         for m in (2, 5, 10, 30):
             coeffs = cheb_coefficients(u, m)
-            err = np.max(np.abs(xlnx(grid) - cheb_scalar_eval(coeffs, grid)))
+            err = np.max(np.abs(xlnx(grid) - chebval((2.0 / u) * grid - 1.0, coeffs)))
             bound = u / (2.0 * m * (m + 1)) + 1e-12
             worst = max(worst, err - bound)
             if err > bound:
@@ -75,25 +75,29 @@ def test_02_clenshaw_identities():
         m = 1 + int(uniform_doubles(stream, 1)[0] * 50)
         x = u * uniform_doubles(stream, 1)[0]
         coeffs = cheb_coefficients(u, m)
-        clenshaw = cheb_scalar_eval(coeffs, x)
+        # the library recurrence through the nte route on the 1x1 diagonal [x]
+        cfg = EstimatorConfig(u_mode="manual", u_value=u, m_override=m, nte=True, s_override=0)
+        model = SpectralModel(probs=np.array([x]))
+        series = -chebyshev_entropy(diagonal_matrix([x]), cfg, model).estimate
         y = np.clip((2.0 / u) * x - 1.0, -1.0, 1.0)
-        direct = float(
-            sum(a * math.cos(w * math.acos(y)) for w, a in enumerate(coeffs.alphas))
-        )
-        diff = abs(clenshaw - direct)
-        tol = 1e-10 * max(abs(clenshaw), abs(direct)) + 1e-12
+        direct = float(sum(a * math.cos(w * math.acos(y)) for w, a in enumerate(coeffs)))
+        diff = abs(series - direct)
+        tol = 1e-10 * max(abs(series), abs(direct)) + 1e-12
         worst_rel = max(worst_rel, diff / max(tol, 1e-300))
         if diff > tol:
             report(2, "Clenshaw identities", False, f"scalar mismatch {diff:.2e} at u={u} m={m} x={x}")
 
     probs = np.array([0.35, 0.3, 0.25, 0.1])
     r = diagonal_matrix(probs)
+    y = np.clip((2.0 / 0.8) * probs - 1.0, -1.0, 1.0)
     for seed in range(25):
         m = 1 + (seed % 12)
         coeffs = cheb_coefficients(0.8, m)
         g = gaussian_vector(RngStream(seed, 555), 4)
-        matrix_form = float(_batched_cheb_forms(r, coeffs, g[:, None])[0])
-        scalar_form = float(np.sum(g**2 * cheb_scalar_eval(coeffs, probs)))
+        forms = chebyshev.moments(r.matmat, g[:, None], 0.8, m)[0]
+        matrix_form = float(sum(a * f for a, f in zip(coeffs, forms)))
+        cosine = sum(a * np.cos(w * np.arccos(y)) for w, a in enumerate(coeffs))
+        scalar_form = float(np.sum(g**2 * cosine))
         if not np.isclose(matrix_form, scalar_form, rtol=1e-10, atol=1e-12):
             report(2, "Clenshaw identities", False,
                    f"diagonal form mismatch at seed {seed}: {matrix_form} vs {scalar_form}")
@@ -113,7 +117,8 @@ def test_03_taylor_series_oracle():
         probs = np.full(n, 1.0 / n)
         for epsilon in (0.5, 0.1):
             m = default_m_taylor(1.0, 1.0 / n, epsilon)
-            partials = np.cumsum(taylor_series_terms(probs, 1.0, m))
+            forms = taylor.moments(lambda x: probs[:, None] * x, np.ones((n, 1)), 1.0, m)[0]
+            partials = np.cumsum(forms / np.arange(1, m + 1))
             if np.any(np.diff(partials) < -1e-15):
                 report(3, "taylor series oracle", False, f"series not monotone at n={n}")
             gap = exact - partials[-1]

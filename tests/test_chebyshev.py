@@ -4,23 +4,39 @@ import numpy as np
 import pytest
 
 from conftest import diagonal_matrix, rotated_density
+from numpy.polynomial.chebyshev import chebval
 from vnentropy import (
     EstimatorConfig,
     RngStream,
+    SpectralModel,
     cheb_coefficients,
-    cheb_scalar_eval,
     chebyshev_entropy,
     default_m_cheb,
     entropy_from_probs,
     generate_low_rank_density,
 )
-from vnentropy.chebyshev import _batched_cheb_forms, _clenshaw_scalar
+from vnentropy.chebyshev import moments
 from vnentropy.rng import gaussian_vector, uniform_doubles
 
 
-def single_form(r, coeffs, g):
-    """g^T f_m(R) g for one probe, run through the block kernel as a 1-column block."""
-    return float(_batched_cheb_forms(r, coeffs, np.asarray(g, dtype=np.float64)[:, None])[0])
+def single_form(r, u, alphas, g):
+    """g^T f_m(R) g for one probe: the moments of a 1-column block
+    contracted with the coefficients in degree order."""
+    forms = moments(r.matmat, np.asarray(g, dtype=np.float64)[:, None], u, alphas.size - 1)[0]
+    return float(sum(a * f for a, f in zip(alphas, forms)))
+
+
+def series_at(u, alphas, x):
+    """f_m(x) by numpy's Clenshaw evaluation, an independent reference."""
+    return chebval((2.0 / u) * np.asarray(x, dtype=np.float64) - 1.0, alphas)
+
+
+def nte_series_at(u, alphas, x):
+    """f_m(x) through the estimator's nte route on the 1x1 diagonal [x]."""
+    cfg = EstimatorConfig(
+        u_mode="manual", u_value=u, m_override=alphas.size - 1, nte=True, s_override=0
+    )
+    return -chebyshev_entropy(diagonal_matrix([x]), cfg, SpectralModel(probs=np.array([x]))).estimate
 
 
 def direct_series(u, alphas, x):
@@ -36,12 +52,12 @@ def h(x):
 
 def test_coefficient_closed_forms_at_u_one():
     c = cheb_coefficients(1.0, 4)
-    assert c.alphas[0] == pytest.approx((1 - math.log(4)) / 2, abs=1e-15)
-    assert c.alphas[0] == pytest.approx(-0.193147, abs=1e-6)
-    assert c.alphas[1] == pytest.approx((3 - 2 * math.log(4)) / 4, abs=1e-15)
-    assert c.alphas[1] == pytest.approx(0.056853, abs=1e-6)
-    assert c.alphas[2] == pytest.approx(1.0 / 6.0, abs=1e-15)
-    assert c.alphas[3] == pytest.approx(-1.0 / 24.0, abs=1e-15)
+    assert c[0] == pytest.approx((1 - math.log(4)) / 2, abs=1e-15)
+    assert c[0] == pytest.approx(-0.193147, abs=1e-6)
+    assert c[1] == pytest.approx((3 - 2 * math.log(4)) / 4, abs=1e-15)
+    assert c[1] == pytest.approx(0.056853, abs=1e-6)
+    assert c[2] == pytest.approx(1.0 / 6.0, abs=1e-15)
+    assert c[3] == pytest.approx(-1.0 / 24.0, abs=1e-15)
 
 
 def test_coefficients_require_degree_one():
@@ -51,37 +67,28 @@ def test_coefficients_require_degree_one():
         cheb_coefficients(0.0, 3)
 
 
-def test_scalar_eval_at_endpoints():
+def test_series_at_endpoints():
     c = cheb_coefficients(1.0, 10)
-    assert cheb_scalar_eval(c, 1.0) == pytest.approx(4.3e-4, abs=1e-5)
+    assert nte_series_at(1.0, c, 1.0) == pytest.approx(4.3e-4, abs=1e-5)
     for m in (2, 5, 10, 30):
-        cm = cheb_coefficients(1.0, m)
         bound = 1.0 / (2 * m * (m + 1))
-        assert abs(cheb_scalar_eval(cm, 0.0)) <= bound + 1e-12
+        assert abs(nte_series_at(1.0, cheb_coefficients(1.0, m), 0.0)) <= bound + 1e-12
 
 
-def test_scalar_eval_quarter_point_within_truncation_bound():
+def test_series_quarter_point_within_truncation_bound():
     c = cheb_coefficients(1.0, 10)
-    assert abs(cheb_scalar_eval(c, 0.25) - 0.25 * math.log(0.25)) <= 1.0 / 220.0
+    assert abs(nte_series_at(1.0, c, 0.25) - 0.25 * math.log(0.25)) <= 1.0 / 220.0
 
 
-def test_scalar_eval_domain_error():
-    c = cheb_coefficients(0.5, 5)
-    with pytest.raises(ValueError):
-        cheb_scalar_eval(c, 0.6)
-    with pytest.raises(ValueError):
-        cheb_scalar_eval(c, -0.1)
-
-
-def test_clenshaw_matches_direct_cosine_series():
+def test_recurrence_matches_direct_cosine_series():
     stream = RngStream(21)
     for _ in range(200):
         u = 0.05 + 0.95 * uniform_doubles(stream, 1)[0]
         m = 1 + int(uniform_doubles(stream, 1)[0] * 40)
         x = u * uniform_doubles(stream, 1)[0]
         c = cheb_coefficients(u, m)
-        a = cheb_scalar_eval(c, x)
-        b = direct_series(u, c.alphas, x)
+        a = nte_series_at(u, c, x)
+        b = direct_series(u, c, x)
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
 
@@ -89,14 +96,13 @@ def test_truncation_bound_subset_of_grid():
     x = np.linspace(0.0, 0.5, 2001)
     for m in (2, 10):
         c = cheb_coefficients(0.5, m)
-        err = np.max(np.abs(h(x) - cheb_scalar_eval(c, x)))
+        err = np.max(np.abs(h(x) - series_at(0.5, c, x)))
         assert err <= 0.5 / (2 * m * (m + 1)) + 1e-12
 
 
 def test_quadratic_form_zero_probe():
     r = diagonal_matrix([0.5, 0.5])
-    c = cheb_coefficients(1.0, 6)
-    assert single_form(r, c, np.zeros(2)) == 0.0
+    assert single_form(r, 1.0, cheb_coefficients(1.0, 6), np.zeros(2)) == 0.0
 
 
 @pytest.mark.parametrize("seed", [0, 5, 9])
@@ -105,8 +111,8 @@ def test_quadratic_form_diagonal_oracle(seed):
     r = diagonal_matrix(probs)
     c = cheb_coefficients(0.9, 13)
     g = gaussian_vector(RngStream(seed), 4)
-    expected = float(np.sum(g**2 * cheb_scalar_eval(c, probs)))
-    got = single_form(r, c, g)
+    expected = float(np.sum(g**2 * series_at(0.9, c, probs)))
+    got = single_form(r, 0.9, c, g)
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -115,9 +121,31 @@ def test_degree_one_recurrence_hand_expansion():
     c = cheb_coefficients(1.0, 1)
     g = gaussian_vector(RngStream(15), 2)
     dense = r.to_dense()
-    mapped = (2.0 / c.u) * dense - np.eye(2)
-    expected = c.alphas[0] * float(g @ g) + c.alphas[1] * float(g @ (mapped @ g))
-    assert single_form(r, c, g) == pytest.approx(expected, rel=1e-12)
+    mapped = 2.0 * dense - np.eye(2)
+    expected = c[0] * float(g @ g) + c[1] * float(g @ (mapped @ g))
+    assert single_form(r, 1.0, c, g) == pytest.approx(expected, rel=1e-12)
+
+
+def test_moments_match_eigendecomposition_at_every_degree():
+    r, _ = rotated_density([0.4, 0.25, 0.2, 0.1, 0.05], RngStream(31))
+    u, m = 0.8, 17
+    lam, v = np.linalg.eigh(r.to_dense())
+    G = np.column_stack([gaussian_vector(RngStream(32).child(i), 5) for i in range(3)])
+    forms = moments(r.matmat, G, u, m)
+    assert forms.shape == (3, m + 1)
+    y = v.T @ G
+    for k in range(m + 1):
+        t_k = np.cos(k * np.arccos(np.clip(2.0 * lam / u - 1.0, -1.0, 1.0)))
+        expected = np.sum(y**2 * t_k[:, None], axis=0)
+        np.testing.assert_allclose(forms[:, k], expected, rtol=1e-10, atol=1e-12)
+
+
+def test_moments_of_a_block_match_its_columns():
+    r, _ = rotated_density([0.5, 0.3, 0.2], RngStream(1))
+    G = np.column_stack([gaussian_vector(RngStream(2).child(i), 3) for i in range(5)])
+    block = moments(r.matmat, G, 1.0, 8)
+    single = np.vstack([moments(r.matmat, G[:, i : i + 1], 1.0, 8) for i in range(5)])
+    assert np.allclose(block, single, rtol=1e-13, atol=1e-15)
 
 
 def test_default_m_examples():
@@ -142,7 +170,7 @@ def test_nte_matches_scalar_sum_on_known_spectrum():
     cfg = EstimatorConfig(u_mode="manual", u_value=1.0, m_override=12, nte=True, s_override=0)
     rep = chebyshev_entropy(r, cfg, model)
     c = cheb_coefficients(1.0, 12)
-    expected = -float(np.sum(cheb_scalar_eval(c, model.probs)))
+    expected = -float(np.sum(series_at(1.0, c, model.probs)))
     assert rep.estimate == pytest.approx(expected, rel=1e-10)
 
 
@@ -162,7 +190,7 @@ def test_negated_series_stays_positive_inside_assumed_interval():
     c = cheb_coefficients(1.0, m)
     x = np.linspace(ell, 1.0 - ell, 4001)
     floor = (1.0 - eps) * ell * math.log(1.0 / (1.0 - ell))
-    assert np.min(-cheb_scalar_eval(c, x)) >= floor - 1e-12
+    assert np.min(-series_at(1.0, c, x)) >= floor - 1e-12
 
 
 def test_full_estimator_deterministic_and_batched_consistent():
@@ -182,7 +210,11 @@ def test_top_probability_near_one_is_flagged():
     assert any("1 - ell" in w for w in rep.warnings)
 
 
-def test_unchecked_internal_eval_handles_padded_zeros():
+def test_nte_pads_the_known_spectrum_with_zeros():
+    probs = np.array([0.7, 0.3])
+    r = diagonal_matrix([0.7, 0.3, 0.0, 0.0, 0.0])
+    cfg = EstimatorConfig(u_mode="manual", u_value=0.7, m_override=9, nte=True, s_override=0)
+    rep = chebyshev_entropy(r, cfg, SpectralModel(probs=probs))
     c = cheb_coefficients(0.7, 9)
-    vals = _clenshaw_scalar(c, np.array([0.0, 0.35, 0.7]))
-    assert np.allclose(vals, cheb_scalar_eval(c, np.array([0.0, 0.35, 0.7])))
+    expected = -float(np.sum(series_at(0.7, c, [0.7, 0.3, 0.0, 0.0, 0.0])))
+    assert rep.estimate == pytest.approx(expected, rel=1e-12)

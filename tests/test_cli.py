@@ -170,6 +170,26 @@ def test_estimate_out_of_range_flags_are_usage_errors(tmp_path, capsys, name):
     assert "usage error" in capsys.readouterr().err
 
 
+BAD_GENERATE_FLAGS = {
+    "lowrank-k-above-n": ("--family", "lowrank", "--n", "8", "--k", "20"),
+    "lowrank-zero-k": ("--family", "lowrank", "--n", "8", "--k", "0"),
+    "linuniform-k-above-n": ("--family", "linuniform", "--n", "4", "--k", "5"),
+    "tridiagonal-n-one": ("--family", "tridiagonal", "--n", "1"),
+    "haar-zero-n": ("--family", "haar", "--n", "0"),
+    "lowrank-negative-n": ("--family", "lowrank", "--n", "-3", "--k", "1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GENERATE_FLAGS))
+def test_generate_out_of_range_sizes_are_usage_errors(tmp_path, capsys, name):
+    out = tmp_path / "m.mtx"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["generate", *BAD_GENERATE_FLAGS[name], "--out", str(out)])
+    assert excinfo.value.code == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pure_state_record_carries_one_warning(tmp_path, capsys):
     path = tmp_path / "pure.mtx"
     write_matrix_market(SparseSymMatrix.from_dense(np.diag([1.0, 0.0, 0.0, 0.0])), path)
@@ -276,6 +296,19 @@ def test_bench_repeat_and_threads_byte_identical(tmp_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_bench_threads_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, threads):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"matrix": {"family": "tridiagonal", "n": 8}, "methods": ["exact"], "seeds": [0]}))
+    ran = []
+    monkeypatch.setattr(cli, "_run_cell", lambda *args: ran.append(args))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", str(grid), "--threads", threads])
+    assert excinfo.value.code == 1
+    assert "usage error" in capsys.readouterr().err
+    assert ran == []
+
+
 def test_bench_records_cell_failures_and_continues(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({
@@ -356,6 +389,15 @@ BAD_GRIDS = {
     "linuniform-without-k": {"matrix": {"family": "linuniform", "n": 8}},
     "family-without-n": {"matrix": {"family": "tridiagonal"}},
     "unknown-family": {"matrix": {"family": "wavelet", "n": 8}},
+    "lowrank-k-above-n": {"matrix": {"family": "lowrank", "n": 8, "k": 20}},
+    "linuniform-zero-k": {"matrix": {"family": "linuniform", "n": 8, "k": 0}},
+    "tridiagonal-n-one": {"matrix": {"family": "tridiagonal", "n": 1}},
+    "haar-zero-n": {"matrix": {"family": "haar", "n": 0}},
+    "lowrank-unknown-decay": {"matrix": {"family": "lowrank", "n": 8, "k": 2, "decay": "cubic"}},
+    "fractional-n": {"matrix": {"family": "tridiagonal", "n": 8.7}},
+    "string-n": {"matrix": {"family": "tridiagonal", "n": "abc"}},
+    "fractional-k": {"matrix": {"family": "lowrank", "n": 8, "k": 2.5}},
+    "negative-matrix-seed": {"matrix": {"family": "haar", "n": 6, "seed": -1}},
 }
 
 

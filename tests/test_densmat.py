@@ -14,7 +14,6 @@ from vnentropy import (
     generate_linear_plus_uniform,
     generate_low_rank_density,
     generate_tridiagonal_poisson,
-    matvec,
     poisson_spectrum,
     read_matrix_market,
     write_matrix_market,
@@ -26,18 +25,18 @@ from vnentropy.rng import gaussian_vector
 
 def test_matvec_identity():
     r = diagonal_matrix([1.0, 1.0, 1.0])
-    assert np.array_equal(matvec(r, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
+    assert np.array_equal(r.matvec(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
 
 def test_matvec_zero_matrix():
     r = SparseSymMatrix.from_dense(np.zeros((4, 4)))
-    assert np.array_equal(matvec(r, np.ones(4)), np.zeros(4))
+    assert np.array_equal(r.matvec(np.ones(4)), np.zeros(4))
 
 
 def test_matvec_dimension_mismatch():
     r = diagonal_matrix([0.5, 0.5])
     with pytest.raises(ValueError):
-        matvec(r, np.ones(3))
+        r.matvec(np.ones(3))
 
 
 @given(st.integers(min_value=0, max_value=2**32))
@@ -49,7 +48,7 @@ def test_matvec_matches_dense_multiply(seed):
     x = gaussian_vector(RngStream(seed, 1), 16)
     expected = dense @ x
     scale = np.linalg.norm(expected)
-    assert np.linalg.norm(matvec(r, x) - expected) <= 1e-12 * max(scale, 1e-30)
+    assert np.linalg.norm(r.matvec(x) - expected) <= 1e-12 * max(scale, 1e-30)
 
 
 # ---------------------------------------------------------------------------

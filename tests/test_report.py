@@ -1,8 +1,20 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial.chebyshev import chebval
 
-from vnentropy import SpectralModel, check_assumptions, relative_error
+from conftest import diagonal_matrix
+from vnentropy import (
+    EstimatorConfig,
+    SpectralModel,
+    cheb_coefficients,
+    chebyshev_entropy,
+    check_assumptions,
+    relative_error,
+    taylor_entropy,
+)
 
 
 def model_of(*probs):
@@ -58,3 +70,33 @@ def test_relative_error_examples():
 )
 def test_relative_error_is_scale_invariant(a, b, c):
     assert relative_error(c * a, c * b) == pytest.approx(relative_error(a, b), rel=1e-12)
+
+
+@st.composite
+def nte_cases(draw):
+    """A unit-trace descending spectrum of length 1-64, a zero padding, a u
+    in [p1, 1] and a degree m in 1..60."""
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=64))
+    probs = np.sort(np.array(weights))[::-1] / sum(weights)
+    pad = draw(st.integers(0, 16))
+    u = probs[0] + draw(st.floats(0.0, 1.0)) * (1.0 - probs[0])
+    return probs, pad, min(u, 1.0), draw(st.integers(1, 60))
+
+
+@given(nte_cases())
+@settings(max_examples=60, deadline=None)
+def test_nte_matches_numpy_series_references(case):
+    probs, pad, u, m = case
+    padded = np.concatenate([probs, np.zeros(pad)])
+    r = diagonal_matrix(padded)
+    model = SpectralModel(probs=probs)
+    cfg = EstimatorConfig(u_mode="manual", u_value=u, m_override=m, nte=True, s_override=0)
+
+    cheb = chebyshev_entropy(r, cfg, model).estimate
+    cheb_ref = -float(np.sum(chebval(2.0 * padded / u - 1.0, cheb_coefficients(u, m))))
+    assert cheb == pytest.approx(cheb_ref, rel=1e-10)
+
+    k = np.arange(1, m + 1)
+    terms = np.sum(probs[:, None] * (1.0 - probs[:, None] / u) ** k / k)
+    taylor_ref = math.log(1.0 / u) + float(terms)
+    assert taylor_entropy(r, cfg, model).estimate == pytest.approx(taylor_ref, rel=1e-10)

@@ -6,7 +6,6 @@ from vnentropy.rng import (
     RngStream,
     gaussian_vector,
     rademacher_vector,
-    uniform_index,
     uniform_indices,
 )
 
@@ -75,12 +74,12 @@ def test_rademacher_determinism_and_empty():
 
 def test_uniform_index_bound_one_always_zero():
     stream = RngStream(5)
-    assert all(uniform_index(stream, 1) == 0 for _ in range(20))
+    assert all(uniform_indices(stream, 1, 1)[0] == 0 for _ in range(20))
 
 
 def test_uniform_index_matches_batch_path():
     stream = RngStream(11)
-    scalar_draws = [uniform_index(stream, 7) for _ in range(200)]
+    scalar_draws = [uniform_indices(stream, 7, 1)[0] for _ in range(200)]
     batch = uniform_indices(RngStream(11), 7, 200)
     assert np.array_equal(scalar_draws, batch)
 
@@ -93,7 +92,7 @@ def test_uniform_index_frequencies_within_one_percent():
 
 def test_uniform_index_zero_bound_rejected():
     with pytest.raises(ValueError):
-        uniform_index(RngStream(0), 0)
+        uniform_indices(RngStream(0), 0, 1)
 
 
 @given(st.integers(min_value=2, max_value=1000))

@@ -127,8 +127,6 @@ def test_default_s_examples():
     assert default_s_sketch("gaussian", 1024, 5, 0.5) == 96
     # capped at n
     assert default_s_sketch("countsketch", 50, 10, 0.5) == 50
-    # documented multiplier
-    assert default_s_sketch("countsketch", 10**4, 5, 0.5, scale=2.0) == 200
 
 
 def test_default_s_rejects_bad_parameters():

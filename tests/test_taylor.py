@@ -11,15 +11,24 @@ from vnentropy import (
     entropy_from_probs,
     generate_linear_plus_uniform,
     taylor_entropy,
-    taylor_series_terms,
 )
 from vnentropy.rng import gaussian_vector
-from vnentropy.taylor import _batched_quadratic_forms
+from vnentropy.taylor import moments
 
 
 def single_form(r, u, m, g):
-    """The block kernel's value for one probe, run as a 1-column block."""
-    return float(_batched_quadratic_forms(r, u, m, np.asarray(g, dtype=np.float64)[:, None])[0])
+    """sum_k g^T R (I - R/u)^k g / k for one probe, from the moments of a
+    1-column block summed in degree order."""
+    forms = moments(r.matmat, np.asarray(g, dtype=np.float64)[:, None], u, m)[0]
+    return float(sum(f / k for k, f in enumerate(forms, start=1)))
+
+
+def series_terms(probs, u, m):
+    """sum_j p_j (1 - p_j/u)^k / k for k = 1..m: the exact trace terms,
+    computed directly from the eigenvalues."""
+    p = np.asarray(probs, dtype=np.float64)[:, None]
+    k = np.arange(1, m + 1)
+    return np.sum(p * (1.0 - p / u) ** k, axis=0) / k
 
 
 def test_default_m_examples():
@@ -63,9 +72,22 @@ def test_diagonal_matrix_pins_the_matvec_schedule(seed):
 def test_batched_probes_match_single_probe_path():
     r, _ = rotated_density([0.5, 0.3, 0.2], RngStream(1))
     probes = np.column_stack([gaussian_vector(RngStream(2).child(i), 3) for i in range(5)])
-    batched = _batched_quadratic_forms(r, 1.0, 8, probes)
-    single = [single_form(r, 1.0, 8, probes[:, i]) for i in range(5)]
+    batched = moments(r.matmat, probes, 1.0, 8)
+    single = np.vstack([moments(r.matmat, probes[:, i : i + 1], 1.0, 8) for i in range(5)])
     assert np.allclose(batched, single, rtol=1e-13, atol=1e-15)
+
+
+def test_moments_match_eigendecomposition_at_every_degree():
+    r, _ = rotated_density([0.4, 0.25, 0.2, 0.1, 0.05], RngStream(31))
+    u, m = 0.8, 17
+    lam, v = np.linalg.eigh(r.to_dense())
+    G = np.column_stack([gaussian_vector(RngStream(32).child(i), 5) for i in range(3)])
+    forms = moments(r.matmat, G, u, m)
+    assert forms.shape == (3, m)
+    y = v.T @ G
+    for k in range(1, m + 1):
+        expected = np.sum(y**2 * (lam * (1.0 - lam / u) ** k)[:, None], axis=0)
+        np.testing.assert_allclose(forms[:, k - 1], expected, rtol=1e-10, atol=1e-12)
 
 
 def test_terms_nonnegative_when_u_covers_spectrum():
@@ -99,7 +121,7 @@ def test_nte_on_diagonal_equals_scalar_series_for_any_m():
     for m in (1, 5, 23):
         cfg = EstimatorConfig(u_mode="manual", u_value=0.8, m_override=m, nte=True, s_override=0)
         rep = taylor_entropy(r, cfg)
-        expected = math.log(1 / 0.8) + taylor_series_terms(probs, 0.8, m).sum()
+        expected = math.log(1 / 0.8) + series_terms(probs, 0.8, m).sum()
         assert rep.estimate == pytest.approx(expected, rel=1e-10)
 
 
@@ -110,7 +132,8 @@ def test_truncated_series_approaches_entropy_from_below(epsilon):
     exact = entropy_from_probs(probs, 1e-14)
     u = 1.0
     m = default_m_taylor(u, model.p_min, epsilon)
-    partials = math.log(1 / u) + np.cumsum(taylor_series_terms(probs, u, m))
+    forms = moments(lambda x: probs[:, None] * x, np.ones((probs.size, 1)), u, m)[0]
+    partials = math.log(1 / u) + np.cumsum(forms / np.arange(1, m + 1))
     assert np.all(np.diff(partials) >= -1e-15)  # monotone from below
     gap = exact - partials[-1]
     assert -1e-10 <= gap <= epsilon * exact
