@@ -9,14 +9,18 @@ On [0, u] the function h has the closed-form Chebyshev series
 
 with |h - f_m| <= u / (2 m (m+1)) everywhere on the interval.  The
 entropy estimate is the Gaussian probe average of -g^T f_m(R) g
-= -sum_w alpha_w g^T T_w((2/u) R - I) g, with the moments g^T T_w g taken
-from the forward three-term recurrence at one sparse matvec per probe
-and degree (as in the kernel polynomial method).
+= -sum_w alpha_w g^T T_w(X) g, X = (2/u) R - I.  The moments g^T T_w(X) g
+come from the three-term recurrence on the shifted operator
+2X = (4/u) R - 2I, built once per run, and from the kernel polynomial
+method's doubling identities for symmetric X (Weisse et al., Rev. Mod.
+Phys. 78, 275, 2006), so degrees 0..m cost ceil(m/2) sparse matvecs per
+probe.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -41,32 +45,26 @@ def cheb_coefficients(u: float, m: int) -> np.ndarray:
     return alphas
 
 
-def moments(
-    apply: Callable[[np.ndarray], np.ndarray], G: np.ndarray, u: float, m: int
-) -> np.ndarray:
-    """b x (m+1) array whose column k holds g^T T_k((2/u) R - I) g,
-    k = 0..m, for each column g of the n x b block G; ``apply`` multiplies
-    by R.
+def moments(apply: Callable[[np.ndarray], np.ndarray], G: np.ndarray, m: int) -> np.ndarray:
+    """b x (m+1) array whose column k holds mu_k = g^T T_k(X) g, k = 0..m,
+    for each column g of the n x b block G; ``apply`` multiplies by 2X.
 
-    Forward recurrence T_0 = G, T_1 = (2/u) R G - G,
-    T_{k+1} = (4/u) R T_k - 2 T_k - T_{k-1}, one product per degree, each
-    new block updated in place.
+    Runs T_1 = (2X G) / 2, T_{k+1} = 2X T_k - T_{k-1} up to T_{ceil(m/2)},
+    one product each, and takes mu_{2k} = 2 |T_k|^2 - mu_0 and
+    mu_{2k+1} = 2 T_{k+1} . T_k - mu_1.  Column k does not depend on m.
     """
     forms = np.empty((G.shape[1], m + 1))
     forms[:, 0] = np.einsum("ij,ij->j", G, G)
     t_prev, t = G, apply(G)
-    t *= 2.0 / u
-    t -= G
-    for k in range(1, m + 1):
-        forms[:, k] = np.einsum("ij,ij->j", G, t)
-        if k == m:
-            break
-        z = apply(t)
-        z *= 4.0 / u
-        z -= t
-        z -= t
-        z -= t_prev
-        t_prev, t = t, z
+    t *= 0.5
+    forms[:, 1] = np.einsum("ij,ij->j", G, t)
+    for k in range(1, m // 2 + 1):
+        forms[:, 2 * k] = 2.0 * np.einsum("ij,ij->j", t, t) - forms[:, 0]
+        if 2 * k < m:
+            z = apply(t)
+            z -= t_prev
+            t_prev, t = t, z
+            forms[:, 2 * k + 1] = 2.0 * np.einsum("ij,ij->j", t, t_prev) - forms[:, 1]
     return forms
 
 
@@ -101,7 +99,9 @@ def chebyshev_entropy(
         extra = ("assumption violated: top probability exceeds 1 - ell",)
 
     def series(u: float, m: int) -> PolynomialSeries:
-        return PolynomialSeries(moments, -cheb_coefficients(u, m), 0.0)
+        return PolynomialSeries(
+            partial(moments, m=m), -cheb_coefficients(u, m), 0.0, scale=4.0 / u, shift=-2.0
+        )
 
     # Pass this module's gaussian_vector so that wrapping it traces the probe draws.
     return polynomial_entropy(

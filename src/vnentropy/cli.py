@@ -114,14 +114,23 @@ def read_spectrum(path) -> np.ndarray:
 
 def load_matrix(path) -> tuple[SparseSymMatrix, SpectralModel | None]:
     """Read a stored density matrix and its spectrum sidecar, if any; a
-    trace off 1 raises ValueError."""
+    trace off 1, or a sidecar that is not a list of at most n
+    probabilities summing to 1, raises ValueError."""
     matrix = read_matrix_market(path)
     try:
         matrix.validate_density()
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     side = sidecar_path(path)
-    model = SpectralModel(probs=read_spectrum(side)) if side.exists() else None
+    if not side.exists():
+        return matrix, None
+    try:
+        model = SpectralModel(probs=read_spectrum(side))
+        model.validate()
+        if model.probs.size > matrix.n:
+            raise ValueError(f"{model.probs.size} probabilities for n={matrix.n}")
+    except ValueError as exc:
+        raise ValueError(f"{side}: {exc}") from None
     return matrix, model
 
 

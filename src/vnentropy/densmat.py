@@ -92,6 +92,37 @@ class SparseSymMatrix:
             raise ValueError(f"shape mismatch: matrix is {self.n}x{self.n}, got {x.shape}")
         return self.scipy_csr @ x
 
+    def shifted(self, scale: float, shift: float) -> "SparseSymMatrix":
+        """The matrix scale * self + shift * I.
+
+        When every diagonal entry is stored, the result shares this
+        matrix's index arrays, and those of its CSR form, and owns only a
+        new values array; otherwise it is a one-off CSR sum.
+        """
+        rows = np.repeat(np.arange(self.n), np.diff(self.row_offsets))
+        diag = np.flatnonzero(rows == self.col_indices)
+        del rows
+        if diag.size != self.n:
+            a = (scale * self.scipy_csr + shift * sp.identity(self.n, format="csr")).tocsr()
+            a.sort_indices()
+            return SparseSymMatrix(
+                n=self.n,
+                row_offsets=a.indptr.astype(np.int64),
+                col_indices=a.indices.astype(np.int64),
+                values=a.data,
+                _csr=a,
+            )
+        values = self.values * scale
+        values[diag] += shift
+        csr = self.scipy_csr
+        return SparseSymMatrix(
+            n=self.n,
+            row_offsets=self.row_offsets,
+            col_indices=self.col_indices,
+            values=values,
+            _csr=sp.csr_matrix((values, csr.indices, csr.indptr), shape=csr.shape, copy=False),
+        )
+
     def trace(self) -> float:
         return float(self.scipy_csr.diagonal().sum())
 
@@ -120,8 +151,8 @@ class SpectralModel:
             p = np.asarray(self.probs)
             if np.any(p < 0):
                 raise ValueError("probabilities must be nonnegative")
-            if abs(p.sum() - 1.0) > TRACE_TOL:
-                raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+            if not abs(p.sum() - 1.0) <= TRACE_TOL:  # also refuses NaN
+                raise ValueError(f"probabilities sum to {p.sum():.12g}, not 1")
             if np.any(np.diff(p) > 0):
                 raise ValueError("probabilities must be sorted descending")
         if self.basis is not None:

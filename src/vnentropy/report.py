@@ -197,13 +197,16 @@ def assemble_report(
 
 class PolynomialSeries(NamedTuple):
     """One polynomial estimator once u and m are fixed: the entropy estimate
-    is offset + sum_k weights[k] trace(P_k(R)), and
-    ``moments(apply, G, u, m)`` returns the b x len(weights) forms
-    g^T P_k(R) g of the columns g of G, with ``apply`` multiplying by R."""
+    is offset + sum_k weights[k] trace(P_k(R)), and ``moments(apply, G)``
+    returns the b x len(weights) forms g^T P_k(R) g of the columns g of G,
+    with ``apply`` multiplying by the operator scale * R + shift * I that
+    the series' recurrence runs on."""
 
     moments: Callable[..., np.ndarray]
     weights: np.ndarray
     offset: float
+    scale: float
+    shift: float
 
 
 def polynomial_entropy(
@@ -223,7 +226,9 @@ def polynomial_entropy(
     ``series(u, m)`` through its one ``moments`` recurrence: exactly over
     known eigenvalues with ``cfg.nte`` (the attached model, else the dense
     oracle), otherwise with the probe driver over ``cfg.s_override`` (else
-    ``default_s``) probes that ``draw`` takes from child stream 1.
+    ``default_s``) probes that ``draw`` takes from child stream 1.  Either
+    way the series' shifted operator is built once, from the eigenvalues
+    or from R.
     """
     t0 = time.perf_counter()
     root = RngStream(cfg.seed)
@@ -234,7 +239,7 @@ def polynomial_entropy(
     def traces(apply: Callable[[np.ndarray], np.ndarray], G: np.ndarray) -> np.ndarray:
         # sum_k weights[k] forms[:, k] in degree order; a BLAS product here
         # would round differently for different block widths
-        forms = poly.moments(apply, G, u, m)
+        forms = poly.moments(apply, G)
         acc = np.zeros(G.shape[1])
         for k, w in enumerate(poly.weights):
             acc += forms[:, k] * w
@@ -246,16 +251,17 @@ def polynomial_entropy(
         else:
             _, oracle_model = linalg.exact_entropy(R)
             probs = oracle_model.probs
-        # The eigenvalues padded to n with zeros, as a diagonal R, and one
-        # all-ones probe: its form is the exact trace.
-        spectrum = np.zeros((R.n, 1))
-        spectrum[: probs.size, 0] = probs
+        # The shifted operator of the eigenvalues padded to n with zeros, as
+        # a diagonal, and one all-ones probe: its form is the exact trace.
+        spectrum = np.full((R.n, 1), poly.shift)
+        spectrum[: probs.size, 0] = poly.scale * probs + poly.shift
         trace = float(traces(lambda X: spectrum * X, np.ones((R.n, 1)))[0])
         s_used = 0
     else:
         s_used = cfg.s_override if cfg.s_override else default_s(cfg.epsilon, cfg.delta)
+        op = R.shifted(poly.scale, poly.shift)
         trace = probe_average(
-            R.n, s_used, root.child(1), lambda G: traces(R.matmat, G), draw
+            R.n, s_used, root.child(1), lambda G: traces(op.matmat, G), draw
         )
     estimate = poly.offset + trace
 

@@ -5,13 +5,16 @@ Gaussian probe average.
 For a unit-trace PSD matrix whose spectrum lies in [ell, u] the infinite
 series equals the entropy exactly; truncating at
 m = ceil((u/ell) ln(1/eps)) leaves a relative tail below eps.  The terms
-come from the forward recurrence Q_0 = R G, Q_k = Q_{k-1} - R Q_{k-1} / u,
-one sparse matvec per probe and degree.
+are products with the shifted operator Y = I - R/u, built once per run:
+since R = u (I - Y) and Y is symmetric, the term g^T R Y^k g equals
+u (nu_k - nu_{k+1}) with nu_{2j} = |Y^j g|^2 and nu_{2j+1} = Y^j g . Y^{j+1} g,
+so degrees 1..m cost ceil((m+1)/2) sparse matvecs per probe.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -33,19 +36,23 @@ def default_m_taylor(u: float, ell: float, epsilon: float) -> int:
 def moments(
     apply: Callable[[np.ndarray], np.ndarray], G: np.ndarray, u: float, m: int
 ) -> np.ndarray:
-    """b x m array whose column k-1 holds g^T R (I - R/u)^k g, k = 1..m, for
-    each column g of the n x b block G; ``apply`` multiplies by R.
+    """b x m array whose column k-1 holds g^T R Y^k g, Y = I - R/u, k = 1..m,
+    for each column g of the n x b block G; ``apply`` multiplies by Y.
 
-    Runs Q_0 = R G, Q_k = Q_{k-1} - R Q_{k-1} / u at one product per degree
-    plus one.  When u bounds the spectrum every form is nonnegative up to
-    roundoff.
+    Takes nu_1..nu_{m+1}, nu_j = g^T Y^j g, from the powers Y^j G at
+    ceil((m+1)/2) products, and returns u (nu_k - nu_{k+1}).  Column k-1
+    does not depend on m.  When u bounds the spectrum every form is
+    nonnegative up to roundoff.
     """
-    forms = np.empty((G.shape[1], m))
-    q = apply(G)
-    for k in range(m):
-        q -= apply(q) / u
-        forms[:, k] = np.einsum("ij,ij->j", G, q)
-    return forms
+    nu = np.empty((G.shape[1], m + 1))  # column i-1 holds nu_i
+    y = G  # Y^((i-1)/2) G
+    for i in range(1, m + 2, 2):
+        y_next = apply(y)
+        nu[:, i - 1] = np.einsum("ij,ij->j", y, y_next)
+        if i <= m:
+            nu[:, i] = np.einsum("ij,ij->j", y_next, y_next)
+        y = y_next
+    return u * (nu[:, :-1] - nu[:, 1:])
 
 
 def taylor_entropy(
@@ -61,7 +68,13 @@ def taylor_entropy(
     """
 
     def series(u: float, m: int) -> PolynomialSeries:
-        return PolynomialSeries(moments, 1.0 / np.arange(1, m + 1), math.log(1.0 / u))
+        return PolynomialSeries(
+            partial(moments, u=u, m=m),
+            1.0 / np.arange(1, m + 1),
+            math.log(1.0 / u),
+            scale=-1.0 / u,
+            shift=1.0,
+        )
 
     # Pass this module's gaussian_vector so that wrapping it traces the probe draws.
     return polynomial_entropy(

@@ -88,13 +88,13 @@ def test_02_clenshaw_identities():
             report(2, "Clenshaw identities", False, f"scalar mismatch {diff:.2e} at u={u} m={m} x={x}")
 
     probs = np.array([0.35, 0.3, 0.25, 0.1])
-    r = diagonal_matrix(probs)
+    x2 = diagonal_matrix(probs).shifted(4.0 / 0.8, -2.0)
     y = np.clip((2.0 / 0.8) * probs - 1.0, -1.0, 1.0)
     for seed in range(25):
         m = 1 + (seed % 12)
         coeffs = cheb_coefficients(0.8, m)
         g = gaussian_vector(RngStream(seed, 555), 4)
-        forms = chebyshev.moments(r.matmat, g[:, None], 0.8, m)[0]
+        forms = chebyshev.moments(x2.matmat, g[:, None], m)[0]
         matrix_form = float(sum(a * f for a, f in zip(coeffs, forms)))
         cosine = sum(a * np.cos(w * np.arccos(y)) for w, a in enumerate(coeffs))
         scalar_form = float(np.sum(g**2 * cosine))
@@ -117,7 +117,8 @@ def test_03_taylor_series_oracle():
         probs = np.full(n, 1.0 / n)
         for epsilon in (0.5, 0.1):
             m = default_m_taylor(1.0, 1.0 / n, epsilon)
-            forms = taylor.moments(lambda x: probs[:, None] * x, np.ones((n, 1)), 1.0, m)[0]
+            y = 1.0 - probs
+            forms = taylor.moments(lambda x: y[:, None] * x, np.ones((n, 1)), 1.0, m)[0]
             partials = np.cumsum(forms / np.arange(1, m + 1))
             if np.any(np.diff(partials) < -1e-15):
                 report(3, "taylor series oracle", False, f"series not monotone at n={n}")

@@ -22,7 +22,8 @@ from vnentropy.rng import gaussian_vector, uniform_doubles
 def single_form(r, u, alphas, g):
     """g^T f_m(R) g for one probe: the moments of a 1-column block
     contracted with the coefficients in degree order."""
-    forms = moments(r.matmat, np.asarray(g, dtype=np.float64)[:, None], u, alphas.size - 1)[0]
+    x2 = r.shifted(4.0 / u, -2.0)
+    forms = moments(x2.matmat, np.asarray(g, dtype=np.float64)[:, None], alphas.size - 1)[0]
     return float(sum(a * f for a, f in zip(alphas, forms)))
 
 
@@ -131,7 +132,7 @@ def test_moments_match_eigendecomposition_at_every_degree():
     u, m = 0.8, 17
     lam, v = np.linalg.eigh(r.to_dense())
     G = np.column_stack([gaussian_vector(RngStream(32).child(i), 5) for i in range(3)])
-    forms = moments(r.matmat, G, u, m)
+    forms = moments(r.shifted(4.0 / u, -2.0).matmat, G, m)
     assert forms.shape == (3, m + 1)
     y = v.T @ G
     for k in range(m + 1):
@@ -143,8 +144,9 @@ def test_moments_match_eigendecomposition_at_every_degree():
 def test_moments_of_a_block_match_its_columns():
     r, _ = rotated_density([0.5, 0.3, 0.2], RngStream(1))
     G = np.column_stack([gaussian_vector(RngStream(2).child(i), 3) for i in range(5)])
-    block = moments(r.matmat, G, 1.0, 8)
-    single = np.vstack([moments(r.matmat, G[:, i : i + 1], 1.0, 8) for i in range(5)])
+    x2 = r.shifted(4.0, -2.0)
+    block = moments(x2.matmat, G, 8)
+    single = np.vstack([moments(x2.matmat, G[:, i : i + 1], 8) for i in range(5)])
     assert np.allclose(block, single, rtol=1e-13, atol=1e-15)
 
 

@@ -241,6 +241,32 @@ def test_trace_off_one_exits_two(tmp_path, capsys):
     assert str(path) in err and "trace 2.0" in err
 
 
+@pytest.mark.parametrize(
+    "rewrite, message",
+    [
+        (lambda p: 1.2 * p, "sum to 1.2"),
+        (lambda p: np.full(p.size + 1, 1.0 / (p.size + 1)), "17 probabilities for n=16"),
+        (lambda p: np.full(p.size, np.nan), "sum to nan"),
+        (lambda p: "0.5\nhalf\n", "could not convert"),
+    ],
+    ids=["sum-1.2", "n-plus-one-entries", "nan", "malformed"],
+)
+def test_bad_spectrum_sidecar_exits_two_naming_it(tmp_path, capsys, rewrite, message):
+    path = tmp_path / "tri.mtx"
+    run_cli(capsys, "generate", "--family", "tridiagonal", "--n", "16", "--out", str(path))
+    side = cli.sidecar_path(path)
+    contents = rewrite(np.loadtxt(side))
+    if isinstance(contents, str):
+        side.write_text(contents)
+    else:
+        cli.write_spectrum(contents, side)
+    code, out, err = run_cli(
+        capsys, "estimate", str(path), "--method", "taylor", "--m", "3", "--s", "4"
+    )
+    assert code == 2 and out == ""
+    assert str(side) in err and message in err
+
+
 def test_bench_exact_only_grid(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({

@@ -5,16 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.chebyshev import chebval
 
-from conftest import diagonal_matrix
+from conftest import diagonal_matrix, rotated_density
 from vnentropy import (
     EstimatorConfig,
+    RngStream,
+    SparseSymMatrix,
     SpectralModel,
     cheb_coefficients,
+    chebyshev,
     chebyshev_entropy,
     check_assumptions,
+    generate_tridiagonal_poisson,
     relative_error,
+    taylor,
     taylor_entropy,
 )
+from vnentropy.densmat import low_rank_probs
+from vnentropy.rng import gaussian_vector
 
 
 def model_of(*probs):
@@ -83,12 +90,10 @@ def nte_cases(draw):
     return probs, pad, min(u, 1.0), draw(st.integers(1, 60))
 
 
-@given(nte_cases())
-@settings(max_examples=60, deadline=None)
-def test_nte_matches_numpy_series_references(case):
-    probs, pad, u, m = case
-    padded = np.concatenate([probs, np.zeros(pad)])
-    r = diagonal_matrix(padded)
+def assert_nte_matches_numpy_references(r, probs, u, m):
+    """Both series' nte estimates on the n x n matrix r, whose spectrum is
+    probs padded with zeros, against a numpy chebval sum and a double sum."""
+    padded = np.concatenate([probs, np.zeros(r.n - probs.size)])
     model = SpectralModel(probs=probs)
     cfg = EstimatorConfig(u_mode="manual", u_value=u, m_override=m, nte=True, s_override=0)
 
@@ -100,3 +105,94 @@ def test_nte_matches_numpy_series_references(case):
     terms = np.sum(probs[:, None] * (1.0 - probs[:, None] / u) ** k / k)
     taylor_ref = math.log(1.0 / u) + float(terms)
     assert taylor_entropy(r, cfg, model).estimate == pytest.approx(taylor_ref, rel=1e-10)
+
+
+@given(nte_cases())
+@settings(max_examples=60, deadline=None)
+def test_nte_matches_numpy_series_references(case):
+    probs, pad, u, m = case
+    r = diagonal_matrix(np.concatenate([probs, np.zeros(pad)]))
+    assert_nte_matches_numpy_references(r, probs, u, m)
+
+
+def counted_products(monkeypatch):
+    """Record (matrix, columns) for every SparseSymMatrix.matmat call."""
+    calls = []
+    matmat = SparseSymMatrix.matmat
+
+    def counting(self, x):
+        calls.append((self, x.shape[1]))
+        return matmat(self, x)
+
+    monkeypatch.setattr(SparseSymMatrix, "matmat", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+@pytest.mark.parametrize(
+    "estimator, per_probe",
+    [(taylor_entropy, lambda m: math.ceil((m + 1) / 2)), (chebyshev_entropy, lambda m: math.ceil(m / 2))],
+    ids=["taylor", "chebyshev"],
+)
+def test_probe_products_are_halved_and_never_on_r(monkeypatch, estimator, per_probe, m):
+    r, model = generate_tridiagonal_poisson(16)
+    calls = counted_products(monkeypatch)
+    cfg = EstimatorConfig(u_mode="manual", u_value=0.3, m_override=m, s_override=3, seed=2)
+    estimator(r, cfg, model)
+    assert sum(cols for _, cols in calls) == 3 * per_probe(m)
+    assert all(op is not r for op, _ in calls)
+
+
+@pytest.mark.parametrize(
+    "moments_of",
+    [
+        lambda op, G, m: taylor.moments(op.shifted(-1.0 / 0.7, 1.0).matmat, G, 0.7, m),
+        lambda op, G, m: chebyshev.moments(op.shifted(4.0 / 0.7, -2.0).matmat, G, m),
+    ],
+    ids=["taylor", "chebyshev"],
+)
+def test_moments_at_degree_k_do_not_depend_on_m(moments_of):
+    r, _ = rotated_density([0.4, 0.25, 0.2, 0.1, 0.05], RngStream(41))
+    G = np.column_stack([gaussian_vector(RngStream(42).child(i), 5) for i in range(3)])
+    full = moments_of(r, G, 13)
+    for m in range(1, 14):
+        forms = moments_of(r, G, m)
+        assert np.array_equal(forms, full[:, : forms.shape[1]]), m
+
+
+def test_shifted_operator_shares_the_index_arrays():
+    r, _ = generate_tridiagonal_poisson(8)
+    y = r.shifted(-2.0, 1.0)
+    np.testing.assert_array_equal(y.to_dense(), -2.0 * r.to_dense() + np.eye(8))
+    assert y.row_offsets is r.row_offsets and y.col_indices is r.col_indices
+    assert np.shares_memory(y.scipy_csr.indices, r.scipy_csr.indices)
+    assert np.shares_memory(y.scipy_csr.indptr, r.scipy_csr.indptr)
+    assert not np.shares_memory(y.values, r.values)
+
+
+def test_shifted_operator_without_a_stored_diagonal_entry():
+    dense = np.array([[0.0, 0.25, 0.0], [0.25, 0.5, 0.0], [0.0, 0.0, 0.5]])
+    r = SparseSymMatrix(
+        n=3,
+        row_offsets=np.array([0, 1, 3, 4]),
+        col_indices=np.array([1, 0, 1, 2]),
+        values=np.array([0.25, 0.25, 0.5, 0.5]),
+    )
+    y = r.shifted(4.0, -2.0)
+    np.testing.assert_array_equal(y.to_dense(), 4.0 * dense - 2.0 * np.eye(3))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 20, 60])
+@pytest.mark.parametrize("u", ["p1", 0.5, 1.0])
+def test_nte_stays_accurate_on_a_long_zero_padding(u, m):
+    # The doubled moments subtract forms of order n from each other; at
+    # n = 65536 with 10 nonzero eigenvalues the cancellation must stay small.
+    n, probs = 65536, low_rank_probs(10, "linear")
+    padded = np.concatenate([probs, np.zeros(n - probs.size)])
+    r = SparseSymMatrix(
+        n=n,
+        row_offsets=np.arange(n + 1, dtype=np.int64),
+        col_indices=np.arange(n, dtype=np.int64),
+        values=padded,
+    )
+    assert_nte_matches_numpy_references(r, probs, probs[0] if u == "p1" else u, m)
