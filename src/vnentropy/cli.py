@@ -19,8 +19,9 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .densmat import (
     read_matrix_market,
     write_matrix_market,
 )
-from .report import EstimatorConfig, check_assumptions, compare_to_exact
+from .report import EstimatorConfig, check_assumptions, compare_to_exact, power_estimate
 from .rng import RngStream
 from .sketch import PROJECTION_KINDS, ProjectionSpec, default_s_sketch, sketch_entropy
 from .taylor import taylor_entropy
@@ -187,20 +188,24 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class RunSpec:
     """One estimator run: ``cfg`` for taylor and chebyshev, ``proj`` and
-    ``rank`` for sketch, nothing more for exact."""
+    ``rank`` for sketch, nothing more for exact.  ``oracle`` hands an exact
+    run the result of ``linalg.exact_entropy`` when an earlier run on the
+    same matrix already has it."""
 
     method: str
     seed: int
     cfg: EstimatorConfig | None = None
     proj: ProjectionSpec | None = None
     rank: int | None = None
+    oracle: tuple[float, SpectralModel] | None = None
 
 
 @dataclass(frozen=True)
 class RunRecord:
-    """What one run produced.  ``exact`` and ``rel_err`` are None when no
-    spectrum is known, ``rel_err`` alone for a pure state.  ``fields`` holds
-    the method's own outputs in the order ``estimate`` prints them."""
+    """What one run produced at one degree.  ``exact`` and ``rel_err`` are
+    None when no spectrum is known, ``rel_err`` alone for a pure state.
+    ``wall_ms`` is the time of the whole run, ``fields`` holds the method's
+    own outputs in the order ``estimate`` prints them."""
 
     estimate: float
     wall_ms: float
@@ -212,18 +217,28 @@ class RunRecord:
 
 def run_method(
     matrix: SparseSymMatrix, model: SpectralModel | None, spec: RunSpec
-) -> RunRecord:
+) -> list[RunRecord]:
     """Run one estimator and compare it with the exact entropy of ``model``
-    (``exact`` with the spectrum it computes).  The one place that
-    dispatches on the method, for ``estimate`` and ``bench`` alike."""
+    (``exact`` with the spectrum it computes): one record per degree of a
+    series run, ascending, else one.  The one place that dispatches on the
+    method, for ``estimate`` and ``bench`` alike."""
     t0 = time.perf_counter()
     if spec.method in SERIES:
         run = taylor_entropy if spec.method == "taylor" else chebyshev_entropy
         rep = run(matrix, spec.cfg, model)
-        fields = {"m": rep.m_used, "s": rep.s_used, "u": rep.u_used, "seed": spec.seed}
-        return RunRecord(rep.estimate, rep.wall_ms, rep.exact, rep.rel_err, rep.warnings, fields)
+        return [
+            RunRecord(
+                estimate,
+                rep.wall_ms,
+                rep.exact,
+                compare_to_exact(estimate, model)[1],
+                rep.warnings,
+                {"m": m, "s": rep.s_used, "u": rep.u_used, "seed": spec.seed},
+            )
+            for m, estimate in sorted(rep.estimates.items())
+        ]
     if spec.method == "exact":
-        estimate, model = linalg.exact_entropy(matrix)
+        estimate, model = spec.oracle or linalg.exact_entropy(matrix)
         wall_ms = (time.perf_counter() - t0) * 1e3
         warnings, fields = (), {"seed": spec.seed}
     else:  # sketch
@@ -239,7 +254,7 @@ def run_method(
             "probs": [float(p) for p in out.probs_tilde],
         }
     exact, rel_err, pure = compare_to_exact(estimate, model)
-    return RunRecord(estimate, wall_ms, exact, rel_err, warnings + pure, fields)
+    return [RunRecord(estimate, wall_ms, exact, rel_err, warnings + pure, fields)]
 
 
 def _sketch_spec(kind: str, s: int, rank: int, seed: int, n: int) -> RunSpec:
@@ -287,7 +302,7 @@ def cmd_estimate(args) -> int:
         raise UsageError(str(exc)) from exc
     if args.compute_exact and model is None and args.method != "exact":
         _, model = linalg.exact_entropy(matrix)
-    rec = run_method(matrix, model, spec)
+    (rec,) = run_method(matrix, model, spec)
 
     if not math.isfinite(rec.estimate):
         raise ValueError(f"estimate is not finite: {rec.estimate!r}")
@@ -431,15 +446,104 @@ def _bench_cells(grid, n: int, model: SpectralModel | None) -> list[tuple[tuple,
     return cells
 
 
-def _run_cell(cell, matrix, model):
-    labels, spec = cell
+_ORACLE = ("oracle",)
+
+
+def _power_key(cfg: EstimatorConfig) -> tuple:
+    return ("power", cfg.seed, cfg.delta)
+
+
+class _Unit(NamedTuple):
+    """One run of a sweep: ``rows[j]`` lists the cells its record j fills,
+    ``needs`` the shared results it reads, in the order it reads them."""
+
+    spec: RunSpec
+    rows: list[list[int]]
+    needs: list[tuple]
+
+
+def _needs(spec: RunSpec, model: SpectralModel | None) -> list[tuple]:
+    """The shared results a run reads, in the order it reads them: the power
+    method of its seed and delta unless u is manual, then the oracle for an
+    exact run or an nte run without a known spectrum."""
+    if spec.method == "exact":
+        return [_ORACLE]
+    if spec.method not in SERIES:
+        return []
+    needs = [] if spec.cfg.u_mode == "manual" else [_power_key(spec.cfg)]
+    if spec.cfg.nte and (model is None or model.probs is None):
+        needs.append(_ORACLE)
+    return needs
+
+
+def _bench_units(cells, model: SpectralModel | None) -> list[_Unit]:
+    """Group the cells into runs: series cells that differ only in m make
+    one run over all their m values, every other cell a run of its own."""
+    groups: dict = {}
+    for i, (labels, spec) in enumerate(cells):
+        groups.setdefault(labels[:1] + labels[2:] if spec.method in SERIES else i, []).append(i)
+    units = []
+    for members in groups.values():
+        by_m: dict = {}
+        for i in members:
+            cfg = cells[i][1].cfg
+            by_m.setdefault(cfg.m_override if cfg else None, []).append(i)
+        spec = cells[members[0]][1]
+        if spec.method in SERIES:
+            spec = replace(spec, cfg=replace(spec.cfg, m_override=tuple(sorted(by_m))))
+        units.append(_Unit(spec, [by_m[m] for m in sorted(by_m)], _needs(spec, model)))
+    return units
+
+
+def _attempt(fn, *args) -> tuple[object, float, str]:
+    """One task of a sweep: fn(*args), its wall time in ms, and the type name
+    of the exception it raised ('' if none).  A failure lands on the rows of
+    the cells the task serves; the sweep continues."""
+    t0 = time.perf_counter()
     try:
-        return labels, run_method(matrix, model, spec), ""
-    except Exception as exc:  # cell failures are recorded, the sweep continues
-        return labels, None, type(exc).__name__
+        value, error = fn(*args), ""
+    except Exception as exc:
+        value, error = None, type(exc).__name__
+    return value, (time.perf_counter() - t0) * 1e3, error
+
+
+def _compute_shared(key: tuple, matrix: SparseSymMatrix):
+    if key == _ORACLE:
+        return linalg.exact_entropy(matrix)
+    _, seed, delta = key
+    return power_estimate(matrix, seed, delta)
+
+
+def _run_unit(unit: _Unit, matrix, model, shared: dict) -> tuple[object, float, str]:
+    """The unit's records, handed the shared results it reads; a failed
+    shared result fails the unit with its error."""
+    for key in unit.needs:
+        if shared[key][2]:
+            return None, 0.0, shared[key][2]
+    values = {key: shared[key][0] for key in unit.needs}
+    spec, oracle = unit.spec, values.get(_ORACLE)
+    if spec.method == "exact":
+        spec = replace(spec, oracle=oracle)
+    elif spec.method in SERIES:
+        cfg = replace(
+            spec.cfg,
+            power=values.get(_power_key(spec.cfg)),
+            spectrum=None if oracle is None else oracle[1].probs,
+        )
+        spec = replace(spec, cfg=cfg)
+    return _attempt(run_method, matrix, model, spec)
 
 
 def cmd_bench(args) -> int:
+    """Run a grid's cells, sharing work between them, and write the CSV.
+
+    Each shared result and each unit runs once, on the pool, shared results
+    first; rows equal those of separate runs bitwise.  A row's ``wall_ms``
+    is the time of the work it adds beyond the rows above it: the first row
+    a unit fills carries the unit's time plus that of every shared result
+    no earlier row read, later rows carry only what is new to them (often
+    0).  The column therefore sums to the sweep's busy time.
+    """
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
     grid = _load_grid(args.grid)
@@ -449,11 +553,20 @@ def cmd_bench(args) -> int:
     except (TypeError, ValueError) as exc:
         raise UsageError(f"grid cell: {exc}") from exc
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(lambda c: _run_cell(c, matrix, model), cells))
-    else:
-        rows = [_run_cell(c, matrix, model) for c in cells]
+    units = _bench_units(cells, model)
+    keys = list(dict.fromkeys(key for unit in units for key in unit.needs))
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        done = pool.map(lambda key: _attempt(_compute_shared, key, matrix), keys)
+        shared = dict(zip(keys, done))
+        results = list(pool.map(lambda unit: _run_unit(unit, matrix, model, shared), units))
+
+    rows: list = [None] * len(cells)
+    for u, (unit, (records, _, error)) in enumerate(zip(units, results)):
+        for j, members in enumerate(unit.rows):
+            for i in members:
+                rows[i] = (cells[i][0], records[j] if records else None, error, u)
+    cost = {key: ms for key, (_, ms, _) in shared.items()}
+    cost.update({u: ms for u, (_, ms, _) in enumerate(results)})
 
     out = open(args.out, "w", newline="", encoding="ascii") if args.out else sys.stdout
     try:
@@ -461,13 +574,15 @@ def cmd_bench(args) -> int:
         writer.writerow(
             ["method", "m", "s", "u_mode", "seed", "rep", "estimate", "exact", "rel_err", "wall_ms", "error"]
         )
-        for labels, rec, error in rows:
+        for labels, rec, error, u in rows:
             values = (rec.estimate, rec.exact, rec.rel_err) if rec else (None, None, None)
-            wall = f"{rec.wall_ms:.3f}" if rec and not args.no_timings else ""
+            wall = ""
+            if rec and not args.no_timings:
+                wall = f"{sum(cost.pop(key, 0.0) for key in (u, *units[u].needs)):.3f}"
             writer.writerow([_fmt(v) for v in labels + values] + [wall, error])
         out.write("# summary,method,m,s,u_mode,mean_rel_err,max_rel_err\n")
         seen: dict[tuple, list[float]] = {}
-        for labels, rec, _ in rows:
+        for labels, rec, _, _ in rows:
             errs = seen.setdefault(labels[:4], [])
             if rec and rec.rel_err is not None:
                 errs.append(rec.rel_err)

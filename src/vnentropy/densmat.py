@@ -139,12 +139,9 @@ class SpectralModel:
 
     ``probs`` is descending (ties broken by original index) and may be
     None when the generator could not afford an exact eigendecomposition.
-    ``basis`` optionally carries the orthonormal eigenvectors, one column
-    per probability.
     """
 
     probs: np.ndarray | None
-    basis: np.ndarray | None = None
 
     def validate(self) -> None:
         if self.probs is not None:
@@ -155,15 +152,6 @@ class SpectralModel:
                 raise ValueError(f"probabilities sum to {p.sum():.12g}, not 1")
             if np.any(np.diff(p) > 0):
                 raise ValueError("probabilities must be sorted descending")
-        if self.basis is not None:
-            q = self.basis
-            gram = q.T @ q
-            if np.max(np.abs(gram - np.eye(q.shape[1]))) > 1e-8:
-                raise ValueError("basis columns are not orthonormal within 1e-8")
-
-    @property
-    def p_max(self) -> float:
-        return float(self.probs[0])
 
     @property
     def p_min(self) -> float:
@@ -246,7 +234,7 @@ def generate_low_rank_density(
     from . import linalg
 
     q = linalg.householder_qr(gaussian_vector(stream, n * k).reshape(n, k))
-    return _sym_from_product(q, probs), SpectralModel(probs=probs, basis=q)
+    return _sym_from_product(q, probs), SpectralModel(probs=probs)
 
 
 def generate_linear_plus_uniform(
@@ -262,7 +250,7 @@ def generate_linear_plus_uniform(
     from . import linalg
 
     q = linalg.householder_qr(gaussian_vector(stream, n * n).reshape(n, n))
-    return _sym_from_product(q, probs), SpectralModel(probs=probs, basis=q)
+    return _sym_from_product(q, probs), SpectralModel(probs=probs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Probe i draws its Gaussian vector from ``stream.child(i)``.  The probes are
 stacked into n x b blocks of at most ``PROBE_CHUNK`` columns, each block is
-handed to a caller-supplied kernel that returns one value per column, and
-the per-probe values are reduced in fixed index order, so results are
-bitwise reproducible however the probes are scheduled.
+handed to a caller-supplied kernel that returns one value per column (or
+one row of them per quantity), and each quantity's per-probe values are
+reduced from one contiguous array in fixed index order, so results are
+bitwise reproducible however the probes are scheduled and however many
+quantities one pass yields.
 """
 
 from __future__ import annotations
@@ -34,18 +36,23 @@ def probe_average(
     stream: RngStream,
     kernel: Callable[[np.ndarray], np.ndarray],
     draw: Callable[[RngStream, int], np.ndarray] = gaussian_vector,
-) -> float:
+) -> float | np.ndarray:
     """Mean of kernel(G) over s Gaussian probes: for a kernel returning the
     quadratic forms g^T A g of the columns g of G, an unbiased estimate of
-    trace(A).
+    trace(A).  A kernel may return a d x b array instead of b values, one
+    row per matrix A; the result is then the d means.
 
     ``draw(stream, n)`` generates one probe vector.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
-    per_probe = np.empty(s, dtype=np.float64)
+    per_probe = None
     for start in range(0, s, PROBE_CHUNK):
         stop = min(start + PROBE_CHUNK, s)
         block = np.column_stack([draw(stream.child(i), n) for i in range(start, stop)])
-        per_probe[start:stop] = kernel(block)
-    return float(per_probe.sum() / s)
+        values = kernel(block)
+        if per_probe is None:
+            per_probe = np.empty(np.shape(values)[:-1] + (s,))
+        per_probe[..., start:stop] = values
+    means = np.array([row.sum() for row in per_probe.reshape(-1, s)]) / s
+    return float(means[0]) if per_probe.ndim == 1 else means

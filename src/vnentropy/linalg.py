@@ -115,10 +115,9 @@ def exact_entropy(
     """
     if R.n > max_n:
         raise ValueError(f"matrix size {R.n} exceeds the oracle limit {max_n}")
-    w, v = dense_eigh(R.to_dense(), max_n=max_n)
+    w, _ = dense_eigh(R.to_dense(), max_n=max_n)
     floor = -1e-10 * R.n
     if w[0] < floor:
         raise ValueError(f"eigenvalue {w[0]!r} below {floor!r}: not positive semidefinite")
     probs = np.clip(w[::-1], 0.0, None)
-    basis = v[:, ::-1]
-    return entropy_from_probs(probs, ENTROPY_CLAMP), SpectralModel(probs=probs, basis=basis)
+    return entropy_from_probs(probs, ENTROPY_CLAMP), SpectralModel(probs=probs)

@@ -34,6 +34,13 @@ class EstimatorConfig:
     is overridden.  ``nte`` replaces the stochastic trace estimate with
     the exact truncated series from known eigenvalues, isolating the
     truncation error; in that mode ``s_override=0`` is allowed.
+
+    ``m_override`` may also be a tuple of degrees: one pass to the largest
+    then reads the estimate at each, exactly as separate runs would give it.
+    ``power`` and ``spectrum`` hand a run work that an earlier run on the
+    same matrix already did, so it is not done again: the power method of
+    this ``seed`` and ``delta`` (see :func:`power_estimate`), and the
+    oracle's eigenvalues for an ``nte`` run without a model.
     """
 
     epsilon: float = 0.1
@@ -41,10 +48,12 @@ class EstimatorConfig:
     ell: float | None = None
     u_mode: str = "six"
     u_value: float | None = None
-    m_override: int | None = None
+    m_override: int | tuple[int, ...] | None = None
     s_override: int | None = None
     nte: bool = False
     seed: int = 0
+    power: PowerEstimate | None = field(default=None, compare=False)
+    spectrum: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
@@ -59,13 +68,18 @@ class EstimatorConfig:
             self.u_value is None or not 0.0 < self.u_value <= 1.0
         ):
             raise ValueError(f"manual u must lie in (0, 1], got {self.u_value}")
-        if self.m_override is not None and self.m_override < 1:
+        if self.m_override is not None and not min(self.degrees(), default=0) >= 1:
             raise ValueError("m override must be at least 1")
         if self.s_override is not None:
             if self.s_override < 0 or (self.s_override == 0 and not self.nte):
                 raise ValueError("s override must be >= 1 (0 is allowed only with nte)")
         if self.m_override is None and self.ell is None:
             raise ValueError("ell is required unless m is overridden")
+
+    def degrees(self) -> list[int]:
+        """The overridden degrees, ascending and without repeats."""
+        m = self.m_override
+        return sorted(set(m)) if isinstance(m, tuple) else [m]
 
 
 @dataclass(frozen=True)
@@ -134,7 +148,9 @@ def compare_to_exact(
 
 @dataclass
 class EstimateReport:
-    """Output envelope of one estimator run."""
+    """Output envelope of one estimator run.  ``estimates`` maps every degree
+    the run read to its estimate; ``m_used`` is the largest of them, and
+    ``estimate`` and ``rel_err`` are its values."""
 
     estimate: float
     method: str
@@ -147,23 +163,28 @@ class EstimateReport:
     rel_err: float | None = None
     assumptions: AssumptionCheck = field(default_factory=AssumptionCheck)
     warnings: tuple[str, ...] = ()
+    estimates: dict[int, float] = field(default_factory=dict)
 
 
-def resolve_u(
-    R: SparseSymMatrix, cfg: EstimatorConfig, stream: RngStream
-) -> tuple[float, PowerEstimate | None]:
-    """Upper bound u per the config's mode (power-method backed unless manual)."""
+def power_estimate(R: SparseSymMatrix, seed: int, delta: float) -> PowerEstimate:
+    """The power method behind u for every polynomial run with this seed and
+    delta: t and q from ``delta``, trials from child stream 0 of ``seed``."""
+    t, q = default_power_params(R.n, delta)
+    return power_method(R, t, q, RngStream(seed).child(0))
+
+
+def resolve_u(R: SparseSymMatrix, cfg: EstimatorConfig) -> tuple[float, PowerEstimate | None]:
+    """Upper bound u per the config's mode: manual, else from the power
+    method (``cfg.power`` when an earlier run already has it)."""
     if cfg.u_mode == "manual":
         return float(cfg.u_value), None
-    t, q = default_power_params(R.n, cfg.delta)
-    pe = power_method(R, t, q, stream)
+    pe = cfg.power if cfg.power is not None else power_estimate(R, cfg.seed, cfg.delta)
     return u_from_p1(pe.p1_tilde, cfg.u_mode), pe
 
 
 def assemble_report(
-    estimate: float,
+    estimates: dict[int, float],
     method: str,
-    m_used: int,
     s_used: int,
     u_used: float,
     wall_ms: float,
@@ -178,10 +199,11 @@ def assemble_report(
         warnings.append("u_mode 'raw' is heuristic: u >= p1 is not guaranteed")
     warnings.extend(assumptions.warnings())
 
-    exact, rel, pure = compare_to_exact(estimate, model)
+    m_used = max(estimates)
+    exact, rel, pure = compare_to_exact(estimates[m_used], model)
     warnings.extend(pure)
     return EstimateReport(
-        estimate=estimate,
+        estimate=estimates[m_used],
         method=method,
         m_used=m_used,
         s_used=s_used,
@@ -192,6 +214,7 @@ def assemble_report(
         rel_err=rel,
         assumptions=assumptions,
         warnings=tuple(warnings),
+        estimates=estimates,
     )
 
 
@@ -200,7 +223,8 @@ class PolynomialSeries(NamedTuple):
     is offset + sum_k weights[k] trace(P_k(R)), and ``moments(apply, G)``
     returns the b x len(weights) forms g^T P_k(R) g of the columns g of G,
     with ``apply`` multiplying by the operator scale * R + shift * I that
-    the series' recurrence runs on."""
+    the series' recurrence runs on.  The last weight belongs to degree m;
+    neither the weights nor the forms of lower degrees depend on m."""
 
     moments: Callable[..., np.ndarray]
     weights: np.ndarray
@@ -221,55 +245,62 @@ def polynomial_entropy(
 ) -> EstimateReport:
     """Run a polynomial estimator and assemble its report.
 
-    Resolves u on child stream 0 of ``cfg.seed``, takes m from
+    Resolves u (:func:`resolve_u`), takes the degrees from
     ``cfg.m_override`` or ``default_m(u, ell, epsilon)``, then traces
-    ``series(u, m)`` through its one ``moments`` recurrence: exactly over
-    known eigenvalues with ``cfg.nte`` (the attached model, else the dense
-    oracle), otherwise with the probe driver over ``cfg.s_override`` (else
-    ``default_s``) probes that ``draw`` takes from child stream 1.  Either
-    way the series' shifted operator is built once, from the eigenvalues
-    or from R.
+    ``series(u, largest degree)`` through its one ``moments`` recurrence and
+    reads the partial sum at each degree: exactly over known eigenvalues
+    with ``cfg.nte`` (the attached model, else ``cfg.spectrum``, else the
+    dense oracle), otherwise with the probe driver over ``cfg.s_override``
+    (else ``default_s``) probes that ``draw`` takes from child stream 1 of
+    ``cfg.seed``.  Either way the series' shifted operator is built once,
+    from the eigenvalues or from R.
     """
     t0 = time.perf_counter()
-    root = RngStream(cfg.seed)
-    u, _ = resolve_u(R, cfg, root.child(0))
-    m = cfg.m_override if cfg.m_override is not None else default_m(u, cfg.ell, cfg.epsilon)
-    poly = series(u, m)
+    u, _ = resolve_u(R, cfg)
+    degrees = cfg.degrees() if cfg.m_override is not None else [default_m(u, cfg.ell, cfg.epsilon)]
+    poly = series(u, degrees[-1])
+    # the weight index at which each degree's partial sum is complete
+    last = len(poly.weights) - 1
+    reads = {last - (degrees[-1] - m) for m in degrees}
 
     def traces(apply: Callable[[np.ndarray], np.ndarray], G: np.ndarray) -> np.ndarray:
-        # sum_k weights[k] forms[:, k] in degree order; a BLAS product here
-        # would round differently for different block widths
+        # sum_k weights[k] forms[:, k] in degree order, one row per degree
+        # read; a BLAS product here would round differently for different
+        # block widths
         forms = poly.moments(apply, G)
         acc = np.zeros(G.shape[1])
+        partial_sums = []
         for k, w in enumerate(poly.weights):
             acc += forms[:, k] * w
-        return acc
+            if k in reads:
+                partial_sums.append(acc.copy())
+        return np.array(partial_sums)
 
     if cfg.nte:
         if model is not None and model.probs is not None:
             probs = np.asarray(model.probs)
+        elif cfg.spectrum is not None:
+            probs = cfg.spectrum
         else:
-            _, oracle_model = linalg.exact_entropy(R)
-            probs = oracle_model.probs
+            probs = linalg.exact_entropy(R)[1].probs
         # The shifted operator of the eigenvalues padded to n with zeros, as
         # a diagonal, and one all-ones probe: its form is the exact trace.
         spectrum = np.full((R.n, 1), poly.shift)
         spectrum[: probs.size, 0] = poly.scale * probs + poly.shift
-        trace = float(traces(lambda X: spectrum * X, np.ones((R.n, 1)))[0])
+        per_degree = traces(lambda X: spectrum * X, np.ones((R.n, 1)))[:, 0]
         s_used = 0
     else:
         s_used = cfg.s_override if cfg.s_override else default_s(cfg.epsilon, cfg.delta)
         op = R.shifted(poly.scale, poly.shift)
-        trace = probe_average(
-            R.n, s_used, root.child(1), lambda G: traces(op.matmat, G), draw
+        per_degree = probe_average(
+            R.n, s_used, RngStream(cfg.seed).child(1), lambda G: traces(op.matmat, G), draw
         )
-    estimate = poly.offset + trace
+    estimates = {m: poly.offset + float(t) for m, t in zip(degrees, per_degree)}
 
     wall_ms = (time.perf_counter() - t0) * 1e3
     return assemble_report(
-        estimate=estimate,
+        estimates=estimates,
         method=method,
-        m_used=m,
         s_used=s_used,
         u_used=u,
         wall_ms=wall_ms,

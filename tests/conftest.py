@@ -11,7 +11,7 @@ def rotated_density(probs, stream: RngStream) -> tuple[SparseSymMatrix, Spectral
     q = householder_qr(gaussian_vector(stream, n * n).reshape(n, n))
     dense = (q * probs) @ q.T
     dense = (dense + dense.T) / 2.0
-    return SparseSymMatrix.from_dense(dense), SpectralModel(probs=probs, basis=q)
+    return SparseSymMatrix.from_dense(dense), SpectralModel(probs=probs)
 
 
 def diagonal_matrix(diag) -> SparseSymMatrix:

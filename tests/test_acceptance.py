@@ -172,8 +172,8 @@ def test_05_power_method_bounds():
     upper = lower = 0
     for seed in range(200):
         p1t = power_method(r, t_iters, q_reps, RngStream(seed)).p1_tilde
-        upper += p1t <= model.p_max + 1e-12
-        lower += p1t >= model.p_max / 6.0
+        upper += p1t <= model.probs[0] + 1e-12
+        lower += p1t >= model.probs[0] / 6.0
     ok = upper == 200 and lower >= 170
     report(5, "power method bounds", ok,
            f"upper {upper}/200, lower {lower}/200 (need 200 and >=170); {time.perf_counter()-t0:.1f}s")

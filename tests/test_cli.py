@@ -1,10 +1,13 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vnentropy.linalg
+import vnentropy.report
 from vnentropy import SparseSymMatrix, cli, write_matrix_market
 from vnentropy.cli import main, parse_seed, parse_u_mode
 
@@ -327,7 +330,7 @@ def test_bench_threads_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch,
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"matrix": {"family": "tridiagonal", "n": 8}, "methods": ["exact"], "seeds": [0]}))
     ran = []
-    monkeypatch.setattr(cli, "_run_cell", lambda *args: ran.append(args))
+    monkeypatch.setattr(cli, "_attempt", lambda *args: ran.append(args))
     with pytest.raises(SystemExit) as excinfo:
         main(["bench", str(grid), "--threads", threads])
     assert excinfo.value.code == 1
@@ -439,7 +442,7 @@ def test_bench_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, monkeypat
     }
     grid.write_text(json.dumps({**spec, **BAD_GRIDS[name]}))
     ran = []
-    monkeypatch.setattr(cli, "_run_cell", lambda *args: ran.append(args))
+    monkeypatch.setattr(cli, "_attempt", lambda *args: ran.append(args))
     with pytest.raises(SystemExit) as excinfo:
         main(["bench", str(grid)])
     assert excinfo.value.code == 1
@@ -535,3 +538,127 @@ def test_checked_in_grids_build_every_cell(path):
     grid = cli._load_grid(path)
     matrix, model = cli._grid_matrix(grid["matrix"])
     assert len(cli._bench_cells(grid, matrix.n, model)) == GRID_CELLS[path.stem]
+
+
+SHARING_GRID = {
+    "methods": ["exact", "taylor", "chebyshev", "taylor_nte", "chebyshev_nte"],
+    "m_values": [6, 2, 4],
+    "s_values": [8, 16],
+    "u_modes": ["six", "raw", "manual:0.7"],
+    "seeds": [5],
+    "repetitions": 2,
+}
+
+
+def sharing_matrix(tmp_path, capsys, sidecar):
+    path = tmp_path / ("lr.mtx" if sidecar else "bare.mtx")
+    run_cli(capsys, "generate", "--family", "lowrank", "--n", "40", "--k", "4",
+            "--decay", "exponential", "--seed", "3", "--out", str(path))
+    if not sidecar:
+        cli.sidecar_path(path).unlink()
+    return path
+
+
+def estimate_flags(row):
+    method = row["method"]
+    if method == "exact":
+        return ["--method", "exact"]
+    flags = ["--method", method.removesuffix("_nte"), "--m", row["m"], "--u-mode", row["u_mode"]]
+    return flags + (["--nte"] if method.endswith("_nte") else ["--s", row["s"]])
+
+
+@pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "no-sidecar"])
+def test_bench_rows_equal_separate_estimate_runs(tmp_path, capsys, sidecar):
+    matrix = sharing_matrix(tmp_path, capsys, sidecar)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"matrix": {"path": str(matrix)}, **SHARING_GRID}))
+    outputs = []
+    for threads in ("1", "4"):
+        out_csv = tmp_path / f"out{threads}.csv"
+        code, _, _ = run_cli(capsys, "bench", str(grid), "--out", str(out_csv),
+                             "--threads", threads, "--no-timings")
+        assert code == 0
+        outputs.append(out_csv.read_bytes())
+    assert outputs[0] == outputs[1]
+
+    lines = [l for l in outputs[0].decode().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
+    # 2 repetitions of: exact, 3 m x 3 u x 2 s per series, 3 m x 3 u per nte
+    assert len(rows) == 2 * (1 + 2 * 18 + 2 * 9)
+    for row in rows:
+        seed = int(row["seed"]) + (int(row["rep"]) << 32)
+        code, out, _ = run_cli(capsys, "estimate", str(matrix), *estimate_flags(row),
+                               "--seed", str(seed), "--no-timings")
+        assert code == 0 and row["error"] == ""
+        record = json.loads(out)
+        for key in ("estimate", "exact", "rel_err"):
+            expected = f"{record[key]:.17g}" if key in record else ""
+            assert row[key] == expected, (row, key)
+
+
+def counting(monkeypatch, owner, name, calls, fail_if=lambda *args: False):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if fail_if(*args):
+            raise RuntimeError("forced failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "no-sidecar"])
+def test_bench_computes_each_shared_result_once(tmp_path, capsys, monkeypatch, sidecar, threads):
+    matrix = sharing_matrix(tmp_path, capsys, sidecar)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"matrix": {"path": str(matrix)}, **SHARING_GRID, "seeds": [5, 6]}))
+    power, oracle = [], []
+    counting(monkeypatch, vnentropy.report, "power_method", power)
+    counting(monkeypatch, vnentropy.linalg, "exact_entropy", oracle)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a race would show
+    try:
+        code, _, _ = run_cli(capsys, "bench", str(grid), "--out", str(tmp_path / "out.csv"),
+                             "--threads", threads, "--no-timings")
+    finally:
+        sys.setswitchinterval(interval)
+    assert code == 0
+    assert len(power) == 4  # seeds 5 and 6, repetitions 0 and 1
+    assert len({(stream.seed, stream.stream_id) for *_, stream in power}) == 4
+    assert len(oracle) == 1
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_a_failed_shared_power_method_fails_exactly_the_rows_of_separate_cells(
+    tmp_path, capsys, monkeypatch, threads
+):
+    matrix = sharing_matrix(tmp_path, capsys, False)
+    spec = {"matrix": {"path": str(matrix)}, **SHARING_GRID}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(spec))
+    failed_seed = 5 + (1 << 32)  # repetition 1 only
+    power = []
+    counting(monkeypatch, vnentropy.report, "power_method", power,
+             fail_if=lambda R, t, q, stream: stream.seed == failed_seed)
+    out_csv = tmp_path / "out.csv"
+    run_cli(capsys, "bench", str(grid), "--out", str(out_csv), "--threads", threads, "--no-timings")
+    lines = [l for l in out_csv.read_text().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
+
+    matrix_, model = cli.load_matrix(matrix)
+    cells = cli._bench_cells(cli._load_grid(grid), matrix_.n, model)
+    expected = []
+    for _, cell_spec in cells:
+        try:
+            cli.run_method(matrix_, model, cell_spec)
+            expected.append("")
+        except Exception as exc:
+            expected.append(type(exc).__name__)
+    assert [r["error"] for r in rows] == expected
+    # the six and raw cells of repetition 1: 2 u x 3 m x (2 s + 2 s + 1 + 1)
+    assert expected.count("RuntimeError") == 36
+    assert all(r["estimate"] == "" for r in rows if r["error"])

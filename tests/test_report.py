@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ from vnentropy import (
     taylor,
     taylor_entropy,
 )
+import vnentropy.power
+import vnentropy.report
 from vnentropy.densmat import low_rank_probs
 from vnentropy.rng import gaussian_vector
 
@@ -196,3 +199,67 @@ def test_nte_stays_accurate_on_a_long_zero_padding(u, m):
         values=padded,
     )
     assert_nte_matches_numpy_references(r, probs, probs[0] if u == "p1" else u, m)
+
+
+@pytest.mark.parametrize("estimator", [taylor_entropy, chebyshev_entropy], ids=["taylor", "chebyshev"])
+@pytest.mark.parametrize("nte", [False, True], ids=["probes", "nte"])
+def test_one_pass_reads_every_degree_as_separate_runs_give_it(estimator, nte):
+    # s above one probe block, so the per-degree reduction spans blocks
+    r, model = rotated_density([0.4, 0.25, 0.2, 0.1, 0.05], RngStream(43))
+    base = dict(u_mode="six", s_override=0 if nte else 130, nte=nte, seed=7)
+    joint = estimator(r, EstimatorConfig(m_override=(9, 2, 5, 2), **base), model)
+    assert joint.m_used == 9 and sorted(joint.estimates) == [2, 5, 9]
+    for m in (2, 5, 9):
+        alone = estimator(r, EstimatorConfig(m_override=m, **base), model)
+        assert joint.estimates[m] == alone.estimate and joint.u_used == alone.u_used
+    assert joint.estimate == joint.estimates[9]
+
+
+def test_a_handed_power_estimate_replaces_the_power_method(monkeypatch):
+    r, model = rotated_density([0.5, 0.3, 0.2], RngStream(44))
+    cfg = EstimatorConfig(u_mode="raw", m_override=4, s_override=8, seed=3)
+    alone = taylor_entropy(r, cfg, model)
+    pe = vnentropy.report.power_estimate(r, 3, cfg.delta)
+    monkeypatch.setattr(vnentropy.report, "power_method", lambda *a: pytest.fail("power ran"))
+    shared = taylor_entropy(r, dataclasses.replace(cfg, power=pe), model)
+    assert shared.estimate == alone.estimate and shared.u_used == alone.u_used
+
+
+@st.composite
+def permuted_cases(draw):
+    """A unit-trace spectrum of length 2-16, a permutation of its indices,
+    a seed and a degree m in 1..30."""
+    weights = draw(st.lists(st.floats(1e-2, 1.0), min_size=2, max_size=16))
+    probs = np.sort(np.array(weights))[::-1] / sum(weights)
+    perm = np.array(draw(st.permutations(range(probs.size))))
+    return probs, perm, draw(st.integers(0, 2**32)), draw(st.integers(1, 30))
+
+
+@given(permuted_cases())
+@settings(max_examples=40, deadline=None)
+def test_estimates_are_invariant_under_permutation_similarity(case):
+    # P R P^T with probes g estimates what R does with probes P^T g, and
+    # its power method from start vectors x what R's does from P^T x.
+    # Only the summation order changes, so the estimates agree to roundoff.
+    probs, perm, seed, m = case
+    r, _ = rotated_density(probs, RngStream(seed))
+    dense = r.to_dense()
+    permuted = SparseSymMatrix.from_dense(dense[perm][:, perm])
+    cfg = EstimatorConfig(u_mode="six", m_override=m, s_override=6, seed=seed)
+
+    def unpermuted(draw):
+        def drawn(stream, n):
+            x = np.empty(n)
+            x[perm] = draw(stream, n)
+            return x
+
+        return drawn
+
+    for estimator, module in ((taylor_entropy, taylor), (chebyshev_entropy, chebyshev)):
+        on_permuted = estimator(permuted, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, "gaussian_vector", unpermuted(module.gaussian_vector))
+            mp.setattr(vnentropy.power, "rademacher_vector", unpermuted(vnentropy.power.rademacher_vector))
+            on_r = estimator(r, cfg)
+        assert on_permuted.u_used == pytest.approx(on_r.u_used, rel=1e-12)
+        assert on_permuted.estimate == pytest.approx(on_r.estimate, rel=1e-9, abs=1e-12)
