@@ -27,13 +27,7 @@ from .linalg import (
     thin_singular_values,
 )
 from .power import PowerEstimate, default_power_params, power_method
-from .report import (
-    AssumptionCheck,
-    EstimateReport,
-    EstimatorConfig,
-    check_assumptions,
-    relative_error,
-)
+from .report import EstimatorConfig, RunRecord, check_assumptions, relative_error
 from .rng import RngStream, gaussian_vector, rademacher_vector
 from .sketch import (
     ProjectionSpec,

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .densmat import SparseSymMatrix, SpectralModel
-from .report import EstimateReport, EstimatorConfig, PolynomialSeries, polynomial_entropy
+from .report import EstimatorConfig, PolynomialSeries, RunRecord, polynomial_entropy
 from .rng import gaussian_vector
 
 def cheb_coefficients(u: float, m: int) -> np.ndarray:
@@ -82,7 +82,7 @@ def chebyshev_entropy(
     R: SparseSymMatrix,
     cfg: EstimatorConfig,
     model: SpectralModel | None = None,
-) -> EstimateReport:
+) -> RunRecord:
     """Run the Chebyshev estimator: -(1/s) sum_i g_i^T f_m(R) g_i.
 
     In ``nte`` mode the trace of f_m(R) is summed exactly over known

@@ -37,7 +37,14 @@ from .densmat import (
     read_matrix_market,
     write_matrix_market,
 )
-from .report import EstimatorConfig, check_assumptions, compare_to_exact, power_estimate
+from .report import (
+    EstimatorConfig,
+    RunRecord,
+    check_assumptions,
+    power_estimate,
+    relative_error,
+    run_record,
+)
 from .rng import RngStream
 from .sketch import PROJECTION_KINDS, ProjectionSpec, default_s_sketch, sketch_entropy
 from .taylor import taylor_entropy
@@ -200,21 +207,6 @@ class RunSpec:
     oracle: tuple[float, SpectralModel] | None = None
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """What one run produced at one degree.  ``exact`` and ``rel_err`` are
-    None when no spectrum is known, ``rel_err`` alone for a pure state.
-    ``wall_ms`` is the time of the whole run, ``fields`` holds the method's
-    own outputs in the order ``estimate`` prints them."""
-
-    estimate: float
-    wall_ms: float
-    exact: float | None
-    rel_err: float | None
-    warnings: tuple[str, ...]
-    fields: dict
-
-
 def run_method(
     matrix: SparseSymMatrix, model: SpectralModel | None, spec: RunSpec
 ) -> list[RunRecord]:
@@ -225,36 +217,33 @@ def run_method(
     t0 = time.perf_counter()
     if spec.method in SERIES:
         run = taylor_entropy if spec.method == "taylor" else chebyshev_entropy
-        rep = run(matrix, spec.cfg, model)
+        rec = run(matrix, spec.cfg, model)
         return [
-            RunRecord(
-                estimate,
-                rep.wall_ms,
-                rep.exact,
-                compare_to_exact(estimate, model)[1],
-                rep.warnings,
-                {"m": m, "s": rep.s_used, "u": rep.u_used, "seed": spec.seed},
+            replace(
+                rec,
+                estimate=estimate,
+                rel_err=None if rec.rel_err is None else relative_error(estimate, rec.exact),
+                fields={**rec.fields, "m": m},
             )
-            for m, estimate in sorted(rep.estimates.items())
+            for m, estimate in sorted(rec.estimates.items())
         ]
     if spec.method == "exact":
         estimate, model = spec.oracle or linalg.exact_entropy(matrix)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        warnings, fields = (), {"seed": spec.seed}
+        warnings, fields = [], {"method": "exact", "seed": spec.seed}
     else:  # sketch
         out = sketch_entropy(matrix, spec.rank, spec.proj)
-        wall_ms = (time.perf_counter() - t0) * 1e3
         estimate = out.entropy_tilde
-        warnings = tuple(check_assumptions(model, k=spec.rank).warnings())
+        warnings = check_assumptions(model, k=spec.rank)
         fields = {
+            "method": "sketch",
             "s": out.s,
             "proj": out.kind,
             "rank": spec.rank,
             "seed": spec.seed,
             "probs": [float(p) for p in out.probs_tilde],
         }
-    exact, rel_err, pure = compare_to_exact(estimate, model)
-    return [RunRecord(estimate, wall_ms, exact, rel_err, warnings + pure, fields)]
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    return [run_record(estimate, wall_ms, model, warnings, fields)]
 
 
 def _sketch_spec(kind: str, s: int, rank: int, seed: int, n: int) -> RunSpec:
@@ -306,7 +295,8 @@ def cmd_estimate(args) -> int:
 
     if not math.isfinite(rec.estimate):
         raise ValueError(f"estimate is not finite: {rec.estimate!r}")
-    record = {"method": args.method, "n": matrix.n, "nnz": matrix.nnz, **rec.fields}
+    fields = dict(rec.fields)
+    record = {"method": fields.pop("method"), "n": matrix.n, "nnz": matrix.nnz, **fields}
     record["estimate"] = rec.estimate
     if not args.no_timings:
         record["wall_ms"] = rec.wall_ms

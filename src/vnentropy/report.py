@@ -1,6 +1,6 @@
-"""Shared result assembly: estimator configuration, reports, assumption
-checks against known spectra, relative error, and the skeleton the Taylor
-and Chebyshev estimators share."""
+"""Shared result assembly: estimator configuration, the one run record,
+assumption checks against known spectra, relative error, and the skeleton
+the Taylor and Chebyshev estimators share."""
 
 from __future__ import annotations
 
@@ -82,43 +82,25 @@ class EstimatorConfig:
         return sorted(set(m)) if isinstance(m, tuple) else [m]
 
 
-@dataclass(frozen=True)
-class AssumptionCheck:
-    """Tri-state checks of the estimators' spectrum assumptions.
-
-    Each field is True/False when a ground-truth spectrum was available
-    for the comparison and None (unknown) otherwise.
-    """
-
-    u_ge_p1: bool | None = None
-    ell_le_pmin: bool | None = None
-    rank_le_k: bool | None = None
-
-    def warnings(self) -> list[str]:
-        out = []
-        if self.u_ge_p1 is False:
-            out.append("assumption violated: u is below the top probability p1")
-        if self.ell_le_pmin is False:
-            out.append("assumption violated: ell exceeds the smallest probability")
-        if self.rank_le_k is False:
-            out.append("assumption violated: matrix rank exceeds the supplied k")
-        return out
-
-
 def check_assumptions(
     model: SpectralModel | None,
     u: float | None = None,
     ell: float | None = None,
     k: int | None = None,
-) -> AssumptionCheck:
-    """Compare estimator parameters against a known spectrum when present."""
+) -> list[str]:
+    """Warnings for the estimator parameters that a known spectrum
+    contradicts; none without a spectrum, or for a parameter not given."""
     if model is None or model.probs is None:
-        return AssumptionCheck()
+        return []
     probs = np.asarray(model.probs)
-    u_ok = None if u is None else bool(u >= probs[0])
-    ell_ok = None if ell is None else bool(ell <= probs[-1])
-    rank_ok = None if k is None else bool(int(np.sum(probs > RANK_CLAMP)) <= k)
-    return AssumptionCheck(u_ge_p1=u_ok, ell_le_pmin=ell_ok, rank_le_k=rank_ok)
+    out = []
+    if u is not None and not u >= probs[0]:
+        out.append("assumption violated: u is below the top probability p1")
+    if ell is not None and not ell <= probs[-1]:
+        out.append("assumption violated: ell exceeds the smallest probability")
+    if k is not None and not int(np.sum(probs > RANK_CLAMP)) <= k:
+        out.append("assumption violated: matrix rank exceeds the supplied k")
+    return out
 
 
 def relative_error(estimate: float, exact: float) -> float:
@@ -132,38 +114,43 @@ def relative_error(estimate: float, exact: float) -> float:
     return abs(estimate - exact) / exact
 
 
-def compare_to_exact(
-    estimate: float, model: SpectralModel | None
-) -> tuple[float | None, float | None, tuple[str, ...]]:
-    """Exact entropy of the model's spectrum, the relative error of
-    ``estimate``, and warnings: (None, None, ()) with no known spectrum; for
-    a pure state (zero entropy) no relative error and one warning."""
-    if model is None or model.probs is None:
-        return None, None, ()
-    exact = linalg.entropy_from_probs(model.probs, linalg.ENTROPY_CLAMP)
-    if exact > 0.0:
-        return exact, relative_error(estimate, exact), ()
-    return exact, None, ("exact entropy is zero (pure state); rel_err omitted",)
-
-
-@dataclass
-class EstimateReport:
-    """Output envelope of one estimator run.  ``estimates`` maps every degree
-    the run read to its estimate; ``m_used`` is the largest of them, and
-    ``estimate`` and ``rel_err`` are its values."""
+@dataclass(frozen=True)
+class RunRecord:
+    """What one estimator run produced.  ``exact`` and ``rel_err`` are None
+    when no spectrum is known, ``rel_err`` alone for a pure state.
+    ``wall_ms`` is the time of the whole run, ``fields`` holds the method's
+    own outputs in the order ``estimate`` prints them.  A series run's
+    ``estimates`` maps every degree it read to its partial sum; ``estimate``
+    and ``rel_err`` belong to the largest."""
 
     estimate: float
-    method: str
-    m_used: int
-    s_used: int
-    u_used: float
     wall_ms: float
-    seed: int
-    exact: float | None = None
-    rel_err: float | None = None
-    assumptions: AssumptionCheck = field(default_factory=AssumptionCheck)
-    warnings: tuple[str, ...] = ()
+    exact: float | None
+    rel_err: float | None
+    warnings: tuple[str, ...]
+    fields: dict
     estimates: dict[int, float] = field(default_factory=dict)
+
+
+def run_record(
+    estimate: float,
+    wall_ms: float,
+    model: SpectralModel | None,
+    warnings: list[str],
+    fields: dict,
+    estimates: dict[int, float] | None = None,
+) -> RunRecord:
+    """The record of a run, compared with the exact entropy of ``model``'s
+    spectrum when it has one: a pure state (zero entropy) gets no relative
+    error and one more warning."""
+    exact = rel_err = None
+    if model is not None and model.probs is not None:
+        exact = linalg.entropy_from_probs(model.probs, linalg.ENTROPY_CLAMP)
+        if exact > 0.0:
+            rel_err = relative_error(estimate, exact)
+        else:
+            warnings = [*warnings, "exact entropy is zero (pure state); rel_err omitted"]
+    return RunRecord(estimate, wall_ms, exact, rel_err, tuple(warnings), fields, estimates or {})
 
 
 def power_estimate(R: SparseSymMatrix, seed: int, delta: float) -> PowerEstimate:
@@ -180,42 +167,6 @@ def resolve_u(R: SparseSymMatrix, cfg: EstimatorConfig) -> tuple[float, PowerEst
         return float(cfg.u_value), None
     pe = cfg.power if cfg.power is not None else power_estimate(R, cfg.seed, cfg.delta)
     return u_from_p1(pe.p1_tilde, cfg.u_mode), pe
-
-
-def assemble_report(
-    estimates: dict[int, float],
-    method: str,
-    s_used: int,
-    u_used: float,
-    wall_ms: float,
-    cfg: EstimatorConfig,
-    model: SpectralModel | None,
-    extra_warnings: tuple[str, ...] = (),
-) -> EstimateReport:
-    """Fill in exact value, relative error, and assumption flags."""
-    assumptions = check_assumptions(model, u=u_used, ell=cfg.ell)
-    warnings = list(extra_warnings)
-    if cfg.u_mode == "raw":
-        warnings.append("u_mode 'raw' is heuristic: u >= p1 is not guaranteed")
-    warnings.extend(assumptions.warnings())
-
-    m_used = max(estimates)
-    exact, rel, pure = compare_to_exact(estimates[m_used], model)
-    warnings.extend(pure)
-    return EstimateReport(
-        estimate=estimates[m_used],
-        method=method,
-        m_used=m_used,
-        s_used=s_used,
-        u_used=u_used,
-        wall_ms=wall_ms,
-        seed=cfg.seed,
-        exact=exact,
-        rel_err=rel,
-        assumptions=assumptions,
-        warnings=tuple(warnings),
-        estimates=estimates,
-    )
 
 
 class PolynomialSeries(NamedTuple):
@@ -242,8 +193,8 @@ def polynomial_entropy(
     series: Callable[[float, int], PolynomialSeries],
     draw: Callable[[RngStream, int], np.ndarray],
     extra_warnings: tuple[str, ...] = (),
-) -> EstimateReport:
-    """Run a polynomial estimator and assemble its report.
+) -> RunRecord:
+    """Run a polynomial estimator and return its record.
 
     Resolves u (:func:`resolve_u`), takes the degrees from
     ``cfg.m_override`` or ``default_m(u, ell, epsilon)``, then traces
@@ -298,13 +249,10 @@ def polynomial_entropy(
     estimates = {m: poly.offset + float(t) for m, t in zip(degrees, per_degree)}
 
     wall_ms = (time.perf_counter() - t0) * 1e3
-    return assemble_report(
-        estimates=estimates,
-        method=method,
-        s_used=s_used,
-        u_used=u,
-        wall_ms=wall_ms,
-        cfg=cfg,
-        model=model,
-        extra_warnings=extra_warnings,
-    )
+    warnings = list(extra_warnings)
+    if cfg.u_mode == "raw":
+        warnings.append("u_mode 'raw' is heuristic: u >= p1 is not guaranteed")
+    warnings += check_assumptions(model, u=u, ell=cfg.ell)
+    m = degrees[-1]
+    fields = {"method": method, "m": m, "s": s_used, "u": u, "seed": cfg.seed}
+    return run_record(estimates[m], wall_ms, model, warnings, fields, estimates)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .densmat import SparseSymMatrix, SpectralModel
-from .report import EstimateReport, EstimatorConfig, PolynomialSeries, polynomial_entropy
+from .report import EstimatorConfig, PolynomialSeries, RunRecord, polynomial_entropy
 from .rng import gaussian_vector
 
 
@@ -59,8 +59,8 @@ def taylor_entropy(
     R: SparseSymMatrix,
     cfg: EstimatorConfig,
     model: SpectralModel | None = None,
-) -> EstimateReport:
-    """Run the truncated-series estimator and assemble a report.
+) -> RunRecord:
+    """Run the truncated-series estimator and return its record.
 
     With ``cfg.nte`` the trace terms are computed exactly from known
     eigenvalues (the attached model, else the dense oracle), isolating

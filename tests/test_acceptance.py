@@ -151,7 +151,7 @@ def test_04_full_pipeline_relative_error():
         rc = chebyshev_entropy(r, cfg, model)
         taylor_ok += rt.rel_err <= 2 * epsilon
         cheb_ok += rc.rel_err <= 3 * epsilon
-        max_u = max(max_u, rt.u_used)
+        max_u = max(max_u, rt.fields["u"])
 
     # the default-m formula guarantees the truncation factor (1-ell/u)^m <= eps
     m_default = default_m_taylor(max_u, ell, epsilon)

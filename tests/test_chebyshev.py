@@ -200,7 +200,7 @@ def test_full_estimator_deterministic_and_batched_consistent():
     cfg = EstimatorConfig(epsilon=0.4, delta=0.2, ell=0.1, seed=9)
     a = chebyshev_entropy(r, cfg, model)
     assert a.estimate == chebyshev_entropy(r, cfg, model).estimate
-    assert a.method == "chebyshev" and a.rel_err is not None
+    assert a.fields["method"] == "chebyshev" and a.rel_err is not None
 
 
 def test_top_probability_near_one_is_flagged():

@@ -211,6 +211,43 @@ def test_pure_state_record_carries_one_warning(tmp_path, capsys):
         assert "rel_err" not in record and record["exact"] == 0.0 and "abs_err" in record
 
 
+LAYOUT_FLAGS = {
+    "exact": ("--method", "exact"),
+    "taylor": ("--method", "taylor", "--m", "3", "--s", "4"),
+    "chebyshev_nte": ("--method", "chebyshev", "--m", "3", "--nte"),
+    "sketch": ("--method", "sketch", "--proj", "countsketch", "--rank", "1", "--s", "4"),
+}
+LAYOUT_FIELDS = {
+    "exact": ["seed"],
+    "taylor": ["m", "s", "u", "seed"],
+    "chebyshev_nte": ["m", "s", "u", "seed"],
+    "sketch": ["s", "proj", "rank", "seed", "probs"],
+}
+
+
+@pytest.mark.parametrize("case", ["sidecar", "no-sidecar", "pure-sidecar"])
+@pytest.mark.parametrize("method", sorted(LAYOUT_FLAGS))
+def test_estimate_record_keys_in_order(tmp_path, capsys, method, case):
+    path = tmp_path / "r.mtx"
+    if case == "pure-sidecar":
+        write_matrix_market(SparseSymMatrix.from_dense(np.diag([1.0, 0.0, 0.0, 0.0])), path)
+        cli.write_spectrum(np.array([1.0, 0.0, 0.0, 0.0]), cli.sidecar_path(path))
+    else:
+        run_cli(capsys, "generate", "--family", "tridiagonal", "--n", "8", "--out", str(path))
+        if case == "no-sidecar":
+            cli.sidecar_path(path).unlink()
+    code, out, _ = run_cli(capsys, "estimate", str(path), *LAYOUT_FLAGS[method], "--no-timings")
+    assert code == 0
+    if case == "pure-sidecar":
+        errors = ["exact", "abs_err"]
+    elif case == "sidecar" or method == "exact":
+        errors = ["exact", "rel_err"]
+    else:
+        errors = []
+    expected = ["method", "n", "nnz", *LAYOUT_FIELDS[method], "estimate", *errors, "warnings"]
+    assert list(json.loads(out)) == expected
+
+
 def test_compute_exact_uses_the_sidecar_without_the_oracle(tmp_path, capsys, monkeypatch):
     out_path = tmp_path / "tri.mtx"
     run_cli(capsys, "generate", "--family", "tridiagonal", "--n", "16", "--out", str(out_path))

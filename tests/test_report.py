@@ -32,36 +32,26 @@ def model_of(*probs):
 
 
 def test_all_assumptions_hold():
-    checks = check_assumptions(model_of(0.5, 0.3, 0.2), u=1.0, ell=0.1, k=3)
-    assert checks.u_ge_p1 is True
-    assert checks.ell_le_pmin is True
-    assert checks.rank_le_k is True
-    assert checks.warnings() == []
+    assert check_assumptions(model_of(0.5, 0.3, 0.2), u=1.0, ell=0.1, k=3) == []
 
 
 def test_ell_above_smallest_probability_fails():
-    checks = check_assumptions(model_of(0.5, 0.3, 0.2), ell=0.25)
-    assert checks.ell_le_pmin is False
-    assert any("ell" in w for w in checks.warnings())
+    warnings = check_assumptions(model_of(0.5, 0.3, 0.2), ell=0.25)
+    assert warnings == ["assumption violated: ell exceeds the smallest probability"]
 
 
 def test_no_model_means_unknown():
-    checks = check_assumptions(None, u=1.0, ell=0.1, k=2)
-    assert checks.u_ge_p1 is None
-    assert checks.ell_le_pmin is None
-    assert checks.rank_le_k is None
-    assert checks.warnings() == []
+    assert check_assumptions(None, u=0.1, ell=0.9, k=1) == []
 
 
 def test_missing_parameters_stay_unknown():
-    checks = check_assumptions(model_of(0.7, 0.3))
-    assert checks.u_ge_p1 is None and checks.ell_le_pmin is None
+    assert check_assumptions(model_of(0.7, 0.3)) == []
 
 
 def test_rank_check_counts_live_probabilities():
     model = SpectralModel(probs=np.array([0.6, 0.4, 0.0, 0.0]))
-    assert check_assumptions(model, k=2).rank_le_k is True
-    assert check_assumptions(model, k=1).rank_le_k is False
+    assert check_assumptions(model, k=2) == []
+    assert check_assumptions(model, k=1) == ["assumption violated: matrix rank exceeds the supplied k"]
 
 
 def test_relative_error_examples():
@@ -208,10 +198,10 @@ def test_one_pass_reads_every_degree_as_separate_runs_give_it(estimator, nte):
     r, model = rotated_density([0.4, 0.25, 0.2, 0.1, 0.05], RngStream(43))
     base = dict(u_mode="six", s_override=0 if nte else 130, nte=nte, seed=7)
     joint = estimator(r, EstimatorConfig(m_override=(9, 2, 5, 2), **base), model)
-    assert joint.m_used == 9 and sorted(joint.estimates) == [2, 5, 9]
+    assert joint.fields["m"] == 9 and sorted(joint.estimates) == [2, 5, 9]
     for m in (2, 5, 9):
         alone = estimator(r, EstimatorConfig(m_override=m, **base), model)
-        assert joint.estimates[m] == alone.estimate and joint.u_used == alone.u_used
+        assert joint.estimates[m] == alone.estimate and joint.fields["u"] == alone.fields["u"]
     assert joint.estimate == joint.estimates[9]
 
 
@@ -222,7 +212,7 @@ def test_a_handed_power_estimate_replaces_the_power_method(monkeypatch):
     pe = vnentropy.report.power_estimate(r, 3, cfg.delta)
     monkeypatch.setattr(vnentropy.report, "power_method", lambda *a: pytest.fail("power ran"))
     shared = taylor_entropy(r, dataclasses.replace(cfg, power=pe), model)
-    assert shared.estimate == alone.estimate and shared.u_used == alone.u_used
+    assert shared.estimate == alone.estimate and shared.fields["u"] == alone.fields["u"]
 
 
 @st.composite
@@ -261,5 +251,5 @@ def test_estimates_are_invariant_under_permutation_similarity(case):
             mp.setattr(module, "gaussian_vector", unpermuted(module.gaussian_vector))
             mp.setattr(vnentropy.power, "rademacher_vector", unpermuted(vnentropy.power.rademacher_vector))
             on_r = estimator(r, cfg)
-        assert on_permuted.u_used == pytest.approx(on_r.u_used, rel=1e-12)
+        assert on_permuted.fields["u"] == pytest.approx(on_r.fields["u"], rel=1e-12)
         assert on_permuted.estimate == pytest.approx(on_r.estimate, rel=1e-9, abs=1e-12)
