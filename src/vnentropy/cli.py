@@ -19,6 +19,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -355,6 +356,10 @@ def _load_grid(path) -> dict:
     grid["seeds"] = [_parse_grid_entry(parse_seed, seed, "seed") for seed in grid["seeds"]]
     if reps > 1 and max(grid["seeds"]) >= 2**32:
         raise UsageError("with repetitions > 1, grid seeds must be below 2**32")
+    for key in ("m_values", "s_values"):
+        values = grid.get(key, [])
+        if not isinstance(values, list) or not all(_is_count(v) for v in values):
+            raise UsageError(f"grid field {key!r} must list integers >= 1, got {values!r}")
     grid["u_modes"] = [
         (text, _parse_grid_entry(parse_u_mode, text, "u-mode"))
         for text in grid.get("u_modes", ["six"])
@@ -418,7 +423,7 @@ def _bench_cells(grid, n: int, model: SpectralModel | None) -> list[tuple[tuple,
             if method == "exact":
                 spec = RunSpec("exact", run_seed)
             elif method == "sketch":
-                spec = _sketch_spec(kind, int(s), grid["rank"], run_seed, n)
+                spec = _sketch_spec(kind, s, grid["rank"], run_seed, n)
             else:
                 cfg = EstimatorConfig(
                     epsilon=float(grid.get("epsilon", 0.1)),
@@ -426,8 +431,8 @@ def _bench_cells(grid, n: int, model: SpectralModel | None) -> list[tuple[tuple,
                     ell=ell,
                     u_mode=mode,
                     u_value=value,
-                    m_override=int(m),
-                    s_override=0 if nte else int(s),
+                    m_override=m,
+                    s_override=0 if nte else s,
                     nte=nte,
                     seed=run_seed,
                 )
@@ -545,21 +550,22 @@ def cmd_bench(args) -> int:
 
     units = _bench_units(cells, model)
     keys = list(dict.fromkeys(key for unit in units for key in unit.needs))
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        done = pool.map(lambda key: _attempt(_compute_shared, key, matrix), keys)
-        shared = dict(zip(keys, done))
-        results = list(pool.map(lambda unit: _run_unit(unit, matrix, model, shared), units))
+    # opened before any cell runs, so an unwritable path costs no sweep
+    sink = open(args.out, "w", newline="", encoding="ascii") if args.out else nullcontext(sys.stdout)
+    with sink as out:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            done = pool.map(lambda key: _attempt(_compute_shared, key, matrix), keys)
+            shared = dict(zip(keys, done))
+            results = list(pool.map(lambda unit: _run_unit(unit, matrix, model, shared), units))
 
-    rows: list = [None] * len(cells)
-    for u, (unit, (records, _, error)) in enumerate(zip(units, results)):
-        for j, members in enumerate(unit.rows):
-            for i in members:
-                rows[i] = (cells[i][0], records[j] if records else None, error, u)
-    cost = {key: ms for key, (_, ms, _) in shared.items()}
-    cost.update({u: ms for u, (_, ms, _) in enumerate(results)})
+        rows: list = [None] * len(cells)
+        for u, (unit, (records, _, error)) in enumerate(zip(units, results)):
+            for j, members in enumerate(unit.rows):
+                for i in members:
+                    rows[i] = (cells[i][0], records[j] if records else None, error, u)
+        cost = {key: ms for key, (_, ms, _) in shared.items()}
+        cost.update({u: ms for u, (_, ms, _) in enumerate(results)})
 
-    out = open(args.out, "w", newline="", encoding="ascii") if args.out else sys.stdout
-    try:
         writer = csv.writer(out)
         writer.writerow(
             ["method", "m", "s", "u_mode", "seed", "rep", "estimate", "exact", "rel_err", "wall_ms", "error"]
@@ -580,9 +586,6 @@ def cmd_bench(args) -> int:
             mean_err = _fmt(sum(errs) / len(errs)) if errs else ""
             max_err = _fmt(max(errs)) if errs else ""
             out.write(f"# summary,{','.join(_fmt(k) for k in key)},{mean_err},{max_err}\n")
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 

@@ -450,6 +450,14 @@ BAD_GRIDS = {
     "sketch-string-rank": {"methods": ["sketch:countsketch"], "rank": "2"},
     "sketch-rank-above-n": {"methods": ["sketch:gaussian"], "rank": 9},
     "zero-m": {"m_values": [0]},
+    "fractional-m": {"m_values": [2.7]},
+    "boolean-m": {"m_values": [2, True]},
+    "string-m": {"m_values": ["2"]},
+    "m-values-not-a-list": {"m_values": 2},
+    "fractional-s": {"s_values": [8.9]},
+    "boolean-s": {"s_values": [True]},
+    "string-s": {"s_values": ["8"]},
+    "zero-s": {"s_values": [0]},
     "epsilon-above-one": {"epsilon": 2},
     "lowrank-without-k": {"matrix": {"family": "lowrank", "n": 8}},
     "linuniform-without-k": {"matrix": {"family": "linuniform", "n": 8}},
@@ -484,6 +492,23 @@ def test_bench_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, monkeypat
         main(["bench", str(grid)])
     assert excinfo.value.code == 1
     assert "usage error" in capsys.readouterr().err
+    assert ran == []
+
+
+def test_bench_unwritable_out_exits_two_before_any_cell_runs(tmp_path, capsys, monkeypatch):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "matrix": {"family": "tridiagonal", "n": 8},
+        "methods": ["exact", "taylor"],
+        "m_values": [2],
+        "s_values": [2],
+        "seeds": [0],
+    }))
+    ran = []
+    monkeypatch.setattr(cli, "run_method", lambda *args: ran.append(args))
+    out_csv = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(capsys, "bench", str(grid), "--out", str(out_csv))
+    assert code == 2 and str(out_csv) in err and out == ""
     assert ran == []
 
 
