@@ -20,7 +20,7 @@ from .densmat import (
 )
 from .hutchinson import default_s, probe_average
 from .linalg import (
-    dense_eigh,
+    dense_eigvalsh,
     entropy_from_probs,
     exact_entropy,
     householder_qr,

@@ -1,5 +1,5 @@
-"""Dense kernels: QR, symmetric eigendecomposition, Gram-route singular
-values, and entropy from a probability vector.
+"""Dense kernels: QR, symmetric eigenvalues, Gram-route singular values,
+and entropy from a probability vector.
 
 These back the matrix generators, the exact-entropy oracle, and the
 sketch pipeline.  Dense matrices are plain row-major float64 ndarrays.
@@ -36,15 +36,12 @@ def householder_qr(a: np.ndarray) -> np.ndarray:
     return q
 
 
-def dense_eigh(
-    a: np.ndarray, max_n: int = DEFAULT_ORACLE_LIMIT
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition A = V diag(w) V^T of a dense symmetric matrix.
+def dense_eigvalsh(a: np.ndarray, max_n: int = DEFAULT_ORACLE_LIMIT) -> np.ndarray:
+    """Eigenvalues of a dense symmetric matrix, ascending.
 
-    Returns eigenvalues ascending plus orthonormal eigenvectors (one per
-    column).  Inputs must be symmetric within ``1e-10 * max|A|`` and no
-    larger than ``max_n`` (the exact path refuses oversized problems
-    rather than silently taking hours).
+    Inputs must be symmetric within ``1e-10 * max|A|`` and no larger than
+    ``max_n`` (the exact path refuses oversized problems rather than
+    silently taking hours).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -55,8 +52,7 @@ def dense_eigh(
     scale = np.max(np.abs(a)) if n else 0.0
     if np.max(np.abs(a - a.T)) > SYMMETRY_TOL * max(scale, 1e-300):
         raise ValueError("matrix is not symmetric within tolerance")
-    w, v = np.linalg.eigh(a)
-    return w, v
+    return np.linalg.eigvalsh(a)
 
 
 def thin_singular_values(b: np.ndarray, top: int) -> np.ndarray:
@@ -77,7 +73,7 @@ def thin_singular_values(b: np.ndarray, top: int) -> np.ndarray:
         return np.zeros(0)
     gram = b.T @ b
     gram = (gram + gram.T) / 2.0
-    w, _ = dense_eigh(gram, max_n=max(gram.shape[0], DEFAULT_ORACLE_LIMIT))
+    w = dense_eigvalsh(gram, max_n=max(gram.shape[0], DEFAULT_ORACLE_LIMIT))
     # Gram eigenvalues at the eigensolver noise floor would square-root into
     # spurious ~1e-8 singular values; treat them as exact zeros.
     floor = max(b.shape) * np.finfo(np.float64).eps * max(w[-1], 0.0)
@@ -108,14 +104,14 @@ def entropy_from_probs(probs: np.ndarray, clamp: float) -> float:
 def exact_entropy(
     R: SparseSymMatrix, max_n: int = DEFAULT_ORACLE_LIMIT
 ) -> tuple[float, SpectralModel]:
-    """Exact entropy via full eigendecomposition; the oracle for all tests.
+    """Exact entropy from the dense eigenvalues; the oracle for all tests.
 
     Eigenvalues in ``[-1e-10 * n, 0]`` are treated as zero; anything more
     negative means the input is not positive semidefinite.
     """
     if R.n > max_n:
         raise ValueError(f"matrix size {R.n} exceeds the oracle limit {max_n}")
-    w, _ = dense_eigh(R.to_dense(), max_n=max_n)
+    w = dense_eigvalsh(R.to_dense(), max_n=max_n)
     floor = -1e-10 * R.n
     if w[0] < floor:
         raise ValueError(f"eigenvalue {w[0]!r} below {floor!r}: not positive semidefinite")

@@ -19,7 +19,7 @@ from vnentropy import (
     write_matrix_market,
 )
 from vnentropy.densmat import MatrixMarketError, low_rank_probs
-from vnentropy.linalg import dense_eigh
+from vnentropy.linalg import dense_eigvalsh
 from vnentropy.rng import gaussian_vector
 
 
@@ -61,7 +61,7 @@ def test_haar_like_density_is_unit_trace_psd(n):
     r, model = generate_haar_like_density(n, RngStream(0))
     assert abs(r.trace() - 1.0) < 1e-10
     r.validate_density()
-    w, _ = dense_eigh(r.to_dense())
+    w = dense_eigvalsh(r.to_dense())
     assert w.min() >= -1e-10
     assert model.probs is not None and model.probs.size == n
     model.validate()
@@ -97,7 +97,7 @@ def test_tridiagonal_spectrum_matches_eigensolver():
         csr = r.scipy_csr
         assert abs(csr - csr.T).max() == 0
         assert csr.has_sorted_indices
-        w, _ = dense_eigh(r.to_dense())
+        w = dense_eigvalsh(r.to_dense())
         assert np.max(np.abs(w[::-1] - model.probs)) < 1e-8
         assert np.max(np.abs(np.sort(poisson_spectrum(n)) - w)) < 1e-12
 
@@ -121,7 +121,7 @@ def test_low_rank_exponential_probs():
 
 def test_low_rank_density_has_rank_k():
     r, model = generate_low_rank_density(32, 4, "linear", RngStream(1))
-    w, _ = dense_eigh(r.to_dense())
+    w = dense_eigvalsh(r.to_dense())
     assert np.all(w[:-4] < 1e-10)
     assert abs(r.trace() - 1.0) < 1e-10
     model.validate()
@@ -149,7 +149,7 @@ def test_linear_plus_uniform_full_k_matches_low_rank():
 def test_linear_plus_uniform_full_rank():
     r, model = generate_linear_plus_uniform(12, 3, RngStream(2))
     assert model.p_min > 0
-    w, _ = dense_eigh(r.to_dense())
+    w = dense_eigvalsh(r.to_dense())
     assert w.min() > 0.5 * model.p_min
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import diagonal_matrix, rotated_density
 from vnentropy import (
     RngStream,
-    dense_eigh,
+    dense_eigvalsh,
     entropy_from_probs,
     exact_entropy,
     generate_tridiagonal_poisson,
@@ -44,31 +44,17 @@ def test_qr_rejects_rank_deficiency():
 
 
 def test_eigh_diagonal_and_analytic_2x2():
-    w, _ = dense_eigh(np.diag([3.0, 1.0, 2.0]))
+    w = dense_eigvalsh(np.diag([3.0, 1.0, 2.0]))
     assert np.allclose(w, [1.0, 2.0, 3.0], atol=1e-14)
-    w, _ = dense_eigh(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    w = dense_eigvalsh(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     assert np.allclose(w, [1.0, 3.0], atol=1e-12)
-
-
-@given(st.integers(min_value=0, max_value=2**32))
-@settings(max_examples=15, deadline=None)
-def test_eigh_trace_identity_and_residuals(seed):
-    g = gaussian_vector(RngStream(seed), 256).reshape(16, 16)
-    a = (g + g.T) / 2.0
-    w, v = dense_eigh(a)
-    assert abs(w.sum() - np.trace(a)) < 1e-10 * max(abs(np.trace(a)), 1.0)
-    assert np.max(np.abs(v.T @ v - np.eye(16))) < 1e-12
-    fro = np.linalg.norm(a)
-    assert np.linalg.norm(a @ v - v * w) <= 1e-8 * fro
-    off = v.T @ a @ v - np.diag(w)
-    assert np.linalg.norm(off - np.diag(np.diag(off))) <= 1e-12 * fro
 
 
 def test_eigh_rejects_asymmetric_and_oversized():
     with pytest.raises(ValueError):
-        dense_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        dense_eigvalsh(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        dense_eigh(np.eye(5), max_n=4)
+        dense_eigvalsh(np.eye(5), max_n=4)
 
 
 def test_thin_singular_values_orthonormal_columns():
@@ -85,7 +71,7 @@ def test_thin_singular_values_padded_diagonal():
 def test_thin_singular_values_match_gram_eigensolve():
     b = gaussian_vector(RngStream(9), 256).reshape(32, 8)
     sv = thin_singular_values(b, 8)
-    w, _ = dense_eigh(b.T @ b)
+    w = dense_eigvalsh(b.T @ b)
     assert np.max(np.abs(sv - np.sqrt(np.clip(w[::-1], 0, None)))) < 1e-8
 
 
