@@ -9,7 +9,6 @@ top probability), and a random-projection route for low-rank matrices.
 from .chebyshev import cheb_coefficients, chebyshev_entropy, default_m_cheb
 from .densmat import (
     SparseSymMatrix,
-    SpectralModel,
     generate_haar_like_density,
     generate_linear_plus_uniform,
     generate_low_rank_density,

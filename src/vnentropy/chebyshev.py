@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .densmat import SparseSymMatrix, SpectralModel
+from .densmat import SparseSymMatrix
 from .report import EstimatorConfig, PolynomialSeries, RunRecord, polynomial_entropy
 from .rng import gaussian_vector
 
@@ -81,21 +81,17 @@ def default_m_cheb(u: float, ell: float, epsilon: float) -> int:
 def chebyshev_entropy(
     R: SparseSymMatrix,
     cfg: EstimatorConfig,
-    model: SpectralModel | None = None,
+    model: np.ndarray | None = None,
 ) -> RunRecord:
     """Run the Chebyshev estimator: -(1/s) sum_i g_i^T f_m(R) g_i.
 
-    In ``nte`` mode the trace of f_m(R) is summed exactly over known
-    eigenvalues (zero-padded to the full dimension, where f_m is still
-    defined), isolating truncation error from probe noise.
+    ``model`` is the known spectrum, descending, or None.  In ``nte`` mode
+    the trace of f_m(R) is summed exactly over known eigenvalues
+    (zero-padded to the full dimension, where f_m is still defined),
+    isolating truncation error from probe noise.
     """
     extra = ()
-    if (
-        cfg.ell is not None
-        and model is not None
-        and model.probs is not None
-        and model.probs[0] > 1.0 - cfg.ell
-    ):
+    if cfg.ell is not None and model is not None and model[0] > 1.0 - cfg.ell:
         extra = ("assumption violated: top probability exceeds 1 - ell",)
 
     def series(u: float, m: int) -> PolynomialSeries:

@@ -30,12 +30,12 @@ from . import linalg
 from .chebyshev import chebyshev_entropy
 from .densmat import (
     SparseSymMatrix,
-    SpectralModel,
     generate_haar_like_density,
     generate_linear_plus_uniform,
     generate_low_rank_density,
     generate_tridiagonal_poisson,
     read_matrix_market,
+    validate_spectrum,
     write_matrix_market,
 )
 from .report import (
@@ -121,7 +121,7 @@ def read_spectrum(path) -> np.ndarray:
     return np.sort(probs)[::-1].copy()
 
 
-def load_matrix(path) -> tuple[SparseSymMatrix, SpectralModel | None]:
+def load_matrix(path) -> tuple[SparseSymMatrix, np.ndarray | None]:
     """Read a stored density matrix and its spectrum sidecar, if any; a
     trace off 1, or a sidecar that is not a list of at most n
     probabilities summing to 1, raises ValueError."""
@@ -134,13 +134,13 @@ def load_matrix(path) -> tuple[SparseSymMatrix, SpectralModel | None]:
     if not side.exists():
         return matrix, None
     try:
-        model = SpectralModel(probs=read_spectrum(side))
-        model.validate()
-        if model.probs.size > matrix.n:
-            raise ValueError(f"{model.probs.size} probabilities for n={matrix.n}")
+        probs = read_spectrum(side)
+        validate_spectrum(probs)
+        if probs.size > matrix.n:
+            raise ValueError(f"{probs.size} probabilities for n={matrix.n}")
     except ValueError as exc:
         raise ValueError(f"{side}: {exc}") from None
-    return matrix, model
+    return matrix, probs
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +150,9 @@ def load_matrix(path) -> tuple[SparseSymMatrix, SpectralModel | None]:
 
 def generate_family(
     family: str, n: int, k: int | None, decay: str, seed: int
-) -> tuple[SparseSymMatrix, SpectralModel]:
-    """The matrix ``generate`` writes and a bench grid's family spec names.
+) -> tuple[SparseSymMatrix, np.ndarray | None]:
+    """The matrix ``generate`` writes and a bench grid's family spec names,
+    with its spectrum where known.
 
     A family, size or decay the generators would refuse is a UsageError.
     """
@@ -177,10 +178,10 @@ def generate_family(
 
 
 def cmd_generate(args) -> int:
-    matrix, model = generate_family(args.family, args.n, args.k, args.decay, args.seed)
+    matrix, probs = generate_family(args.family, args.n, args.k, args.decay, args.seed)
     write_matrix_market(matrix, args.out)
-    if model.probs is not None:
-        write_spectrum(model.probs, sidecar_path(args.out))
+    if probs is not None:
+        write_spectrum(probs, sidecar_path(args.out))
     return 0
 
 
@@ -205,20 +206,20 @@ class RunSpec:
     cfg: EstimatorConfig | None = None
     proj: ProjectionSpec | None = None
     rank: int | None = None
-    oracle: tuple[float, SpectralModel] | None = None
+    oracle: tuple[float, np.ndarray] | None = None
 
 
 def run_method(
-    matrix: SparseSymMatrix, model: SpectralModel | None, spec: RunSpec
+    matrix: SparseSymMatrix, probs: np.ndarray | None, spec: RunSpec
 ) -> list[RunRecord]:
-    """Run one estimator and compare it with the exact entropy of ``model``
-    (``exact`` with the spectrum it computes): one record per degree of a
-    series run, ascending, else one.  The one place that dispatches on the
-    method, for ``estimate`` and ``bench`` alike."""
+    """Run one estimator and compare it with the exact entropy of the known
+    spectrum ``probs`` (``exact`` with the spectrum it computes): one record
+    per degree of a series run, ascending, else one.  The one place that
+    dispatches on the method, for ``estimate`` and ``bench`` alike."""
     t0 = time.perf_counter()
     if spec.method in SERIES:
         run = taylor_entropy if spec.method == "taylor" else chebyshev_entropy
-        rec = run(matrix, spec.cfg, model)
+        rec = run(matrix, spec.cfg, probs)
         return [
             replace(
                 rec,
@@ -229,12 +230,12 @@ def run_method(
             for m, estimate in sorted(rec.estimates.items())
         ]
     if spec.method == "exact":
-        estimate, model = spec.oracle or linalg.exact_entropy(matrix)
+        estimate, probs = spec.oracle or linalg.exact_entropy(matrix)
         warnings, fields = [], {"method": "exact", "seed": spec.seed}
     else:  # sketch
         out = sketch_entropy(matrix, spec.rank, spec.proj)
         estimate = out.entropy_tilde
-        warnings = check_assumptions(model, k=spec.rank)
+        warnings = check_assumptions(probs, k=spec.rank)
         fields = {
             "method": "sketch",
             "s": out.s,
@@ -244,7 +245,7 @@ def run_method(
             "probs": [float(p) for p in out.probs_tilde],
         }
     wall_ms = (time.perf_counter() - t0) * 1e3
-    return [run_record(estimate, wall_ms, model, warnings, fields)]
+    return [run_record(estimate, wall_ms, probs, warnings, fields)]
 
 
 def _sketch_spec(kind: str, s: int, rank: int, seed: int, n: int) -> RunSpec:
@@ -285,35 +286,33 @@ def _estimate_spec(args, n: int) -> RunSpec:
 
 
 def cmd_estimate(args) -> int:
-    matrix, model = load_matrix(args.matrix)
+    matrix, probs = load_matrix(args.matrix)
     try:
         spec = _estimate_spec(args, matrix.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.compute_exact and model is None and args.method != "exact":
-        _, model = linalg.exact_entropy(matrix)
-    (rec,) = run_method(matrix, model, spec)
+    # opened before the run, so an unwritable path costs no estimate
+    sink = open(args.out, "a", encoding="ascii") if args.out else nullcontext(sys.stdout)
+    with sink as out:
+        if args.compute_exact and probs is None and args.method != "exact":
+            _, probs = linalg.exact_entropy(matrix)
+        (rec,) = run_method(matrix, probs, spec)
 
-    if not math.isfinite(rec.estimate):
-        raise ValueError(f"estimate is not finite: {rec.estimate!r}")
-    fields = dict(rec.fields)
-    record = {"method": fields.pop("method"), "n": matrix.n, "nnz": matrix.nnz, **fields}
-    record["estimate"] = rec.estimate
-    if not args.no_timings:
-        record["wall_ms"] = rec.wall_ms
-    if rec.exact is not None:
-        record["exact"] = rec.exact
-        if rec.rel_err is not None:
-            record["rel_err"] = rec.rel_err
-        else:
-            record["abs_err"] = abs(rec.estimate - rec.exact)
-    record["warnings"] = rec.warnings
-    line = json.dumps(record)
-    if args.out:
-        with open(args.out, "a", encoding="ascii") as fh:
-            fh.write(line + "\n")
-    else:
-        print(line)
+        if not math.isfinite(rec.estimate):
+            raise ValueError(f"estimate is not finite: {rec.estimate!r}")
+        fields = dict(rec.fields)
+        record = {"method": fields.pop("method"), "n": matrix.n, "nnz": matrix.nnz, **fields}
+        record["estimate"] = rec.estimate
+        if not args.no_timings:
+            record["wall_ms"] = rec.wall_ms
+        if rec.exact is not None:
+            record["exact"] = rec.exact
+            if rec.rel_err is not None:
+                record["rel_err"] = rec.rel_err
+            else:
+                record["abs_err"] = abs(rec.estimate - rec.exact)
+        record["warnings"] = rec.warnings
+        out.write(json.dumps(record) + "\n")
     return 0
 
 
@@ -381,8 +380,12 @@ def _load_grid(path) -> dict:
     return grid
 
 
-def _grid_matrix(spec) -> tuple[SparseSymMatrix, SpectralModel | None]:
+def _grid_matrix(spec) -> tuple[SparseSymMatrix, np.ndarray | None]:
+    if not isinstance(spec, dict):
+        raise UsageError(f"grid field 'matrix' must be an object, got {spec!r}")
     if "path" in spec:
+        if not isinstance(spec["path"], str):
+            raise UsageError(f"grid matrix 'path' must be a string, got {spec['path']!r}")
         if not Path(spec["path"]).exists():
             raise UsageError(f"matrix file {spec['path']!r} does not exist")
         return load_matrix(spec["path"])
@@ -401,7 +404,7 @@ def _grid_matrix(spec) -> tuple[SparseSymMatrix, SpectralModel | None]:
     )
 
 
-def _bench_cells(grid, n: int, model: SpectralModel | None) -> list[tuple[tuple, RunSpec]]:
+def _bench_cells(grid, n: int, probs: np.ndarray | None) -> list[tuple[tuple, RunSpec]]:
     """Every cell of a loaded grid as (row labels, run spec), in row order.
 
     The labels are (method, m, s, u_mode, seed, rep) as the CSV prints them.
@@ -409,8 +412,8 @@ def _bench_cells(grid, n: int, model: SpectralModel | None) -> list[tuple[tuple,
     cell runs.
     """
     ell = None
-    if model is not None and model.probs is not None and model.p_min > 0:
-        ell = model.p_min
+    if probs is not None and probs[-1] > 0:
+        ell = float(probs[-1])
     cells = []
     for name, (method, kind, nte) in grid["methods"]:
         series = method in SERIES
@@ -457,7 +460,7 @@ class _Unit(NamedTuple):
     needs: list[tuple]
 
 
-def _needs(spec: RunSpec, model: SpectralModel | None) -> list[tuple]:
+def _needs(spec: RunSpec, probs: np.ndarray | None) -> list[tuple]:
     """The shared results a run reads, in the order it reads them: the power
     method of its seed and delta unless u is manual, then the oracle for an
     exact run or an nte run without a known spectrum."""
@@ -466,12 +469,12 @@ def _needs(spec: RunSpec, model: SpectralModel | None) -> list[tuple]:
     if spec.method not in SERIES:
         return []
     needs = [] if spec.cfg.u_mode == "manual" else [_power_key(spec.cfg)]
-    if spec.cfg.nte and (model is None or model.probs is None):
+    if spec.cfg.nte and probs is None:
         needs.append(_ORACLE)
     return needs
 
 
-def _bench_units(cells, model: SpectralModel | None) -> list[_Unit]:
+def _bench_units(cells, probs: np.ndarray | None) -> list[_Unit]:
     """Group the cells into runs: series cells that differ only in m make
     one run over all their m values, every other cell a run of its own."""
     groups: dict = {}
@@ -486,7 +489,7 @@ def _bench_units(cells, model: SpectralModel | None) -> list[_Unit]:
         spec = cells[members[0]][1]
         if spec.method in SERIES:
             spec = replace(spec, cfg=replace(spec.cfg, m_override=tuple(sorted(by_m))))
-        units.append(_Unit(spec, [by_m[m] for m in sorted(by_m)], _needs(spec, model)))
+        units.append(_Unit(spec, [by_m[m] for m in sorted(by_m)], _needs(spec, probs)))
     return units
 
 
@@ -509,7 +512,7 @@ def _compute_shared(key: tuple, matrix: SparseSymMatrix):
     return power_estimate(matrix, seed, delta)
 
 
-def _run_unit(unit: _Unit, matrix, model, shared: dict) -> tuple[object, float, str]:
+def _run_unit(unit: _Unit, matrix, probs, shared: dict) -> tuple[object, float, str]:
     """The unit's records, handed the shared results it reads; a failed
     shared result fails the unit with its error."""
     for key in unit.needs:
@@ -523,10 +526,10 @@ def _run_unit(unit: _Unit, matrix, model, shared: dict) -> tuple[object, float, 
         cfg = replace(
             spec.cfg,
             power=values.get(_power_key(spec.cfg)),
-            spectrum=None if oracle is None else oracle[1].probs,
+            spectrum=None if oracle is None else oracle[1],
         )
         spec = replace(spec, cfg=cfg)
-    return _attempt(run_method, matrix, model, spec)
+    return _attempt(run_method, matrix, probs, spec)
 
 
 def cmd_bench(args) -> int:
@@ -542,13 +545,13 @@ def cmd_bench(args) -> int:
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
     grid = _load_grid(args.grid)
-    matrix, model = _grid_matrix(grid["matrix"])
+    matrix, probs = _grid_matrix(grid["matrix"])
     try:
-        cells = _bench_cells(grid, matrix.n, model)
+        cells = _bench_cells(grid, matrix.n, probs)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"grid cell: {exc}") from exc
 
-    units = _bench_units(cells, model)
+    units = _bench_units(cells, probs)
     keys = list(dict.fromkeys(key for unit in units for key in unit.needs))
     # opened before any cell runs, so an unwritable path costs no sweep
     sink = open(args.out, "w", newline="", encoding="ascii") if args.out else nullcontext(sys.stdout)
@@ -556,7 +559,7 @@ def cmd_bench(args) -> int:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             done = pool.map(lambda key: _attempt(_compute_shared, key, matrix), keys)
             shared = dict(zip(keys, done))
-            results = list(pool.map(lambda unit: _run_unit(unit, matrix, model, shared), units))
+            results = list(pool.map(lambda unit: _run_unit(unit, matrix, probs, shared), units))
 
         rows: list = [None] * len(cells)
         for u, (unit, (records, _, error)) in enumerate(zip(units, results)):

@@ -3,13 +3,13 @@
 A density matrix is a symmetric positive semidefinite matrix with unit
 trace; its eigenvalues are the probabilities of the underlying pure
 states.  Matrices are stored in CSR form (:class:`SparseSymMatrix`).
-Generators that know their own spectrum attach a :class:`SpectralModel`
+Generators that know their own spectrum return it, a descending array,
 so estimator output can be checked against ground truth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,33 +23,24 @@ class MatrixMarketError(ValueError):
     """Malformed Matrix Market input; message carries the line number."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparseSymMatrix:
-    """Symmetric real matrix in CSR form.
+    """Symmetric real matrix, stored as one scipy CSR matrix.
 
-    Both triangles are stored explicitly (col_indices sorted within each
-    row).  Instances are immutable after construction and safe for
-    concurrent read-only use.
+    Both triangles are stored explicitly (column indices sorted within
+    each row).  Instances are immutable and safe for concurrent read-only
+    use.
     """
 
-    n: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-    _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    scipy_csr: sp.csr_matrix
+
+    @property
+    def n(self) -> int:
+        return self.scipy_csr.shape[0]
 
     @property
     def nnz(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def scipy_csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            self._csr = sp.csr_matrix(
-                (self.values, self.col_indices, self.row_offsets),
-                shape=(self.n, self.n),
-            )
-        return self._csr
+        return int(self.scipy_csr.nnz)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SparseSymMatrix":
@@ -66,12 +57,10 @@ class SparseSymMatrix:
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix contains non-finite entries")
         n = a.shape[0]
-        return cls(
-            n=n,
-            row_offsets=np.arange(0, n * n + 1, n, dtype=np.int64),
-            col_indices=np.tile(np.arange(n, dtype=np.int64), n),
-            values=a.ravel().copy(),
-        )
+        # int32, the index dtype scipy keeps, so it makes no copy of the tile
+        indices = np.tile(np.arange(n, dtype=np.int32), n)
+        indptr = np.arange(0, n * n + 1, n)
+        return cls(sp.csr_matrix((a.ravel().copy(), indices, indptr), shape=(n, n)))
 
     def to_dense(self) -> np.ndarray:
         return self.scipy_csr.toarray()
@@ -96,31 +85,21 @@ class SparseSymMatrix:
         """The matrix scale * self + shift * I.
 
         When every diagonal entry is stored, the result shares this
-        matrix's index arrays, and those of its CSR form, and owns only a
-        new values array; otherwise it is a one-off CSR sum.
+        matrix's index arrays and owns only a new data array; otherwise it
+        is a one-off CSR sum.
         """
-        rows = np.repeat(np.arange(self.n), np.diff(self.row_offsets))
-        diag = np.flatnonzero(rows == self.col_indices)
+        csr = self.scipy_csr
+        rows = np.repeat(np.arange(self.n), np.diff(csr.indptr))
+        diag = np.flatnonzero(rows == csr.indices)
         del rows
         if diag.size != self.n:
-            a = (scale * self.scipy_csr + shift * sp.identity(self.n, format="csr")).tocsr()
+            a = (scale * csr + shift * sp.identity(self.n, format="csr")).tocsr()
             a.sort_indices()
-            return SparseSymMatrix(
-                n=self.n,
-                row_offsets=a.indptr.astype(np.int64),
-                col_indices=a.indices.astype(np.int64),
-                values=a.data,
-                _csr=a,
-            )
-        values = self.values * scale
-        values[diag] += shift
-        csr = self.scipy_csr
+            return SparseSymMatrix(a)
+        data = csr.data * scale
+        data[diag] += shift
         return SparseSymMatrix(
-            n=self.n,
-            row_offsets=self.row_offsets,
-            col_indices=self.col_indices,
-            values=values,
-            _csr=sp.csr_matrix((values, csr.indices, csr.indptr), shape=csr.shape, copy=False),
+            sp.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape, copy=False)
         )
 
     def trace(self) -> float:
@@ -133,29 +112,14 @@ class SparseSymMatrix:
             raise ValueError(f"trace {t!r} is not 1 within {TRACE_TOL}")
 
 
-@dataclass
-class SpectralModel:
-    """Ground-truth spectrum attached to a generated matrix.
-
-    ``probs`` is descending (ties broken by original index) and may be
-    None when the generator could not afford an exact eigendecomposition.
-    """
-
-    probs: np.ndarray | None
-
-    def validate(self) -> None:
-        if self.probs is not None:
-            p = np.asarray(self.probs)
-            if np.any(p < 0):
-                raise ValueError("probabilities must be nonnegative")
-            if not abs(p.sum() - 1.0) <= TRACE_TOL:  # also refuses NaN
-                raise ValueError(f"probabilities sum to {p.sum():.12g}, not 1")
-            if np.any(np.diff(p) > 0):
-                raise ValueError("probabilities must be sorted descending")
-
-    @property
-    def p_min(self) -> float:
-        return float(self.probs[-1])
+def validate_spectrum(probs: np.ndarray) -> None:
+    """Refuse a spectrum that is not a descending probability vector."""
+    if np.any(probs < 0):
+        raise ValueError("probabilities must be nonnegative")
+    if not abs(probs.sum() - 1.0) <= TRACE_TOL:  # also refuses NaN
+        raise ValueError(f"probabilities sum to {probs.sum():.12g}, not 1")
+    if np.any(np.diff(probs) > 0):
+        raise ValueError("probabilities must be sorted descending")
 
 
 def _sym_from_product(q: np.ndarray, probs: np.ndarray) -> SparseSymMatrix:
@@ -166,12 +130,11 @@ def _sym_from_product(q: np.ndarray, probs: np.ndarray) -> SparseSymMatrix:
 
 def generate_haar_like_density(
     n: int, stream: RngStream
-) -> tuple[SparseSymMatrix, SpectralModel]:
+) -> tuple[SparseSymMatrix, np.ndarray | None]:
     """Random dense density matrix R = G G^T / trace(G G^T), G Gaussian.
 
     The spectrum is recovered by the exact eigendecomposition oracle when
-    n is within its default size limit; otherwise the model carries no
-    probabilities.
+    n is within its default size limit; otherwise it is None.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -181,11 +144,9 @@ def generate_haar_like_density(
     r = SparseSymMatrix.from_dense(w / np.trace(w))
     from . import linalg
 
-    if n <= linalg.DEFAULT_ORACLE_LIMIT:
-        _, model = linalg.exact_entropy(r)
-    else:
-        model = SpectralModel(probs=None)
-    return r, model
+    if n > linalg.DEFAULT_ORACLE_LIMIT:
+        return r, None
+    return r, linalg.exact_entropy(r)[1]
 
 
 def poisson_spectrum(n: int) -> np.ndarray:
@@ -196,7 +157,7 @@ def poisson_spectrum(n: int) -> np.ndarray:
     return probs[::-1].copy()
 
 
-def generate_tridiagonal_poisson(n: int) -> tuple[SparseSymMatrix, SpectralModel]:
+def generate_tridiagonal_poisson(n: int) -> tuple[SparseSymMatrix, np.ndarray]:
     """Second-difference matrix (diag 2, off-diag -1) scaled to unit trace."""
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -205,13 +166,7 @@ def generate_tridiagonal_poisson(n: int) -> tuple[SparseSymMatrix, SpectralModel
     off = np.full(n - 1, -1.0 * scale)
     a = sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr")
     a.sort_indices()
-    r = SparseSymMatrix(
-        n=n,
-        row_offsets=a.indptr.astype(np.int64),
-        col_indices=a.indices.astype(np.int64),
-        values=a.data.astype(np.float64),
-    )
-    return r, SpectralModel(probs=poisson_spectrum(n))
+    return SparseSymMatrix(a), poisson_spectrum(n)
 
 
 def low_rank_probs(k: int, decay: str) -> np.ndarray:
@@ -226,7 +181,7 @@ def low_rank_probs(k: int, decay: str) -> np.ndarray:
 
 def generate_low_rank_density(
     n: int, k: int, decay: str, stream: RngStream
-) -> tuple[SparseSymMatrix, SpectralModel]:
+) -> tuple[SparseSymMatrix, np.ndarray]:
     """Rank-k density matrix with exponentially or linearly decaying spectrum."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -234,12 +189,12 @@ def generate_low_rank_density(
     from . import linalg
 
     q = linalg.householder_qr(gaussian_vector(stream, n * k).reshape(n, k))
-    return _sym_from_product(q, probs), SpectralModel(probs=probs)
+    return _sym_from_product(q, probs), probs
 
 
 def generate_linear_plus_uniform(
     n: int, k: int, stream: RngStream
-) -> tuple[SparseSymMatrix, SpectralModel]:
+) -> tuple[SparseSymMatrix, np.ndarray]:
     """Full-rank spectrum: top-k weights k, k-1, ..., 1, then a flat tail of ones."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -250,7 +205,7 @@ def generate_linear_plus_uniform(
     from . import linalg
 
     q = linalg.householder_qr(gaussian_vector(stream, n * n).reshape(n, n))
-    return _sym_from_product(q, probs), SpectralModel(probs=probs)
+    return _sym_from_product(q, probs), probs
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +215,10 @@ def generate_linear_plus_uniform(
 
 def write_matrix_market(R: SparseSymMatrix, path) -> None:
     """Serialize the lower triangle with 17 significant digits."""
-    rows = np.repeat(np.arange(R.n), np.diff(R.row_offsets))
-    mask = rows >= R.col_indices
-    li, lj, lv = rows[mask], R.col_indices[mask], R.values[mask]
+    csr = R.scipy_csr
+    rows = np.repeat(np.arange(R.n), np.diff(csr.indptr))
+    mask = rows >= csr.indices
+    li, lj, lv = rows[mask], csr.indices[mask], csr.data[mask]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
         fh.write(f"{R.n} {R.n} {li.size}\n")
@@ -352,18 +308,9 @@ def read_matrix_market(path) -> SparseSymMatrix:
             if i != j:
                 full[(j, i)] = v
 
-    n = nrows
-    if full:
-        ii = np.fromiter((k[0] for k in full), dtype=np.int64, count=len(full))
-        jj = np.fromiter((k[1] for k in full), dtype=np.int64, count=len(full))
-        vv = np.fromiter(full.values(), dtype=np.float64, count=len(full))
-        order = np.lexsort((jj, ii))
-        ii, jj, vv = ii[order], jj[order], vv[order]
-        row_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(row_offsets, ii + 1, 1)
-        row_offsets = np.cumsum(row_offsets)
-    else:
-        ii = jj = np.zeros(0, dtype=np.int64)
-        vv = np.zeros(0, dtype=np.float64)
-        row_offsets = np.zeros(n + 1, dtype=np.int64)
-    return SparseSymMatrix(n=n, row_offsets=row_offsets, col_indices=jj, values=vv)
+    ii = np.fromiter((k[0] for k in full), dtype=np.int64, count=len(full))
+    jj = np.fromiter((k[1] for k in full), dtype=np.int64, count=len(full))
+    vv = np.fromiter(full.values(), dtype=np.float64, count=len(full))
+    order = np.lexsort((jj, ii))
+    ii, jj, vv = ii[order], jj[order], vv[order]
+    return SparseSymMatrix(sp.csr_matrix((vv, (ii, jj)), shape=(nrows, nrows)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .densmat import SparseSymMatrix, SpectralModel
+from .densmat import SparseSymMatrix
 
 DEFAULT_ORACLE_LIMIT = 4096
 SYMMETRY_TOL = 1e-10
@@ -103,8 +103,9 @@ def entropy_from_probs(probs: np.ndarray, clamp: float) -> float:
 
 def exact_entropy(
     R: SparseSymMatrix, max_n: int = DEFAULT_ORACLE_LIMIT
-) -> tuple[float, SpectralModel]:
-    """Exact entropy from the dense eigenvalues; the oracle for all tests.
+) -> tuple[float, np.ndarray]:
+    """Exact entropy from the dense eigenvalues, and the spectrum, descending;
+    the oracle for all tests.
 
     Eigenvalues in ``[-1e-10 * n, 0]`` are treated as zero; anything more
     negative means the input is not positive semidefinite.
@@ -116,4 +117,4 @@ def exact_entropy(
     if w[0] < floor:
         raise ValueError(f"eigenvalue {w[0]!r} below {floor!r}: not positive semidefinite")
     probs = np.clip(w[::-1], 0.0, None)
-    return entropy_from_probs(probs, ENTROPY_CLAMP), SpectralModel(probs=probs)
+    return entropy_from_probs(probs, ENTROPY_CLAMP), probs

@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import linalg
-from .densmat import SparseSymMatrix, SpectralModel
+from .densmat import SparseSymMatrix
 from .hutchinson import default_s, probe_average
 from .power import (
     U_MODES,
@@ -33,14 +33,15 @@ class EstimatorConfig:
     estimators never try to infer it); it may be omitted only when ``m``
     is overridden.  ``nte`` replaces the stochastic trace estimate with
     the exact truncated series from known eigenvalues, isolating the
-    truncation error; in that mode ``s_override=0`` is allowed.
+    truncation error; it runs no probes, so ``s_override`` is then 0 or
+    None.
 
     ``m_override`` may also be a tuple of degrees: one pass to the largest
     then reads the estimate at each, exactly as separate runs would give it.
     ``power`` and ``spectrum`` hand a run work that an earlier run on the
     same matrix already did, so it is not done again: the power method of
     this ``seed`` and ``delta`` (see :func:`power_estimate`), and the
-    oracle's eigenvalues for an ``nte`` run without a model.
+    oracle's eigenvalues for an ``nte`` run without a known spectrum.
     """
 
     epsilon: float = 0.1
@@ -70,9 +71,10 @@ class EstimatorConfig:
             raise ValueError(f"manual u must lie in (0, 1], got {self.u_value}")
         if self.m_override is not None and not min(self.degrees(), default=0) >= 1:
             raise ValueError("m override must be at least 1")
-        if self.s_override is not None:
-            if self.s_override < 0 or (self.s_override == 0 and not self.nte):
-                raise ValueError("s override must be >= 1 (0 is allowed only with nte)")
+        if self.nte and self.s_override not in (None, 0):
+            raise ValueError(f"nte runs no probes: s override must be 0, got {self.s_override}")
+        if not self.nte and self.s_override is not None and self.s_override < 1:
+            raise ValueError("s override must be >= 1 (0 is allowed only with nte)")
         if self.m_override is None and self.ell is None:
             raise ValueError("ell is required unless m is overridden")
 
@@ -83,16 +85,16 @@ class EstimatorConfig:
 
 
 def check_assumptions(
-    model: SpectralModel | None,
+    probs: np.ndarray | None,
     u: float | None = None,
     ell: float | None = None,
     k: int | None = None,
 ) -> list[str]:
     """Warnings for the estimator parameters that a known spectrum
-    contradicts; none without a spectrum, or for a parameter not given."""
-    if model is None or model.probs is None:
+    ``probs`` contradicts; none without a spectrum, or for a parameter not
+    given."""
+    if probs is None:
         return []
-    probs = np.asarray(model.probs)
     out = []
     if u is not None and not u >= probs[0]:
         out.append("assumption violated: u is below the top probability p1")
@@ -135,17 +137,17 @@ class RunRecord:
 def run_record(
     estimate: float,
     wall_ms: float,
-    model: SpectralModel | None,
+    probs: np.ndarray | None,
     warnings: list[str],
     fields: dict,
     estimates: dict[int, float] | None = None,
 ) -> RunRecord:
-    """The record of a run, compared with the exact entropy of ``model``'s
-    spectrum when it has one: a pure state (zero entropy) gets no relative
-    error and one more warning."""
+    """The record of a run, compared with the exact entropy of the spectrum
+    ``probs`` when it is known: a pure state (zero entropy) gets no
+    relative error and one more warning."""
     exact = rel_err = None
-    if model is not None and model.probs is not None:
-        exact = linalg.entropy_from_probs(model.probs, linalg.ENTROPY_CLAMP)
+    if probs is not None:
+        exact = linalg.entropy_from_probs(probs, linalg.ENTROPY_CLAMP)
         if exact > 0.0:
             rel_err = relative_error(estimate, exact)
         else:
@@ -187,7 +189,7 @@ class PolynomialSeries(NamedTuple):
 def polynomial_entropy(
     R: SparseSymMatrix,
     cfg: EstimatorConfig,
-    model: SpectralModel | None,
+    model: np.ndarray | None,
     method: str,
     default_m: Callable[[float, float, float], int],
     series: Callable[[float, int], PolynomialSeries],
@@ -200,10 +202,10 @@ def polynomial_entropy(
     ``cfg.m_override`` or ``default_m(u, ell, epsilon)``, then traces
     ``series(u, largest degree)`` through its one ``moments`` recurrence and
     reads the partial sum at each degree: exactly over known eigenvalues
-    with ``cfg.nte`` (the attached model, else ``cfg.spectrum``, else the
-    dense oracle), otherwise with the probe driver over ``cfg.s_override``
-    (else ``default_s``) probes that ``draw`` takes from child stream 1 of
-    ``cfg.seed``.  Either way the series' shifted operator is built once,
+    with ``cfg.nte`` (the known spectrum ``model``, else ``cfg.spectrum``,
+    else the dense oracle), otherwise with the probe driver over
+    ``cfg.s_override`` (else ``default_s``) probes that ``draw`` takes from
+    child stream 1 of ``cfg.seed``.  Either way the series' shifted operator is built once,
     from the eigenvalues or from R.
     """
     t0 = time.perf_counter()
@@ -228,12 +230,9 @@ def polynomial_entropy(
         return np.array(partial_sums)
 
     if cfg.nte:
-        if model is not None and model.probs is not None:
-            probs = np.asarray(model.probs)
-        elif cfg.spectrum is not None:
-            probs = cfg.spectrum
-        else:
-            probs = linalg.exact_entropy(R)[1].probs
+        probs = model if model is not None else cfg.spectrum
+        if probs is None:
+            probs = linalg.exact_entropy(R)[1]
         # The shifted operator of the eigenvalues padded to n with zeros, as
         # a diagonal, and one all-ones probe: its form is the exact trace.
         spectrum = np.full((R.n, 1), poly.shift)

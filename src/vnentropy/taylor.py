@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .densmat import SparseSymMatrix, SpectralModel
+from .densmat import SparseSymMatrix
 from .report import EstimatorConfig, PolynomialSeries, RunRecord, polynomial_entropy
 from .rng import gaussian_vector
 
@@ -58,13 +58,13 @@ def moments(
 def taylor_entropy(
     R: SparseSymMatrix,
     cfg: EstimatorConfig,
-    model: SpectralModel | None = None,
+    model: np.ndarray | None = None,
 ) -> RunRecord:
     """Run the truncated-series estimator and return its record.
 
-    With ``cfg.nte`` the trace terms are computed exactly from known
-    eigenvalues (the attached model, else the dense oracle), isolating
-    truncation error from probe noise.
+    ``model`` is the known spectrum, descending, or None.  With ``cfg.nte``
+    the trace terms are computed exactly from known eigenvalues (``model``,
+    else the dense oracle), isolating truncation error from probe noise.
     """
 
     def series(u: float, m: int) -> PolynomialSeries:

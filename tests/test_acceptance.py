@@ -20,7 +20,6 @@ from vnentropy import (
     ProjectionSpec,
     RngStream,
     SparseSymMatrix,
-    SpectralModel,
     apply_countsketch,
     cheb_coefficients,
     chebyshev_entropy,
@@ -77,7 +76,7 @@ def test_02_clenshaw_identities():
         coeffs = cheb_coefficients(u, m)
         # the library recurrence through the nte route on the 1x1 diagonal [x]
         cfg = EstimatorConfig(u_mode="manual", u_value=u, m_override=m, nte=True, s_override=0)
-        model = SpectralModel(probs=np.array([x]))
+        model = np.array([x])
         series = -chebyshev_entropy(diagonal_matrix([x]), cfg, model).estimate
         y = np.clip((2.0 / u) * x - 1.0, -1.0, 1.0)
         direct = float(sum(a * math.cos(w * math.acos(y)) for w, a in enumerate(coeffs)))
@@ -137,7 +136,7 @@ def test_04_full_pipeline_relative_error():
     # itself is verified analytically below.
     t0 = time.perf_counter()
     r, model = generate_tridiagonal_poisson(1024)
-    ell = model.p_min
+    ell = model[-1]
     epsilon = delta = 0.1
 
     taylor_ok = cheb_ok = 0
@@ -172,8 +171,8 @@ def test_05_power_method_bounds():
     upper = lower = 0
     for seed in range(200):
         p1t = power_method(r, t_iters, q_reps, RngStream(seed)).p1_tilde
-        upper += p1t <= model.probs[0] + 1e-12
-        lower += p1t >= model.probs[0] / 6.0
+        upper += p1t <= model[0] + 1e-12
+        lower += p1t >= model[0] / 6.0
     ok = upper == 200 and lower >= 170
     report(5, "power method bounds", ok,
            f"upper {upper}/200, lower {lower}/200 (need 200 and >=170); {time.perf_counter()-t0:.1f}s")
@@ -196,7 +195,7 @@ def test_06_trace_estimator_guarantee():
 def test_07_sketch_eigenvalue_guarantee():
     t0 = time.perf_counter()
     r, model = generate_low_rank_density(512, 5, "linear", RngStream(42))
-    p_squared = model.probs**2
+    p_squared = model**2
     rates = {}
     for kind in ("gaussian", "srht", "countsketch"):
         s = default_s_sketch(kind, 512, 5, 0.5)
@@ -244,10 +243,10 @@ def test_09_exact_debug_identity():
     for n, k, decay in cases:
         r, model = generate_low_rank_density(n, k, decay, RngStream(n + k))
         out = sketch_entropy(r, k, ProjectionSpec("exact_debug", 1, RngStream(0)))
-        exact_h = entropy_from_probs(model.probs, 1e-14)
+        exact_h = entropy_from_probs(model, 1e-14)
         worst = max(
             worst,
-            float(np.max(np.abs(out.probs_tilde - model.probs))),
+            float(np.max(np.abs(out.probs_tilde - model))),
             abs(out.entropy_tilde - exact_h),
         )
     ok = worst < 1e-8

@@ -8,7 +8,6 @@ from numpy.polynomial.chebyshev import chebval
 from vnentropy import (
     EstimatorConfig,
     RngStream,
-    SpectralModel,
     cheb_coefficients,
     chebyshev_entropy,
     default_m_cheb,
@@ -37,7 +36,7 @@ def nte_series_at(u, alphas, x):
     cfg = EstimatorConfig(
         u_mode="manual", u_value=u, m_override=alphas.size - 1, nte=True, s_override=0
     )
-    return -chebyshev_entropy(diagonal_matrix([x]), cfg, SpectralModel(probs=np.array([x]))).estimate
+    return -chebyshev_entropy(diagonal_matrix([x]), cfg, np.array([x])).estimate
 
 
 def direct_series(u, alphas, x):
@@ -172,7 +171,7 @@ def test_nte_matches_scalar_sum_on_known_spectrum():
     cfg = EstimatorConfig(u_mode="manual", u_value=1.0, m_override=12, nte=True, s_override=0)
     rep = chebyshev_entropy(r, cfg, model)
     c = cheb_coefficients(1.0, 12)
-    expected = -float(np.sum(series_at(1.0, c, model.probs)))
+    expected = -float(np.sum(series_at(1.0, c, model)))
     assert rep.estimate == pytest.approx(expected, rel=1e-10)
 
 
@@ -182,7 +181,7 @@ def test_nte_bound_holds_with_zero_probabilities():
     m = 20
     cfg = EstimatorConfig(u_mode="manual", u_value=1.0, m_override=m, nte=True, s_override=0)
     rep = chebyshev_entropy(r, cfg, model)
-    exact = entropy_from_probs(model.probs, 1e-14)
+    exact = entropy_from_probs(model, 1e-14)
     assert abs(rep.estimate - exact) <= 32 * 1.0 / (2 * m * (m + 1)) + 1e-12
 
 
@@ -216,7 +215,7 @@ def test_nte_pads_the_known_spectrum_with_zeros():
     probs = np.array([0.7, 0.3])
     r = diagonal_matrix([0.7, 0.3, 0.0, 0.0, 0.0])
     cfg = EstimatorConfig(u_mode="manual", u_value=0.7, m_override=9, nte=True, s_override=0)
-    rep = chebyshev_entropy(r, cfg, SpectralModel(probs=probs))
+    rep = chebyshev_entropy(r, cfg, probs)
     c = cheb_coefficients(0.7, 9)
     expected = -float(np.sum(series_at(0.7, c, [0.7, 0.3, 0.0, 0.0, 0.0])))
     assert rep.estimate == pytest.approx(expected, rel=1e-12)

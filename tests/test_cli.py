@@ -155,6 +155,7 @@ BAD_ESTIMATE_FLAGS = {
     "taylor-zero-m": ("--method", "taylor", "--m", "0", "--s", "4"),
     "taylor-negative-s": ("--method", "taylor", "--m", "3", "--s", "-2"),
     "taylor-eps-above-one": ("--method", "taylor", "--m", "3", "--s", "4", "--eps", "2"),
+    "taylor-nte-with-s": ("--method", "taylor", "--m", "3", "--nte", "--s", "5"),
     "chebyshev-zero-ell": ("--method", "chebyshev", "--ell", "0"),
     "sketch-zero-rank": ("--method", "sketch", "--proj", "gaussian", "--rank", "0", "--s", "4"),
     "sketch-rank-above-n": ("--method", "sketch", "--proj", "countsketch", "--rank", "5", "--s", "4"),
@@ -171,6 +172,16 @@ def test_estimate_out_of_range_flags_are_usage_errors(tmp_path, capsys, name):
         main(["estimate", str(path), *BAD_ESTIMATE_FLAGS[name]])
     assert excinfo.value.code == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_estimate_unwritable_out_exits_two_before_the_run(tmp_path, capsys, monkeypatch):
+    path = write_identity_density(tmp_path, 4)
+    ran = []
+    monkeypatch.setattr(cli, "run_method", lambda *args: ran.append(args))
+    out = tmp_path / "missing" / "x.jsonl"
+    code, stdout, err = run_cli(capsys, "estimate", str(path), "--method", "exact", "--out", str(out))
+    assert code == 2 and str(out) in err and stdout == ""
+    assert ran == []
 
 
 BAD_GENERATE_FLAGS = {
@@ -472,6 +483,9 @@ BAD_GRIDS = {
     "string-n": {"matrix": {"family": "tridiagonal", "n": "abc"}},
     "fractional-k": {"matrix": {"family": "lowrank", "n": 8, "k": 2.5}},
     "negative-matrix-seed": {"matrix": {"family": "haar", "n": 6, "seed": -1}},
+    "non-string-matrix-path": {"matrix": {"path": 5}},
+    "matrix-list": {"matrix": ["path"]},
+    "matrix-string": {"matrix": "x.mtx"},
 }
 
 

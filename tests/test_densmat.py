@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from vnentropy import (
     read_matrix_market,
     write_matrix_market,
 )
-from vnentropy.densmat import MatrixMarketError, low_rank_probs
+from vnentropy.densmat import MatrixMarketError, low_rank_probs, validate_spectrum
 from vnentropy.linalg import dense_eigvalsh
 from vnentropy.rng import gaussian_vector
 
@@ -51,6 +52,21 @@ def test_matvec_matches_dense_multiply(seed):
     assert np.linalg.norm(r.matvec(x) - expected) <= 1e-12 * max(scale, 1e-30)
 
 
+def test_from_dense_holds_one_copy_of_the_indices():
+    # 8 n^2 bytes of values and 4 n^2 of int32 column indices, at the peak
+    # too; an int64 copy of the indices, kept or transient, adds 8 n^2 more
+    n = 512
+    dense = np.eye(n) / n
+    tracemalloc.start()
+    try:
+        r = SparseSymMatrix.from_dense(dense)
+        r.scipy_csr
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * n * n
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -63,15 +79,15 @@ def test_haar_like_density_is_unit_trace_psd(n):
     r.validate_density()
     w = dense_eigvalsh(r.to_dense())
     assert w.min() >= -1e-10
-    assert model.probs is not None and model.probs.size == n
-    model.validate()
+    assert model is not None and model.size == n
+    validate_spectrum(model)
 
 
 def test_haar_like_density_entropy_near_log_n():
     n = 64
     r, model = generate_haar_like_density(n, RngStream(7))
     h, oracle = exact_entropy(r)
-    assert abs(h - entropy_from_probs(model.probs, 1e-14)) < 1e-10
+    assert abs(h - entropy_from_probs(model, 1e-14)) < 1e-10
     # dense random mixing: entropy sits an O(1) constant below ln n
     assert math.log(n) - 1.0 < h < math.log(n)
 
@@ -79,15 +95,15 @@ def test_haar_like_density_entropy_near_log_n():
 def test_haar_generation_is_deterministic():
     a, _ = generate_haar_like_density(16, RngStream(3))
     b, _ = generate_haar_like_density(16, RngStream(3))
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.scipy_csr.data, b.scipy_csr.data)
 
 
 def test_tridiagonal_poisson_small_values():
     r, model = generate_tridiagonal_poisson(8)
-    assert abs(model.probs.sum() - 1.0) < 1e-10
-    assert abs(model.probs[0] - 0.25 * math.sin(8 * math.pi / 18) ** 2) < 1e-12
-    assert abs(model.probs[0] - 0.242462) < 1e-6
-    h = entropy_from_probs(model.probs, 1e-14)
+    assert abs(model.sum() - 1.0) < 1e-10
+    assert abs(model[0] - 0.25 * math.sin(8 * math.pi / 18) ** 2) < 1e-12
+    assert abs(model[0] - 0.242462) < 1e-6
+    h = entropy_from_probs(model, 1e-14)
     assert abs(h - 1.8204) < 1e-4
 
 
@@ -98,7 +114,7 @@ def test_tridiagonal_spectrum_matches_eigensolver():
         assert abs(csr - csr.T).max() == 0
         assert csr.has_sorted_indices
         w = dense_eigvalsh(r.to_dense())
-        assert np.max(np.abs(w[::-1] - model.probs)) < 1e-8
+        assert np.max(np.abs(w[::-1] - model)) < 1e-8
         assert np.max(np.abs(np.sort(poisson_spectrum(n)) - w)) < 1e-12
 
 
@@ -124,7 +140,7 @@ def test_low_rank_density_has_rank_k():
     w = dense_eigvalsh(r.to_dense())
     assert np.all(w[:-4] < 1e-10)
     assert abs(r.trace() - 1.0) < 1e-10
-    model.validate()
+    validate_spectrum(model)
 
 
 def test_low_rank_rejects_bad_k():
@@ -138,19 +154,19 @@ def test_low_rank_rejects_bad_k():
 
 def test_linear_plus_uniform_probs():
     _, model = generate_linear_plus_uniform(6, 2, RngStream(0))
-    assert np.allclose(model.probs, np.array([2, 1, 1, 1, 1, 1]) / 7.0, atol=1e-15)
+    assert np.allclose(model, np.array([2, 1, 1, 1, 1, 1]) / 7.0, atol=1e-15)
 
 
 def test_linear_plus_uniform_full_k_matches_low_rank():
     _, a = generate_linear_plus_uniform(5, 5, RngStream(0))
-    assert np.allclose(a.probs, low_rank_probs(5, "linear"), atol=1e-15)
+    assert np.allclose(a, low_rank_probs(5, "linear"), atol=1e-15)
 
 
 def test_linear_plus_uniform_full_rank():
     r, model = generate_linear_plus_uniform(12, 3, RngStream(2))
-    assert model.p_min > 0
+    assert model[-1] > 0
     w = dense_eigvalsh(r.to_dense())
-    assert w.min() > 0.5 * model.p_min
+    assert w.min() > 0.5 * model[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +184,9 @@ def test_round_trip_preserves_everything(tmp_path):
         write_matrix_market(r, path)
         back = read_matrix_market(path)
         assert back.n == r.n
-        assert np.array_equal(back.row_offsets, r.row_offsets)
-        assert np.array_equal(back.col_indices, r.col_indices)
-        assert np.array_equal(back.values, r.values)
+        assert np.array_equal(back.scipy_csr.indptr, r.scipy_csr.indptr)
+        assert np.array_equal(back.scipy_csr.indices, r.scipy_csr.indices)
+        assert np.array_equal(back.scipy_csr.data, r.scipy_csr.data)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 17, 2**31, 2**48 + 5])
@@ -179,7 +195,7 @@ def test_round_trip_random_dense(seed, tmp_path):
     r = SparseSymMatrix.from_dense((g + g.T) / 2)
     path = tmp_path / "m.mtx"
     write_matrix_market(r, path)
-    assert np.array_equal(read_matrix_market(path).values, r.values)
+    assert np.array_equal(read_matrix_market(path).scipy_csr.data, r.scipy_csr.data)
 
 
 def test_one_based_indices_map_to_zero_based(tmp_path):

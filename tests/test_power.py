@@ -42,14 +42,14 @@ def test_power_never_exceeds_top_probability():
     t, q = default_power_params(3, 0.1)
     for seed in range(50):
         est = power_method(r, t, q, RngStream(seed))
-        assert est.p1_tilde <= model.probs[0] + 1e-12
+        assert est.p1_tilde <= model[0] + 1e-12
 
 
 def test_power_lower_bound_holds_often():
     r, model = rotated_density([0.5, 0.3, 0.2], RngStream(9))
     t, q = default_power_params(3, 0.1)
     hits = sum(
-        power_method(r, t, q, RngStream(seed)).p1_tilde >= model.probs[0] / 6.0
+        power_method(r, t, q, RngStream(seed)).p1_tilde >= model[0] / 6.0
         for seed in range(50)
     )
     assert hits >= 45
@@ -88,8 +88,8 @@ def test_resolve_u_six_covers_p1_when_lower_bound_holds():
         u, pe = resolve_u(r, cfg)
         assert pe == power_method(r, *default_power_params(4, 0.1), RngStream(seed).child(0))
         p1t = pe.p1_tilde
-        if p1t >= model.probs[0] / 6.0:  # conditional guarantee
-            assert u >= model.probs[0] - 1e-12
+        if p1t >= model[0] / 6.0:  # conditional guarantee
+            assert u >= model[0] - 1e-12
 
 
 def test_power_validates_t_and_q():

@@ -148,11 +148,11 @@ def test_default_s_rejects_bad_parameters():
 )
 def test_exact_debug_identity(family):
     r, model = family()
-    k = model.probs.size
+    k = model.size
     out = sketch_entropy(r, k, ProjectionSpec("exact_debug", 1, RngStream(0)))
     assert out.s == r.n
-    assert np.max(np.abs(out.probs_tilde - model.probs)) < 1e-8
-    assert abs(out.entropy_tilde - entropy_from_probs(model.probs, 1e-14)) < 1e-8
+    assert np.max(np.abs(out.probs_tilde - model)) < 1e-8
+    assert abs(out.entropy_tilde - entropy_from_probs(model, 1e-14)) < 1e-8
 
 
 def test_rank_preservation():
@@ -174,7 +174,7 @@ def test_sketch_spectrum_entropy_consistency():
 def test_squared_value_guarantee_smoke():
     # 100-seed version of the statistical property (full 200 in acceptance)
     r, model = generate_low_rank_density(256, 5, "linear", RngStream(51))
-    p2 = model.probs**2
+    p2 = model**2
     s = default_s_sketch("srht", 256, 5, 0.5)
     hits = 0
     for seed in range(100):
@@ -201,4 +201,4 @@ def test_sketch_entropy_validates_k():
 def test_full_rank_input_with_exact_debug():
     r, model = generate_linear_plus_uniform(24, 4, RngStream(71))
     out = sketch_entropy(r, 24, ProjectionSpec("exact_debug", 1, RngStream(0)))
-    assert np.max(np.abs(out.probs_tilde - model.probs)) < 1e-8
+    assert np.max(np.abs(out.probs_tilde - model)) < 1e-8

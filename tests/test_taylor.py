@@ -130,10 +130,10 @@ def test_nte_on_diagonal_equals_scalar_series_for_any_m():
 @pytest.mark.parametrize("epsilon", [0.5, 0.1])
 def test_truncated_series_approaches_entropy_from_below(epsilon):
     _, model = generate_linear_plus_uniform(64, 8, RngStream(5))
-    probs = model.probs
+    probs = model
     exact = entropy_from_probs(probs, 1e-14)
     u = 1.0
-    m = default_m_taylor(u, model.p_min, epsilon)
+    m = default_m_taylor(u, model[-1], epsilon)
     y = 1.0 - probs / u
     forms = moments(lambda x: y[:, None] * x, np.ones((probs.size, 1)), u, m)[0]
     partials = math.log(1 / u) + np.cumsum(forms / np.arange(1, m + 1))
