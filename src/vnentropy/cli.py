@@ -112,12 +112,16 @@ def sidecar_path(matrix_path) -> Path:
 
 def write_spectrum(probs: np.ndarray, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        for p in probs:
-            fh.write(f"{p:.17g}\n")
+        fh.write("".join(map("{:.17g}\n".format, probs.tolist())))
 
 
 def read_spectrum(path) -> np.ndarray:
-    probs = np.loadtxt(path, dtype=np.float64, ndmin=1)
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.readlines()
+    # loadtxt would warn, then return an empty array
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        raise ValueError("the file holds no probabilities")
+    probs = np.loadtxt(lines, dtype=np.float64, ndmin=1)
     return np.sort(probs)[::-1].copy()
 
 

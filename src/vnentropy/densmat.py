@@ -10,6 +10,7 @@ so estimator output can be checked against ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 import scipy.sparse as sp
@@ -213,17 +214,31 @@ def generate_linear_plus_uniform(
 # ---------------------------------------------------------------------------
 
 
+# data lines formatted per write: bounds the text held at once to a few MB
+_WRITE_CHUNK = 1 << 16
+
+
 def write_matrix_market(R: SparseSymMatrix, path) -> None:
     """Serialize the lower triangle with 17 significant digits."""
     csr = R.scipy_csr
     rows = np.repeat(np.arange(R.n), np.diff(csr.indptr))
     mask = rows >= csr.indices
-    li, lj, lv = rows[mask], csr.indices[mask], csr.data[mask]
+    li, lj, lv = rows[mask] + 1, csr.indices[mask] + 1, csr.data[mask]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
         fh.write(f"{R.n} {R.n} {li.size}\n")
-        for i, j, v in zip(li, lj, lv):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+        line = "{} {} {:.17g}\n".format
+        for start in range(0, li.size, _WRITE_CHUNK):
+            part = slice(start, start + _WRITE_CHUNK)
+            fh.write("".join(map(line, li[part].tolist(), lj[part].tolist(), lv[part].tolist())))
+
+
+# one data line of a coordinate real file: 1-based row, column, value
+_ENTRY = np.dtype([("i", "i8"), ("j", "i8"), ("v", "f8")])
+
+
+def _fail(path, lineno: int, msg: str) -> NoReturn:
+    raise MatrixMarketError(f"{path}:{lineno}: {msg}")
 
 
 def read_matrix_market(path) -> SparseSymMatrix:
@@ -231,86 +246,118 @@ def read_matrix_market(path) -> SparseSymMatrix:
 
     Accepts ``symmetric`` headers (lower triangle mirrored) and ``general``
     headers whose data happens to be exactly symmetric; anything else is a
-    :class:`MatrixMarketError` carrying the offending line number.
+    :class:`MatrixMarketError` carrying the offending line number.  The
+    data lines are parsed and checked as arrays; only a file that fails
+    goes through :func:`_locate_fault` line by line.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.readlines()
 
-    def fail(lineno: int, msg: str) -> None:
-        raise MatrixMarketError(f"{path}:{lineno}: {msg}")
-
     if not lines:
-        fail(1, "empty file")
+        _fail(path, 1, "empty file")
     header = lines[0].split()
     if len(header) != 5 or header[0] != "%%MatrixMarket":
-        fail(1, "missing '%%MatrixMarket' header")
+        _fail(path, 1, "missing '%%MatrixMarket' header")
     _, obj, fmt, fld, symmetry = (t.lower() for t in header)
     if (obj, fmt, fld) != ("matrix", "coordinate", "real"):
-        fail(1, f"unsupported header '{lines[0].strip()}' (need matrix coordinate real)")
+        _fail(path, 1, f"unsupported header '{lines[0].strip()}' (need matrix coordinate real)")
     if symmetry not in ("symmetric", "general"):
-        fail(1, f"unsupported symmetry {symmetry!r}")
+        _fail(path, 1, f"unsupported symmetry {symmetry!r}")
 
     lineno = 1
     while lineno < len(lines) and lines[lineno].lstrip().startswith("%"):
         lineno += 1
     if lineno >= len(lines):
-        fail(len(lines), "missing size line")
+        _fail(path, len(lines), "missing size line")
     size_line = lineno + 1
     parts = lines[lineno].split()
     if len(parts) != 3:
-        fail(size_line, f"malformed size line {lines[lineno].strip()!r}")
+        _fail(path, size_line, f"malformed size line {lines[lineno].strip()!r}")
     try:
         nrows, ncols, count = (int(p) for p in parts)
     except ValueError:
-        fail(size_line, f"malformed size line {lines[lineno].strip()!r}")
+        _fail(path, size_line, f"malformed size line {lines[lineno].strip()!r}")
     if nrows != ncols:
-        fail(size_line, f"matrix must be square, got {nrows}x{ncols}")
+        _fail(path, size_line, f"matrix must be square, got {nrows}x{ncols}")
     if nrows < 1 or count < 0:
-        fail(size_line, "invalid dimensions")
+        _fail(path, size_line, "invalid dimensions")
 
+    body = lines[size_line:]
+    entries = np.zeros(0, dtype=_ENTRY)
+    if any(map(str.strip, body)):  # loadtxt warns on a body with no data line
+        try:
+            entries = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1)
+        except ValueError as exc:
+            _locate_fault(path, lines, size_line, nrows, count, symmetry, str(exc))
+    i, j, v = entries["i"] - 1, entries["j"] - 1, entries["v"]
+    if not _entries_valid(i, j, v, nrows, count, symmetry == "symmetric"):
+        _locate_fault(path, lines, size_line, nrows, count, symmetry, "invalid entries")
+    if symmetry == "symmetric":
+        lower = i != j
+        i, j, v = (np.concatenate((a, b[lower])) for a, b in ((i, j), (j, i), (v, v)))
+    # the COO-to-CSR conversion buckets entries by row and sorts each row's
+    # columns, so the arrays equal those built from (row, column)-sorted input
+    return SparseSymMatrix(sp.csr_matrix((v, (i, j)), shape=(nrows, nrows)))
+
+
+def _entries_valid(i, j, v, n: int, count: int, symmetric: bool) -> bool:
+    """The checks of :func:`_locate_fault`, on the 0-based data arrays."""
+    if i.size != count or np.any((i < 0) | (i >= n) | (j < 0) | (j >= n)):
+        return False
+    if not np.all(np.isfinite(v)) or (symmetric and np.any(i < j)):
+        return False
+    key = i * n + j
+    order = np.argsort(key)
+    key = key[order]
+    if np.any(key[1:] == key[:-1]):
+        return False
+    if symmetric or not count:
+        return True
+    # a 'general' file: entry (i, j) needs the same value at its mirror (j, i)
+    mirror = j * n + i
+    at = np.minimum(np.searchsorted(key, mirror), count - 1)
+    return np.array_equal(key[at], mirror) and np.array_equal(v[order][at], v)
+
+
+def _locate_fault(path, lines, size_line, nrows, count, symmetry, reason) -> NoReturn:
+    """Raise the error of a file whose data lines failed a check as arrays.
+
+    Applies the checks line by line in file order: entry count, three
+    fields, integer indices and a float value (digit-group underscores,
+    which Python's ``int``/``float`` accept, are malformed), index range,
+    finiteness, lower triangle for ``symmetric`` files, no duplicate; then
+    the total count; then, for ``general`` files, symmetry at the first
+    offending entry in file order.  ``reason`` is the error if none of
+    these fire.
+    """
     entries: dict[tuple[int, int], float] = {}
-    seen = 0
-    for offset, line in enumerate(lines[size_line:], start=size_line + 1):
+    for lineno, line in enumerate(lines[size_line:], start=size_line + 1):
         if not line.strip():
             continue
-        seen += 1
-        if seen > count:
-            fail(offset, f"more than the declared {count} entries")
+        if len(entries) == count:
+            _fail(path, lineno, f"more than the declared {count} entries")
         parts = line.split()
-        if len(parts) != 3:
-            fail(offset, f"malformed entry {line.strip()!r}")
+        if len(parts) != 3 or "_" in line:
+            _fail(path, lineno, f"malformed entry {line.strip()!r}")
         try:
             i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
-            fail(offset, f"malformed entry {line.strip()!r}")
-        if not (1 <= i <= nrows and 1 <= j <= ncols):
-            fail(offset, f"index ({i}, {j}) out of range for n={nrows}")
+            _fail(path, lineno, f"malformed entry {line.strip()!r}")
+        if not (1 <= i <= nrows and 1 <= j <= nrows):
+            _fail(path, lineno, f"index ({i}, {j}) out of range for n={nrows}")
         if not np.isfinite(v):
-            fail(offset, f"non-finite value {parts[2]!r}")
+            _fail(path, lineno, f"non-finite value {parts[2]!r}")
         if symmetry == "symmetric" and i < j:
-            fail(offset, f"upper-triangle entry ({i}, {j}) in a symmetric file")
-        if (i - 1, j - 1) in entries:
-            fail(offset, f"duplicate entry ({i}, {j})")
-        entries[(i - 1, j - 1)] = v
-    if seen != count:
-        fail(len(lines), f"declared {count} entries but found {seen}")
-
+            _fail(path, lineno, f"upper-triangle entry ({i}, {j}) in a symmetric file")
+        if (i, j) in entries:
+            _fail(path, lineno, f"duplicate entry ({i}, {j})")
+        entries[(i, j)] = v
+    if len(entries) != count:
+        _fail(path, len(lines), f"declared {count} entries but found {len(entries)}")
     if symmetry == "general":
         for (i, j), v in entries.items():
             if entries.get((j, i)) != v:
                 raise MatrixMarketError(
-                    f"{path}: 'general' file is not symmetric at entry ({i + 1}, {j + 1})"
+                    f"{path}: 'general' file is not symmetric at entry ({i}, {j})"
                 )
-        full = entries
-    else:
-        full = dict(entries)
-        for (i, j), v in entries.items():
-            if i != j:
-                full[(j, i)] = v
-
-    ii = np.fromiter((k[0] for k in full), dtype=np.int64, count=len(full))
-    jj = np.fromiter((k[1] for k in full), dtype=np.int64, count=len(full))
-    vv = np.fromiter(full.values(), dtype=np.float64, count=len(full))
-    order = np.lexsort((jj, ii))
-    ii, jj, vv = ii[order], jj[order], vv[order]
-    return SparseSymMatrix(sp.csr_matrix((vv, (ii, jj)), shape=(nrows, nrows)))
+    raise MatrixMarketError(f"{path}: {reason}")

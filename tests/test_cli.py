@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vnentropy.linalg
 import vnentropy.report
@@ -316,6 +317,49 @@ def test_bad_spectrum_sidecar_exits_two_naming_it(tmp_path, capsys, rewrite, mes
     )
     assert code == 2 and out == ""
     assert str(side) in err and message in err
+
+
+@pytest.mark.parametrize("contents", ["", "\n  \n", "# no data\n"], ids=["empty", "blank", "comment"])
+def test_empty_spectrum_sidecar_exits_two_naming_it(tmp_path, capsys, contents):
+    path = tmp_path / "tri.mtx"
+    run_cli(capsys, "generate", "--family", "tridiagonal", "--n", "16", "--out", str(path))
+    side = cli.sidecar_path(path)
+    side.write_text(contents)
+    code, out, err = run_cli(
+        capsys, "estimate", str(path), "--method", "taylor", "--m", "3", "--s", "4"
+    )
+    assert code == 2 and out == ""
+    assert err == f"vnentropy: error: {side}: the file holds no probabilities\n"
+
+
+@given(st.lists(st.floats(allow_nan=False, width=64), max_size=50))
+@settings(max_examples=100, deadline=None)
+def test_write_spectrum_writes_one_line_per_probability(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("spectrum") / "m.mtx.spectrum"
+    cli.write_spectrum(np.array(values, dtype=np.float64), path)
+    assert path.read_text(encoding="ascii") == "".join(f"{v:.17g}\n" for v in values)
+
+
+def test_stored_matrix_at_scale_makes_no_dense_array(tmp_path, capsys, monkeypatch):
+    def densify(*args, **kwargs):
+        pytest.fail("a dense array was made")
+
+    monkeypatch.setattr(SparseSymMatrix, "to_dense", densify)
+    monkeypatch.setattr(vnentropy.linalg, "dense_eigvalsh", densify)
+    n = 65536
+    path = tmp_path / "tri.mtx"
+    code, _, err = run_cli(
+        capsys, "generate", "--family", "tridiagonal", "--n", str(n), "--out", str(path)
+    )
+    assert code == 0, err
+    code, out, err = run_cli(
+        capsys, "estimate", str(path), "--method", "taylor", "--m", "10", "--s", "4",
+        "--no-timings",
+    )
+    assert code == 0, err
+    record = json.loads(out)
+    assert (record["n"], record["nnz"]) == (n, 3 * n - 2)
+    assert math.isfinite(record["estimate"]) and math.isfinite(record["rel_err"])
 
 
 def test_bench_exact_only_grid(tmp_path, capsys):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import diagonal_matrix
@@ -227,24 +228,193 @@ def test_general_asymmetric_data_is_rejected(tmp_path):
         read_matrix_market(path)
 
 
+SYM = "%%MatrixMarket matrix coordinate real symmetric\n"
+GEN = "%%MatrixMarket matrix coordinate real general\n"
+
+
+# (file content, line number or None, full message after "<path>:<line>: ")
 @pytest.mark.parametrize(
-    "content, fragment",
+    "content, line, message",
     [
-        ("%%MatrixMarket matrix array real general\n1 1 1\n1 1 1.0\n", ":1:"),
-        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n3 1 1.0\n", ":3:"),
-        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 1.0\n", ":3:"),
-        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n1 1 2.0\n", ":4:"),
-        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n", "declared 2"),
-        ("%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 1 1.0\n", "square"),
-        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1 oops\n", ":3:"),
+        ("%%MatrixMarket matrix array real general\n1 1 1\n1 1 1.0\n", 1,
+         "unsupported header '%%MatrixMarket matrix array real general'"
+         " (need matrix coordinate real)"),
+        (SYM + "2 2 1\n3 1 1.0\n", 3, "index (3, 1) out of range for n=2"),
+        (SYM + "2 2 1\n1 2 1.0\n", 3, "upper-triangle entry (1, 2) in a symmetric file"),
+        (SYM + "2 2 2\n1 1 1.0\n1 1 2.0\n", 4, "duplicate entry (1, 1)"),
+        (SYM + "2 2 2\n1 1 1.0\n", 3, "declared 2 entries but found 1"),
+        (SYM + "2 3 1\n1 1 1.0\n", 2, "matrix must be square, got 2x3"),
+        (SYM + "2 2 1\n1 1 oops\n", 3, "malformed entry '1 1 oops'"),
+        # header, comments and size line
+        ("", 1, "empty file"),
+        ("%%MatrixMarket matrix coordinate real\n2 2 0\n", 1,
+         "missing '%%MatrixMarket' header"),
+        ("%%MatrixMarket matrix coordinate real hermitian\n2 2 0\n", 1,
+         "unsupported symmetry 'hermitian'"),
+        (SYM + "% only\n  % comments\n", 3, "missing size line"),
+        (SYM + "2 2\n", 2, "malformed size line '2 2'"),
+        (SYM + "2 2 x\n", 2, "malformed size line '2 2 x'"),
+        (SYM + "0 0 0\n", 2, "invalid dimensions"),
+        (SYM + "2 2 -1\n", 2, "invalid dimensions"),
+        (SYM + "% a\n  % b\n2 2 1\n2 2 inf\n", 5, "non-finite value 'inf'"),
+        # blank and whitespace-only lines count as lines, not as entries
+        (SYM + "2 2 2\n1 1 1.0\n\n  \t \n3 1 1.0\n", 6, "index (3, 1) out of range for n=2"),
+        (SYM + "2 2 3\n1 1 1.0\n2 2 1.0\n\n\n", 6, "declared 3 entries but found 2"),
+        (SYM + "2 2 1\n\n", 3, "declared 1 entries but found 0"),
+        # CRLF endings, tabs, a '%' line among the data
+        (SYM.replace("\n", "\r\n") + "2 2 2\r\n1 1 1.0\r\n2 2 x\r\n", 4,
+         "malformed entry '2 2 x'"),
+        (SYM + "2 2 2\n1\t1\t1.0\n2\t1\n", 4, "malformed entry '2\\t1'"),
+        (SYM + "2 2 2\n1 1 1.0\n% note\n2 2 1.0\n", 4, "malformed entry '% note'"),
+        (SYM + "2 2 2\n1 1 1.0\n% a b\n", 4, "malformed entry '% a b'"),
+        (SYM + "2 2 1\n1 1 1.0 2\n", 3, "malformed entry '1 1 1.0 2'"),
+        (SYM + "2 2 1\n1.0 1 1.0\n", 3, "malformed entry '1.0 1 1.0'"),
+        # entry count
+        (SYM + "2 2 1\n1 1 1.0\n2 2 1.0\n", 4, "more than the declared 1 entries"),
+        (SYM + "2 2 0\n1 1 1.0\n", 3, "more than the declared 0 entries"),
+        (SYM + "2 2 1\n1 1 1.0\n2 2 x\n", 4, "more than the declared 1 entries"),
+        (SYM + "2 2 3\n1 1 1.0\n2 2 1.0\n", 4, "declared 3 entries but found 2"),
+        (GEN + "2 2 3\n2 1 0.5\n", 3, "declared 3 entries but found 1"),
+        # duplicates
+        (GEN + "2 2 3\n1 2 0.5\n2 1 0.5\n1 2 0.5\n", 5, "duplicate entry (1, 2)"),
+        (GEN + "2 2 3\n1 2 0.5\n1 2 0.25\n2 1 0.5\n", 4, "duplicate entry (1, 2)"),
+        # indices
+        (SYM + "2 2 1\n0 1 1.0\n", 3, "index (0, 1) out of range for n=2"),
+        (SYM + "2 2 1\n-1 1 1.0\n", 3, "index (-1, 1) out of range for n=2"),
+        (GEN + "2 2 1\n1 3 1.0\n", 3, "index (1, 3) out of range for n=2"),
+        (SYM + "2 2 1\n99999999999999999999 1 1.0\n", 3,
+         "index (99999999999999999999, 1) out of range for n=2"),
+        (SYM + "2 2 1\n1 -99999999999999999999 1.0\n", 3,
+         "index (1, -99999999999999999999) out of range for n=2"),
+        # values
+        (SYM + "2 2 1\n1 1 nan\n", 3, "non-finite value 'nan'"),
+        (SYM + "2 2 1\n1 1 -inf\n", 3, "non-finite value '-inf'"),
+        (SYM + "2 2 1\n1 1 1e400\n", 3, "non-finite value '1e400'"),
+        # the first failing check in file order wins
+        (SYM + "2 2 2\n3 1 1.0\n1 1 x\n", 3, "index (3, 1) out of range for n=2"),
+        (SYM + "2 2 2\n1 1 x\n3 1 1.0\n", 3, "malformed entry '1 1 x'"),
+        (SYM + "2 2 2\n3 1 nan\n", 3, "index (3, 1) out of range for n=2"),
+        (SYM + "2 2 2\n1 2 nan\n", 3, "non-finite value 'nan'"),
+        (SYM + "2 2 2\n1 1 1.0\n1 1 2.0\n1 2 1.0\n", 4, "duplicate entry (1, 1)"),
+        (GEN + "2 2 2\n2 1 0.5\n2 1 0.5\n", 4, "duplicate entry (2, 1)"),
+        # 'general' symmetry: the first offending entry in file order
+        (GEN + "2 2 2\n1 1 1.0\n2 1 0.5\n", None,
+         "'general' file is not symmetric at entry (2, 1)"),
+        (GEN + "3 3 4\n2 1 0.25\n3 1 0.5\n1 2 0.5\n1 3 0.75\n", None,
+         "'general' file is not symmetric at entry (2, 1)"),
+        (GEN + "3 3 5\n3 3 1.0\n3 1 0.5\n1 3 0.75\n2 1 0.25\n1 2 0.5\n", None,
+         "'general' file is not symmetric at entry (3, 1)"),
     ],
 )
-def test_parse_errors_carry_line_numbers(tmp_path, content, fragment):
+def test_parse_errors_carry_line_numbers(tmp_path, content, line, message):
+    path = tmp_path / "bad.mtx"
+    path.write_bytes(content.encode("ascii"))
+    with pytest.raises(MatrixMarketError) as excinfo:
+        read_matrix_market(path)
+    where = path if line is None else f"{path}:{line}"
+    assert str(excinfo.value) == f"{where}: {message}"
+
+
+@pytest.mark.parametrize(
+    "content, line",
+    [
+        (SYM + "10 10 1\n1_0 1 1.0\n", 3),
+        (SYM + "2 2 2\n1 1 1.0\n2 1 1_0.5\n", 4),
+        (GEN + "2 2 1\n1 1 0.000_1\n", 3),
+    ],
+)
+def test_digit_group_underscores_are_malformed(tmp_path, content, line):
+    # Python's int() and float() read "1_0" as 10; Matrix Market has no such syntax
     path = tmp_path / "bad.mtx"
     path.write_text(content)
     with pytest.raises(MatrixMarketError) as excinfo:
         read_matrix_market(path)
-    assert fragment in str(excinfo.value)
+    entry = content.splitlines()[line - 1]
+    assert str(excinfo.value) == f"{path}:{line}: malformed entry {entry!r}"
+
+
+def test_non_ascii_byte_is_a_decode_error(tmp_path):
+    path = tmp_path / "bad.mtx"
+    path.write_bytes(SYM.encode() + b"1 1 1\n1 1 1.0 \xc2\xb5\n")
+    with pytest.raises(UnicodeDecodeError):
+        read_matrix_market(path)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "  \n\t\n"])
+def test_file_without_entries_reads_without_a_warning(tmp_path, body):
+    # the suite turns warnings into errors, so numpy's "input contained no
+    # data" warning would fail here
+    path = tmp_path / "empty.mtx"
+    path.write_text(SYM + "3 3 0\n" + body)
+    r = read_matrix_market(path)
+    assert (r.n, r.nnz) == (3, 0)
+
+
+def test_blank_lines_and_tabs_among_the_data_are_accepted(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_bytes(
+        (SYM + "2 2 3\r\n\r\n1\t1  0.5\n \n2 1 0.25\r\n\t2 2\t0.5 \n\n").encode()
+    )
+    r = read_matrix_market(path)
+    assert np.array_equal(r.to_dense(), [[0.5, 0.25], [0.25, 0.5]])
+
+
+def reference_matrix_market(R: SparseSymMatrix) -> bytes:
+    """The writer's format, one formatted line per lower-triangle entry."""
+    csr = R.scipy_csr
+    rows = np.repeat(np.arange(R.n), np.diff(csr.indptr))
+    mask = rows >= csr.indices
+    out = [
+        "%%MatrixMarket matrix coordinate real symmetric\n",
+        f"{R.n} {R.n} {int(mask.sum())}\n",
+    ]
+    for i, j, v in zip(rows[mask], csr.indices[mask], csr.data[mask]):
+        out.append(f"{i + 1} {j + 1} {v:.17g}\n")
+    return "".join(out).encode("ascii")
+
+
+def test_writer_matches_the_reference_across_writes(tmp_path):
+    r, _ = generate_tridiagonal_poisson(40000)  # 79,999 data lines, more than one write
+    path = tmp_path / "m.mtx"
+    write_matrix_market(r, path)
+    assert path.read_bytes() == reference_matrix_market(r)
+
+
+@st.composite
+def sparse_symmetric(draw):
+    """A symmetric CSR matrix with sorted indices, any subset of its lower
+    triangle stored (diagonal entries too may be missing)."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    lower = [(i, j) for i in range(n) for j in range(i + 1)]
+    kept = draw(st.lists(st.sampled_from(lower), unique=True, max_size=len(lower)))
+    values = draw(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            min_size=len(kept),
+            max_size=len(kept),
+        )
+    )
+    rows, cols, data = [], [], []
+    for (i, j), v in zip(kept, values):
+        for r, c in {(i, j), (j, i)}:
+            rows.append(r)
+            cols.append(c)
+            data.append(v)
+    csr = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    csr.sort_indices()
+    return SparseSymMatrix(csr)
+
+
+@given(sparse_symmetric())
+@settings(max_examples=200, deadline=None)
+def test_matrix_market_round_trip_is_bitwise(tmp_path_factory, r):
+    path = tmp_path_factory.mktemp("mm") / "m.mtx"
+    write_matrix_market(r, path)
+    assert path.read_bytes() == reference_matrix_market(r)
+    back = read_matrix_market(path).scipy_csr
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(back, name), getattr(r.scipy_csr, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_from_dense_rejects_asymmetric():
