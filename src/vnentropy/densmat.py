@@ -2,13 +2,16 @@
 
 A density matrix is a symmetric positive semidefinite matrix with unit
 trace; its eigenvalues are the probabilities of the underlying pure
-states.  Matrices are stored in CSR form (:class:`SparseSymMatrix`).
+states.  Matrices are stored in CSR form (:class:`SparseSymMatrix`); one
+with every entry stored is multiplied through BLAS on a view of its CSR
+values.
 Generators that know their own spectrum return it, a descending array,
 so estimator output can be checked against ground truth.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -28,9 +31,13 @@ class MatrixMarketError(ValueError):
 class SparseSymMatrix:
     """Symmetric real matrix, stored as one scipy CSR matrix.
 
-    Both triangles are stored explicitly (column indices sorted within
-    each row).  Instances are immutable and safe for concurrent read-only
-    use.
+    The CSR is canonical: both triangles are stored explicitly, column
+    indices are sorted within each row and none repeats.  When all n^2
+    entries are stored (the haar, lowrank and linuniform generators), the
+    data array is the row-major dense matrix, and ``matvec``, ``matmat``,
+    ``shifted`` and ``to_dense`` work on that view through numpy/BLAS;
+    every other matrix uses scipy's CSR kernels.  Instances are immutable
+    and safe for concurrent read-only use.
     """
 
     scipy_csr: sp.csr_matrix
@@ -47,8 +54,8 @@ class SparseSymMatrix:
     def from_dense(cls, dense: np.ndarray) -> "SparseSymMatrix":
         """Store a dense symmetric matrix with every entry explicit.
 
-        Keeping explicit zeros preserves a single nnz-proportional code
-        path for the dense-fill generator families.
+        Keeping explicit zeros stores all n^2 entries, so products run
+        through BLAS on a view of the values.
         """
         a = np.ascontiguousarray(dense, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -63,8 +70,25 @@ class SparseSymMatrix:
         indptr = np.arange(0, n * n + 1, n)
         return cls(sp.csr_matrix((a.ravel().copy(), indices, indptr), shape=(n, n)))
 
+    def dense_view(self) -> np.ndarray | None:
+        """The matrix as a read-only row-major n x n view of the stored
+        values when all n^2 entries are stored; None otherwise.
+
+        Canonical CSR with n^2 entries holds every row in full and in
+        column order, so its data array is the dense matrix; nothing is
+        copied.
+        """
+        csr = self.scipy_csr
+        if csr.nnz != self.n * self.n:
+            return None
+        view = csr.data.reshape(self.n, self.n)
+        view.flags.writeable = False
+        return view
+
     def to_dense(self) -> np.ndarray:
-        return self.scipy_csr.toarray()
+        """The dense matrix; read-only when it is a view of a filled matrix."""
+        view = self.dense_view()
+        return self.scipy_csr.toarray() if view is None else view
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Product with a vector of shape (n,), O(nnz)."""
@@ -73,14 +97,26 @@ class SparseSymMatrix:
             raise ValueError(
                 f"dimension mismatch: matrix is {self.n}x{self.n}, vector has shape {x.shape}"
             )
-        return self.scipy_csr @ x
+        view = self.dense_view()
+        return self.scipy_csr @ x if view is None else view @ x
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
-        """Product with a dense matrix of shape (n, s), O(nnz * s)."""
+        """Product with a dense matrix of shape (n, s), O(nnz * s).
+
+        A filled matrix multiplies through BLAS gemm.  Gemm rounds each
+        column the same at any block width, but a one-column product would
+        go through gemv, which rounds differently; it is padded to two
+        columns instead.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.n:
             raise ValueError(f"shape mismatch: matrix is {self.n}x{self.n}, got {x.shape}")
-        return self.scipy_csr @ x
+        view = self.dense_view()
+        if view is None:
+            return self.scipy_csr @ x
+        if x.shape[1] == 1:
+            return (view @ np.repeat(x, 2, axis=1))[:, :1]
+        return view @ x
 
     def shifted(self, scale: float, shift: float) -> "SparseSymMatrix":
         """The matrix scale * self + shift * I.
@@ -90,13 +126,16 @@ class SparseSymMatrix:
         is a one-off CSR sum.
         """
         csr = self.scipy_csr
-        rows = np.repeat(np.arange(self.n), np.diff(csr.indptr))
-        diag = np.flatnonzero(rows == csr.indices)
-        del rows
-        if diag.size != self.n:
-            a = (scale * csr + shift * sp.identity(self.n, format="csr")).tocsr()
-            a.sort_indices()
-            return SparseSymMatrix(a)
+        if self.dense_view() is not None:
+            diag = slice(None, None, self.n + 1)
+        else:
+            rows = np.repeat(np.arange(self.n), np.diff(csr.indptr))
+            diag = np.flatnonzero(rows == csr.indices)
+            del rows
+            if diag.size != self.n:
+                a = (scale * csr + shift * sp.identity(self.n, format="csr")).tocsr()
+                a.sort_indices()
+                return SparseSymMatrix(a)
         data = csr.data * scale
         data[diag] += shift
         return SparseSymMatrix(
@@ -247,51 +286,56 @@ def read_matrix_market(path) -> SparseSymMatrix:
     Accepts ``symmetric`` headers (lower triangle mirrored) and ``general``
     headers whose data happens to be exactly symmetric; anything else is a
     :class:`MatrixMarketError` carrying the offending line number.  The
-    data lines are parsed and checked as arrays; only a file that fails
-    goes through :func:`_locate_fault` line by line.
+    data lines stream from the open file into one array and are checked
+    as arrays; only a file that fails is read again, line by line, by
+    :func:`_locate_fault`.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
+        first = fh.readline()
+        if not first:
+            _fail(path, 1, "empty file")
+        header = first.split()
+        if len(header) != 5 or header[0] != "%%MatrixMarket":
+            _fail(path, 1, "missing '%%MatrixMarket' header")
+        _, obj, fmt, fld, symmetry = (t.lower() for t in header)
+        if (obj, fmt, fld) != ("matrix", "coordinate", "real"):
+            _fail(path, 1, f"unsupported header '{first.strip()}' (need matrix coordinate real)")
+        if symmetry not in ("symmetric", "general"):
+            _fail(path, 1, f"unsupported symmetry {symmetry!r}")
 
-    if not lines:
-        _fail(path, 1, "empty file")
-    header = lines[0].split()
-    if len(header) != 5 or header[0] != "%%MatrixMarket":
-        _fail(path, 1, "missing '%%MatrixMarket' header")
-    _, obj, fmt, fld, symmetry = (t.lower() for t in header)
-    if (obj, fmt, fld) != ("matrix", "coordinate", "real"):
-        _fail(path, 1, f"unsupported header '{lines[0].strip()}' (need matrix coordinate real)")
-    if symmetry not in ("symmetric", "general"):
-        _fail(path, 1, f"unsupported symmetry {symmetry!r}")
-
-    lineno = 1
-    while lineno < len(lines) and lines[lineno].lstrip().startswith("%"):
-        lineno += 1
-    if lineno >= len(lines):
-        _fail(path, len(lines), "missing size line")
-    size_line = lineno + 1
-    parts = lines[lineno].split()
-    if len(parts) != 3:
-        _fail(path, size_line, f"malformed size line {lines[lineno].strip()!r}")
-    try:
-        nrows, ncols, count = (int(p) for p in parts)
-    except ValueError:
-        _fail(path, size_line, f"malformed size line {lines[lineno].strip()!r}")
-    if nrows != ncols:
-        _fail(path, size_line, f"matrix must be square, got {nrows}x{ncols}")
-    if nrows < 1 or count < 0:
-        _fail(path, size_line, "invalid dimensions")
-
-    body = lines[size_line:]
-    entries = np.zeros(0, dtype=_ENTRY)
-    if any(map(str.strip, body)):  # loadtxt warns on a body with no data line
+        size_line = 1
+        line = "%"
+        while line.lstrip().startswith("%"):
+            line = fh.readline()
+            if not line:
+                _fail(path, size_line, "missing size line")
+            size_line += 1
+        parts = line.split()
+        if len(parts) != 3 or "_" in line:  # int() would read "1_0" as 10
+            _fail(path, size_line, f"malformed size line {line.strip()!r}")
         try:
-            entries = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1)
-        except ValueError as exc:
-            _locate_fault(path, lines, size_line, nrows, count, symmetry, str(exc))
+            nrows, ncols, count = (int(p) for p in parts)
+        except ValueError:
+            _fail(path, size_line, f"malformed size line {line.strip()!r}")
+        if nrows != ncols:
+            _fail(path, size_line, f"matrix must be square, got {nrows}x{ncols}")
+        if nrows < 1 or count < 0:
+            _fail(path, size_line, "invalid dimensions")
+
+        entries = np.zeros(0, dtype=_ENTRY)
+        first_entry = next((ln for ln in fh if ln.strip()), None)
+        if first_entry is not None:  # loadtxt warns on a body with no data line
+            try:
+                entries = np.loadtxt(
+                    itertools.chain((first_entry,), fh), dtype=_ENTRY, comments=None, ndmin=1
+                )
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                _locate_fault(path, size_line, nrows, count, symmetry, str(exc))
     i, j, v = entries["i"] - 1, entries["j"] - 1, entries["v"]
     if not _entries_valid(i, j, v, nrows, count, symmetry == "symmetric"):
-        _locate_fault(path, lines, size_line, nrows, count, symmetry, "invalid entries")
+        _locate_fault(path, size_line, nrows, count, symmetry, "invalid entries")
     if symmetry == "symmetric":
         lower = i != j
         i, j, v = (np.concatenate((a, b[lower])) for a, b in ((i, j), (j, i), (v, v)))
@@ -319,19 +363,22 @@ def _entries_valid(i, j, v, n: int, count: int, symmetric: bool) -> bool:
     return np.array_equal(key[at], mirror) and np.array_equal(v[order][at], v)
 
 
-def _locate_fault(path, lines, size_line, nrows, count, symmetry, reason) -> NoReturn:
+def _locate_fault(path, size_line, nrows, count, symmetry, reason) -> NoReturn:
     """Raise the error of a file whose data lines failed a check as arrays.
 
-    Applies the checks line by line in file order: entry count, three
-    fields, integer indices and a float value (digit-group underscores,
-    which Python's ``int``/``float`` accept, are malformed), index range,
-    finiteness, lower triangle for ``symmetric`` files, no duplicate; then
-    the total count; then, for ``general`` files, symmetry at the first
-    offending entry in file order.  ``reason`` is the error if none of
-    these fire.
+    Reads the data lines again and applies the checks to each in file
+    order: entry count, three fields, integer indices and a float value
+    (digit-group underscores, which Python's ``int``/``float`` accept, are
+    malformed), index range, finiteness, lower triangle for ``symmetric``
+    files, no duplicate; then the total count; then, for ``general``
+    files, symmetry at the first offending entry in file order.
+    ``reason`` is the error if none of these fire.
     """
     entries: dict[tuple[int, int], float] = {}
-    for lineno, line in enumerate(lines[size_line:], start=size_line + 1):
+    with open(path, "r", encoding="ascii") as fh:
+        data_lines = list(itertools.islice(fh, size_line, None))
+    last_line = size_line + len(data_lines)
+    for lineno, line in enumerate(data_lines, start=size_line + 1):
         if not line.strip():
             continue
         if len(entries) == count:
@@ -353,7 +400,7 @@ def _locate_fault(path, lines, size_line, nrows, count, symmetry, reason) -> NoR
             _fail(path, lineno, f"duplicate entry ({i}, {j})")
         entries[(i, j)] = v
     if len(entries) != count:
-        _fail(path, len(lines), f"declared {count} entries but found {len(entries)}")
+        _fail(path, last_line, f"declared {count} entries but found {len(entries)}")
     if symmetry == "general":
         for (i, j), v in entries.items():
             if entries.get((j, i)) != v:

@@ -113,12 +113,19 @@ def apply_countsketch(R: SparseSymMatrix, s: int, stream: RngStream) -> np.ndarr
     """Sketch with one random sign per coordinate, in O(nnz(R)).
 
     Row t of Pi holds a single +-1 in a uniformly chosen column; R Pi
-    scatters each stored column of R into one sketch column.
+    scatters each stored column of R into one sketch column.  A filled R
+    is sketched as (Pi^T R)^T, a sparse product with its dense view: R is
+    exactly symmetric and each entry sums over the same coordinates in
+    the same order, so the sketch is bitwise the same.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
     cols = uniform_indices(stream.child(0), s, R.n)
     signs = rademacher_vector(stream.child(1), R.n)
+    view = R.dense_view()
+    if view is not None:
+        pi_t = sp.csr_matrix((signs, (cols, np.arange(R.n))), shape=(s, R.n))
+        return (pi_t @ view).T
     pi = sp.csc_matrix(
         (signs, (np.arange(R.n), cols)), shape=(R.n, s), dtype=np.float64
     )

@@ -68,6 +68,59 @@ def test_from_dense_holds_one_copy_of_the_indices():
     assert peak <= 13 * n * n
 
 
+def test_every_constructor_yields_canonical_csr(tmp_path):
+    # the filled-matrix products read the CSR values as the dense matrix,
+    # which holds only for sorted, duplicate-free rows
+    g = gaussian_vector(RngStream(2), 36).reshape(6, 6)
+    filled = SparseSymMatrix.from_dense(g + g.T)
+    tri, _ = generate_tridiagonal_poisson(6)
+    sym = tmp_path / "sym.mtx"
+    write_matrix_market(tri, sym)
+    general = tmp_path / "general.mtx"
+    general.write_text(GEN + "3 3 5\n3 1 0.5\n2 2 1.0\n1 3 0.5\n3 3 0.25\n1 1 2.0\n")
+    no_diagonal = SparseSymMatrix(
+        sp.csr_matrix((np.array([0.5, 0.5]), np.array([1, 0]), np.array([0, 1, 2])), shape=(2, 2))
+    )
+    built = {
+        "from_dense": filled,
+        "tridiagonal": tri,
+        "read symmetric": read_matrix_market(sym),
+        "read general": read_matrix_market(general),
+        "shifted filled": filled.shifted(2.0, -1.0),
+        "shifted stored diagonal": tri.shifted(2.0, -1.0),
+        "shifted without diagonal": no_diagonal.shifted(2.0, -1.0),
+    }
+    for name, r in built.items():
+        csr = r.scipy_csr
+        # a fresh wrapper recomputes the flag instead of trusting a cached one
+        fresh = sp.csr_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape)
+        assert csr.format == "csr" and fresh.has_canonical_format, name
+
+
+def test_filled_matrix_is_its_own_dense_view():
+    g = gaussian_vector(RngStream(3), 25).reshape(5, 5)
+    dense = g + g.T
+    r = SparseSymMatrix.from_dense(dense)
+    view = r.dense_view()
+    assert np.array_equal(view, dense) and not view.flags.writeable
+    assert np.shares_memory(view, r.scipy_csr.data)
+    assert np.shares_memory(r.to_dense(), r.scipy_csr.data)
+    tri, _ = generate_tridiagonal_poisson(5)
+    assert tri.dense_view() is None
+
+
+def test_filled_matmat_does_not_depend_on_block_width():
+    # gemm rounds a column the same at every block width, but a one-column
+    # product goes through gemv unless matmat pads it
+    n = 1024
+    g = gaussian_vector(RngStream(4), n * n).reshape(n, n)
+    r = SparseSymMatrix.from_dense((g + g.T) / 2.0)
+    x = gaussian_vector(RngStream(5), n * 129).reshape(n, 129)
+    full = r.matmat(x)
+    for w in range(1, 130):
+        assert np.array_equal(r.matmat(x[:, :w]), full[:, :w]), w
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -254,6 +307,7 @@ GEN = "%%MatrixMarket matrix coordinate real general\n"
         (SYM + "% only\n  % comments\n", 3, "missing size line"),
         (SYM + "2 2\n", 2, "malformed size line '2 2'"),
         (SYM + "2 2 x\n", 2, "malformed size line '2 2 x'"),
+        (SYM + "1_0 1_0 1\n1 1 1.0\n", 2, "malformed size line '1_0 1_0 1'"),
         (SYM + "0 0 0\n", 2, "invalid dimensions"),
         (SYM + "2 2 -1\n", 2, "invalid dimensions"),
         (SYM + "% a\n  % b\n2 2 1\n2 2 inf\n", 5, "non-finite value 'inf'"),

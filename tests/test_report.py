@@ -162,6 +162,14 @@ def test_shifted_operator_shares_the_index_arrays():
     assert not np.shares_memory(y.scipy_csr.data, r.scipy_csr.data)
 
 
+def test_shifted_filled_matrix_shifts_its_diagonal_in_place():
+    r, _ = rotated_density([0.5, 0.3, 0.15, 0.05], RngStream(7))
+    y = r.shifted(4.0 / 0.7, -2.0)
+    np.testing.assert_array_equal(y.to_dense(), 4.0 / 0.7 * r.to_dense() - 2.0 * np.eye(4))
+    assert np.shares_memory(y.scipy_csr.indices, r.scipy_csr.indices)
+    assert not np.shares_memory(y.scipy_csr.data, r.scipy_csr.data)
+
+
 def test_shifted_operator_without_a_stored_diagonal_entry():
     dense = np.array([[0.0, 0.25, 0.0], [0.25, 0.5, 0.0], [0.0, 0.0, 0.5]])
     r = SparseSymMatrix(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from conftest import diagonal_matrix
 from vnentropy import (
@@ -20,7 +21,8 @@ from vnentropy import (
     sketch_entropy,
 )
 from vnentropy.rng import rademacher_vector, uniform_indices
-from vnentropy.sketch import _hadamard_signs
+from vnentropy.linalg import thin_singular_values
+from vnentropy.sketch import SKETCH_CLAMP, _hadamard_signs
 
 
 def countsketch_matrix(s, n, stream):
@@ -118,6 +120,21 @@ def test_countsketch_equals_dense_projection_product():
     sketch = apply_countsketch(r, 9, RngStream(11))
     pi = countsketch_matrix(9, 20, RngStream(11))
     assert np.max(np.abs(sketch - r.to_dense() @ pi)) < 1e-12
+
+
+def test_countsketch_of_a_filled_matrix_is_bitwise_the_csr_sketch():
+    # (Pi^T R)^T sums each entry over the same coordinates in the same
+    # order as the CSR product R Pi, and R is exactly symmetric
+    r, _ = generate_low_rank_density(1024, 10, "linear", RngStream(4))
+    assert r.dense_view() is not None
+    s, stream = 256, RngStream(9)
+    cols = uniform_indices(stream.child(0), s, r.n)
+    signs = rademacher_vector(stream.child(1), r.n)
+    pi = scipy.sparse.csc_matrix((signs, (np.arange(r.n), cols)), shape=(r.n, s))
+    probs = thin_singular_values((r.scipy_csr @ pi).toarray(), 10)
+    got = sketch_entropy(r, 10, ProjectionSpec("countsketch", s, stream))
+    assert np.array_equal(got.probs_tilde, probs)
+    assert got.entropy_tilde == entropy_from_probs(probs, SKETCH_CLAMP)
 
 
 def test_default_s_examples():
