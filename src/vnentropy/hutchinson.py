@@ -1,17 +1,30 @@
 """Gaussian block probe driver shared by the Taylor and Chebyshev estimators.
 
 Probe i draws its Gaussian vector from ``stream.child(i)``.  The probes are
-stacked into n x b blocks of at most ``PROBE_CHUNK`` columns, each block is
-handed to a caller-supplied kernel that returns one value per column (or
-one row of them per quantity), and each quantity's per-probe values are
-reduced from one contiguous array in fixed index order, so results are
-bitwise reproducible however the probes are scheduled and however many
-quantities one pass yields.
+stacked into n x b blocks, each block is handed to a caller-supplied kernel
+that returns one value per column (or one row of them per quantity), and
+each quantity's per-probe values are reduced from one contiguous array in
+fixed index order, so results are bitwise reproducible however the probes
+are scheduled and however many quantities one pass yields.
+
+A block holds at most ``BLOCK_ENTRIES`` entries (8 MiB): ``PROBE_CHUNK``
+columns up to n = 8192, fewer beyond.  The widths depend on n and s only,
+never on the machine.  When a block is that full (n >= 8192) and the
+caller is the main thread, the blocks run on a pool of one thread per
+available CPU (at most one per block); the sparse product, the
+reductions and the draws release the GIL.  Elsewhere, for instance in a
+``bench`` cell on its own ``--threads`` pool, they run one after another.
+Each worker holds about five blocks at a time.  A matrix with every entry
+stored multiplies through BLAS, whose own threads then multiply with the
+workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -19,6 +32,7 @@ import numpy as np
 from .rng import RngStream, gaussian_vector
 
 PROBE_CHUNK = 128
+BLOCK_ENTRIES = 2**20
 
 
 def default_s(epsilon: float, delta: float) -> int:
@@ -28,6 +42,36 @@ def default_s(epsilon: float, delta: float) -> int:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return math.ceil(20.0 * math.log(2.0 / delta) / epsilon**2)
+
+
+def available_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def probe_blocks(n: int, s: int) -> list[range]:
+    """The probe indices of each block, in order.
+
+    Blocks are ``min(PROBE_CHUNK, BLOCK_ENTRIES // n)`` columns wide, at
+    least 2.  ``einsum`` sums the forms of a one-column block in another
+    order than those of a wider block, whose columns get the same bits at
+    any width.  So the last probe runs alone exactly when s = 1 (mod
+    PROBE_CHUNK), as with blocks of ``PROBE_CHUNK`` columns, and otherwise
+    joins the block before it: every probe keeps the bits it has in such
+    blocks.
+    """
+    width = min(PROBE_CHUNK, max(2, BLOCK_ENTRIES // n))
+    edges = list(range(0, s, width))
+    if s % PROBE_CHUNK == 1:
+        if edges[-1] != s - 1:
+            edges.append(s - 1)
+    elif edges[-1] == s - 1:
+        edges.pop()
+    edges.append(s)
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def probe_average(
@@ -42,17 +86,24 @@ def probe_average(
     trace(A).  A kernel may return a d x b array instead of b values, one
     row per matrix A; the result is then the d means.
 
-    ``draw(stream, n)`` generates one probe vector.
+    ``draw(stream, n)`` generates one probe vector.  The kernel may be
+    called from several threads at once (see the module docstring).
     """
     if s < 1:
         raise ValueError("s must be at least 1")
-    per_probe = None
-    for start in range(0, s, PROBE_CHUNK):
-        stop = min(start + PROBE_CHUNK, s)
-        block = np.column_stack([draw(stream.child(i), n) for i in range(start, stop)])
-        values = kernel(block)
-        if per_probe is None:
-            per_probe = np.empty(np.shape(values)[:-1] + (s,))
-        per_probe[..., start:stop] = values
+
+    def run(block: range) -> np.ndarray:
+        return kernel(np.column_stack([draw(stream.child(i), n) for i in block]))
+
+    blocks = probe_blocks(n, s)
+    on_main = threading.current_thread() is threading.main_thread()
+    fan_out = on_main and n * PROBE_CHUNK >= BLOCK_ENTRIES
+    workers = min(len(blocks), available_cpus()) if fan_out else 1
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            values = list(pool.map(run, blocks))
+    else:
+        values = [run(block) for block in blocks]
+    per_probe = np.concatenate(values, axis=-1, dtype=np.float64)
     means = np.array([row.sum() for row in per_probe.reshape(-1, s)]) / s
     return float(means[0]) if per_probe.ndim == 1 else means

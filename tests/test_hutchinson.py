@@ -1,7 +1,18 @@
+import threading
+
 import numpy as np
 import pytest
 
-from vnentropy import RngStream, default_s, probe_average
+from vnentropy import (
+    EstimatorConfig,
+    RngStream,
+    chebyshev_entropy,
+    default_s,
+    generate_tridiagonal_poisson,
+    hutchinson,
+    probe_average,
+    taylor_entropy,
+)
 from vnentropy.hutchinson import PROBE_CHUNK
 from vnentropy.rng import gaussian_vector
 
@@ -78,19 +89,22 @@ def test_estimate_rejects_zero_probes():
 
 
 def test_blocks_hold_probes_in_index_order():
-    stream = RngStream(5)
-    s = 2 * PROBE_CHUNK + 44
-    blocks = []
+    for n, widths in ((3, [PROBE_CHUNK, PROBE_CHUNK, 44]), (32768, [32, 32, 32, 12])):
+        stream = RngStream(5)
+        s = sum(widths)
+        blocks = []
 
-    def first_entries(block):
-        blocks.append(block.copy())
-        return block[0]
+        def first_entries(block):
+            blocks.append(block[0].copy())  # blocks of n=32768 run on a pool
+            return block[0]
 
-    est = probe_average(3, s, stream, first_entries)
-    assert [b.shape for b in blocks] == [(3, PROBE_CHUNK), (3, PROBE_CHUNK), (3, 44)]
-    expected = np.array([gaussian_vector(stream.child(i), 3)[0] for i in range(s)])
-    assert np.array_equal(np.concatenate([b[0] for b in blocks]), expected)
-    assert est == float(expected.sum() / s)
+        est = probe_average(n, s, stream, first_entries)
+        expected = np.array([gaussian_vector(stream.child(i), n)[0] for i in range(s)])
+        starts = np.cumsum([0] + widths)
+        assert sorted(map(tuple, blocks)) == sorted(
+            tuple(expected[a:b]) for a, b in zip(starts, starts[1:])
+        )
+        assert est == float(expected.sum() / s)
 
 
 def test_probes_come_from_the_given_draw():
@@ -103,3 +117,61 @@ def test_probes_come_from_the_given_draw():
     est = probe_average(4, 5, RngStream(1), lambda block: block.sum(axis=0), draw)
     assert est == 4.0
     assert calls == [(RngStream(1).child(i).stream_id, 4) for i in range(5)]
+
+
+def test_a_lone_last_probe_runs_alone_only_when_it_did_in_full_chunks():
+    def widths(n, s):
+        return [len(b) for b in hutchinson.probe_blocks(n, s)]
+
+    assert widths(16384, 129) == [64, 64, 1]
+    assert widths(16384, 65) == [65]
+    assert widths(10000, 129) == [104, 24, 1]
+    assert widths(4096, 129) == [PROBE_CHUNK, 1]
+    assert widths(2**21, 5) == [2, 3]
+
+
+def run_all(r, s):
+    """probe_average, taylor_entropy and chebyshev_entropy on r, with the
+    threads each kernel call ran on."""
+    threads = set()
+
+    def forms(block):
+        threads.add(threading.get_ident())
+        return np.einsum("ij,ij->j", block, r.matmat(block))
+
+    cfg = EstimatorConfig(m_override=(6, 10), s_override=s, seed=3)
+    taylor, cheb = taylor_entropy(r, cfg), chebyshev_entropy(r, cfg)
+    out = (probe_average(r.n, s, RngStream(9), forms), taylor.estimates, cheb.estimates)
+    return out, threads
+
+
+def test_bits_do_not_depend_on_workers_calling_thread_or_width(monkeypatch):
+    r, _ = generate_tridiagonal_poisson(16384)
+    s = 129  # blocks of 64, 64 and 1
+    with monkeypatch.context() as m:
+        m.setattr(hutchinson, "BLOCK_ENTRIES", 2**40)  # PROBE_CHUNK wide, serial
+        assert len(hutchinson.probe_blocks(r.n, s)[0]) == PROBE_CHUNK
+        full_chunks, _ = run_all(r, s)
+    main = threading.get_ident()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(hutchinson, "available_cpus", lambda: workers)
+        out, threads = run_all(r, s)
+        assert out == full_chunks
+        assert (main in threads) == (workers == 1)
+    caller = {}
+
+    def on_another_thread():
+        caller["out"], caller["threads"] = run_all(r, s)
+
+    worker = threading.Thread(target=on_another_thread)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert caller["out"] == full_chunks
+    assert caller["threads"] == {worker.ident}
+
+
+def test_small_matrices_never_fan_out(monkeypatch):
+    monkeypatch.setattr(hutchinson, "available_cpus", lambda: 3)
+    _, threads = run_all(generate_tridiagonal_poisson(4096)[0], 300)
+    assert threads == {threading.get_ident()}
