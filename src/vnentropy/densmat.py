@@ -201,27 +201,12 @@ def generate_tridiagonal_poisson(n: int) -> tuple[SparseSymMatrix, np.ndarray]:
     """Second-difference matrix (diag 2, off-diag -1) scaled to unit trace."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    # Set-up time here is mostly page faults on fresh arrays: the spectrum
-    # comes first, so the matrix arrays can reuse its temporaries' memory,
-    # and the canonical CSR arrays are written in place, with no
-    # intermediate format.  Row i stores columns i-1, i and i+1 where they
-    # exist, so stored entry j lies on the diagonal when j % 3 == 0, at
-    # column j // 3 + 1 when j % 3 == 1 and at j // 3 when j % 3 == 2.
-    probs = poisson_spectrum(n)
     scale = 1.0 / (2.0 * n)
-    nnz = 3 * n - 2
-    index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
-    data = np.full(nnz, -scale)
-    data[::3] = 2.0 * scale
-    cols = np.arange(n, dtype=index)
-    indices = np.empty(nnz, dtype=index)
-    indices[::3] = cols
-    indices[1::3] = cols[1:]
-    indices[2::3] = cols[:-1]
-    indptr = np.arange(-1, 3 * n, 3, dtype=index)
-    indptr[0], indptr[-1] = 0, nnz
-    a = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    return SparseSymMatrix(a), probs
+    diag = np.full(n, 2.0 * scale)
+    off = np.full(n - 1, -1.0 * scale)
+    a = sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr")
+    a.sort_indices()
+    return SparseSymMatrix(a), poisson_spectrum(n)
 
 
 def low_rank_probs(k: int, decay: str) -> np.ndarray:

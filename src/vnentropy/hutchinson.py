@@ -7,16 +7,18 @@ each quantity's per-probe values are reduced from one contiguous array in
 fixed index order, so results are bitwise reproducible however the probes
 are scheduled and however many quantities one pass yields.
 
-A block holds at most ``BLOCK_ENTRIES`` entries (8 MiB): ``PROBE_CHUNK``
+A block holds about ``BLOCK_ENTRIES`` entries (8 MiB): ``PROBE_CHUNK``
 columns up to n = 8192, fewer beyond.  The widths depend on n and s only,
 never on the machine.  When a block is that full (n >= 8192) and the
 caller is the main thread, the blocks run on a pool of one thread per
-available CPU (at most one per block); the sparse product, the
-reductions and the draws release the GIL.  Elsewhere, for instance in a
-``bench`` cell on its own ``--threads`` pool, they run one after another.
-Each worker holds about five blocks at a time.  A matrix with every entry
-stored multiplies through BLAS, whose own threads then multiply with the
-workers.
+available CPU (at most one per block); the sparse product, the reductions
+and the draws release the GIL.  Smaller matrices stay serial: on a tiny
+one each draw is mostly Python overhead that holds the GIL, and on a
+filled one BLAS threads already share the CPUs, so a pool can be slower.
+Elsewhere, for instance in a ``bench`` cell on its own ``--threads`` pool,
+the blocks run one after another.  Each worker holds about five blocks at
+a time.  A matrix with every entry stored multiplies through BLAS, whose
+own threads then multiply with the workers.
 """
 
 from __future__ import annotations
@@ -59,18 +61,19 @@ def probe_blocks(n: int, s: int) -> list[range]:
     least 2.  ``einsum`` sums the forms of a one-column block in another
     order than those of a wider block, whose columns get the same bits at
     any width.  So the last probe runs alone exactly when s = 1 (mod
-    PROBE_CHUNK), as with blocks of ``PROBE_CHUNK`` columns, and otherwise
-    joins the block before it: every probe keeps the bits it has in such
+    PROBE_CHUNK), as with blocks of ``PROBE_CHUNK`` columns, and no other
+    probe ever does: a single probe left over at the end of the others
+    joins the block before it.  Every probe keeps the bits it has in such
     blocks.
     """
     width = min(PROBE_CHUNK, max(2, BLOCK_ENTRIES // n))
-    edges = list(range(0, s, width))
-    if s % PROBE_CHUNK == 1:
-        if edges[-1] != s - 1:
-            edges.append(s - 1)
-    elif edges[-1] == s - 1:
+    body = s - 1 if s % PROBE_CHUNK == 1 else s
+    edges = list(range(0, body, width))
+    if edges[1:] and edges[-1] == body - 1:
         edges.pop()
-    edges.append(s)
+    edges.append(body)
+    if body < s:
+        edges.append(s)
     return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 

@@ -172,18 +172,6 @@ def test_tridiagonal_spectrum_matches_eigensolver():
         assert np.max(np.abs(np.sort(poisson_spectrum(n)) - w)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 7, 1000])
-def test_tridiagonal_arrays_equal_those_of_scipy_diags(n):
-    scale = 1.0 / (2.0 * n)
-    off = np.full(n - 1, -scale)
-    ref = sp.diags([off, np.full(n, 2.0 * scale), off], offsets=[-1, 0, 1], format="csr")
-    ref.sort_indices()
-    csr = generate_tridiagonal_poisson(n)[0].scipy_csr
-    for name in ("data", "indices", "indptr"):
-        got, want = getattr(csr, name), getattr(ref, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
-
-
 def test_tridiagonal_rejects_tiny_n():
     with pytest.raises(ValueError):
         generate_tridiagonal_poisson(1)

@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -88,22 +89,31 @@ def test_estimate_rejects_zero_probes():
         probe_average(2, 0, RngStream(0), dense_forms(np.eye(2)))
 
 
-def test_blocks_hold_probes_in_index_order():
-    for n, widths in ((3, [PROBE_CHUNK, PROBE_CHUNK, 44]), (32768, [32, 32, 32, 12])):
+def test_blocks_hold_probes_in_index_order(monkeypatch):
+    main = threading.get_ident()
+    for n, workers, widths in (
+        (3, 2, [PROBE_CHUNK, PROBE_CHUNK, 44]),  # too small for a pool
+        (32768, 1, [32, 32, 32, 12]),
+        (32768, 2, [32, 32, 32, 12]),  # on a pool, blocks arrive in any order
+    ):
+        monkeypatch.setattr(hutchinson, "available_cpus", lambda: workers)
         stream = RngStream(5)
         s = sum(widths)
         blocks = []
 
         def first_entries(block):
-            blocks.append(block[0].copy())  # blocks of n=32768 run on a pool
+            blocks.append((threading.get_ident(), block.shape, block[0].copy()))
             return block[0]
 
         est = probe_average(n, s, stream, first_entries)
         expected = np.array([gaussian_vector(stream.child(i), n)[0] for i in range(s)])
-        starts = np.cumsum([0] + widths)
-        assert sorted(map(tuple, blocks)) == sorted(
-            tuple(expected[a:b]) for a, b in zip(starts, starts[1:])
-        )
+        pooled = n > 3 and workers > 1
+        assert all((thread != main) == pooled for thread, _, _ in blocks)
+        if pooled:  # put the blocks in the order of their first probes
+            index = {value: i for i, value in enumerate(expected)}
+            blocks.sort(key=lambda b: index[b[2][0]])
+        assert [shape for _, shape, _ in blocks] == [(n, w) for w in widths]
+        assert np.array_equal(np.concatenate([row for _, _, row in blocks]), expected)
         assert est == float(expected.sum() / s)
 
 
@@ -128,6 +138,13 @@ def test_a_lone_last_probe_runs_alone_only_when_it_did_in_full_chunks():
     assert widths(10000, 129) == [104, 24, 1]
     assert widths(4096, 129) == [PROBE_CHUNK, 1]
     assert widths(2**21, 5) == [2, 3]
+    assert widths(8256, 129) == [128, 1]  # 127 wide: probe 127 joins the block before it
+    assert widths(12300, 257) == [85, 85, 86, 1]
+    for n in (3, 8256, 12300, 65536, 2**21):
+        for s in range(1, 3 * PROBE_CHUNK + 2):
+            w = widths(n, s)
+            assert sum(w) == s and min(w[:-1], default=2) >= 2
+            assert (w[-1] == 1) == (s % PROBE_CHUNK == 1)
 
 
 def run_all(r, s):
@@ -149,7 +166,8 @@ def test_bits_do_not_depend_on_workers_calling_thread_or_width(monkeypatch):
     r, _ = generate_tridiagonal_poisson(16384)
     s = 129  # blocks of 64, 64 and 1
     with monkeypatch.context() as m:
-        m.setattr(hutchinson, "BLOCK_ENTRIES", 2**40)  # PROBE_CHUNK wide, serial
+        m.setattr(hutchinson, "BLOCK_ENTRIES", 2**40)  # PROBE_CHUNK wide
+        m.setattr(hutchinson, "available_cpus", lambda: 1)
         assert len(hutchinson.probe_blocks(r.n, s)[0]) == PROBE_CHUNK
         full_chunks, _ = run_all(r, s)
     main = threading.get_ident()
@@ -175,3 +193,17 @@ def test_small_matrices_never_fan_out(monkeypatch):
     monkeypatch.setattr(hutchinson, "available_cpus", lambda: 3)
     _, threads = run_all(generate_tridiagonal_poisson(4096)[0], 300)
     assert threads == {threading.get_ident()}
+
+
+def test_a_failing_block_stops_the_blocks_not_yet_started(monkeypatch):
+    monkeypatch.setattr(hutchinson, "available_cpus", lambda: 2)
+    calls = []
+
+    def failing(block):
+        calls.append(block.shape)
+        time.sleep(0.05)
+        raise RuntimeError("kernel failed")
+
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        probe_average(8192, 20 * PROBE_CHUNK, RngStream(1), failing)
+    assert len(calls) < 10  # of 20 blocks
