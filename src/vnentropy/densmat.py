@@ -22,6 +22,9 @@ from .rng import RngStream, gaussian_vector
 
 TRACE_TOL = 1e-10
 
+# width of the square tiles that symmetrize and check a dense matrix in place
+_TILE = 256
+
 
 class MatrixMarketError(ValueError):
     """Malformed Matrix Market input; message carries the line number."""
@@ -36,8 +39,11 @@ class SparseSymMatrix:
     entries are stored (the haar, lowrank and linuniform generators), the
     data array is the row-major dense matrix, and ``matvec``, ``matmat``,
     ``shifted`` and ``to_dense`` work on that view through numpy/BLAS;
-    every other matrix uses scipy's CSR kernels.  Instances are immutable
-    and safe for concurrent read-only use.
+    every other matrix uses scipy's CSR kernels.  A filled matrix holds
+    8 n^2 bytes of values and 4 n^2 bytes of int32 column indices.
+    :meth:`from_dense` copies its argument; the lowrank and linuniform
+    generators hand their own n x n array over instead.  Instances are
+    immutable and safe for concurrent read-only use.
     """
 
     scipy_csr: sp.csr_matrix
@@ -52,23 +58,34 @@ class SparseSymMatrix:
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SparseSymMatrix":
-        """Store a dense symmetric matrix with every entry explicit.
+        """Store a copy of a dense symmetric matrix with every entry explicit.
 
         Keeping explicit zeros stores all n^2 entries, so products run
-        through BLAS on a view of the values.
+        through BLAS on a view of the values.  Writing to the caller's
+        array later leaves the matrix unchanged.
         """
-        a = np.ascontiguousarray(dense, dtype=np.float64)
+        return cls._adopt(np.array(dense, dtype=np.float64, order="C", ndmin=1))
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray) -> "SparseSymMatrix":
+        """Wrap a C-ordered float64 array as the values of a filled matrix,
+        without copying it; the caller must not write to it afterwards.
+
+        Checks exact symmetry one tile pair at a time and finiteness one
+        row band at a time, so no n x n temporary is made.
+        """
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.array_equal(a, a.T):
-            raise ValueError("matrix is not exactly symmetric")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix contains non-finite entries")
         n = a.shape[0]
+        # NaN is unequal to itself, so it fails here, before the finiteness check
+        if not all(np.array_equal(a[i, j], a[j, i].T) for i, j in _tile_pairs(n)):
+            raise ValueError("matrix is not exactly symmetric")
+        if not all(np.isfinite(a[i : i + _TILE]).all() for i in range(0, n, _TILE)):
+            raise ValueError("matrix contains non-finite entries")
         # int32, the index dtype scipy keeps, so it makes no copy of the tile
         indices = np.tile(np.arange(n, dtype=np.int32), n)
         indptr = np.arange(0, n * n + 1, n)
-        return cls(sp.csr_matrix((a.ravel().copy(), indices, indptr), shape=(n, n)))
+        return cls(sp.csr_matrix((a.reshape(-1), indices, indptr), shape=(n, n), copy=False))
 
     def dense_view(self) -> np.ndarray | None:
         """The matrix as a read-only row-major n x n view of the stored
@@ -162,10 +179,26 @@ def validate_spectrum(probs: np.ndarray) -> None:
         raise ValueError("probabilities must be sorted descending")
 
 
+def _tile_pairs(n: int):
+    """Slices (I, J) of the square tiles on and below the diagonal of an
+    n x n matrix; with their mirrors (J, I) they cover every entry."""
+    starts = range(0, n, _TILE)
+    return ((slice(i, i + _TILE), slice(j, j + _TILE)) for i in starts for j in starts if j <= i)
+
+
 def _sym_from_product(q: np.ndarray, probs: np.ndarray) -> SparseSymMatrix:
-    dense = (q * probs) @ q.T
-    dense = (dense + dense.T) / 2.0  # make symmetry exact
-    return SparseSymMatrix.from_dense(dense)
+    """The matrix (q * probs) @ q.T, made exactly symmetric in place.
+
+    Each tile pair gets (A[I,J] + A[J,I].T) / 2 and its transpose, the
+    bits of (d + d.T) / 2 since addition commutes, so the product is the
+    only n x n array and it becomes the CSR values.
+    """
+    a = (q * probs) @ q.T
+    for i, j in _tile_pairs(a.shape[0]):
+        lo = (a[i, j] + a[j, i].T) / 2.0
+        a[i, j] = lo
+        a[j, i] = lo.T
+    return SparseSymMatrix._adopt(a)
 
 
 def generate_haar_like_density(

@@ -21,7 +21,7 @@ from vnentropy import (
     write_matrix_market,
 )
 from vnentropy.densmat import MatrixMarketError, low_rank_probs, validate_spectrum
-from vnentropy.linalg import dense_eigvalsh
+from vnentropy.linalg import dense_eigvalsh, householder_qr
 from vnentropy.rng import gaussian_vector
 
 
@@ -119,6 +119,66 @@ def test_filled_matmat_does_not_depend_on_block_width():
     full = r.matmat(x)
     for w in range(1, 130):
         assert np.array_equal(r.matmat(x[:, :w]), full[:, :w]), w
+
+
+def _plain_refusal(a):
+    """The message of the whole-array checks the tiled ones replace."""
+    if not np.array_equal(a, a.T):
+        return "matrix is not exactly symmetric"
+    if not np.all(np.isfinite(a)):
+        return "matrix contains non-finite entries"
+
+
+def _symmetric(n):
+    g = gaussian_vector(RngStream(8), n * n).reshape(n, n)
+    return (g + g.T) / 2.0
+
+
+def _bad_matrix(n, fault):
+    a = _symmetric(n)
+    kind, i, j = fault
+    if kind == "asymmetric":
+        a[i, j] += 1.0
+    elif kind == "lone inf":
+        a[i, j] = np.inf
+    else:
+        a[i, j] = a[j, i] = {"nan": np.nan, "inf": np.inf}[kind]
+    return a
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        ("asymmetric", 10, 3),  # diagonal tile
+        ("asymmetric", 3, 10),
+        ("asymmetric", 280, 10),  # off-diagonal tile
+        ("asymmetric", 10, 280),
+        ("asymmetric", 299, 270),  # last, partial tile
+        ("nan", 5, 5),
+        ("nan", 290, 20),
+        ("inf", 7, 7),
+        ("inf", 299, 100),
+        ("inf", 299, 280),  # last, partial row band only
+        ("lone inf", 120, 299),
+    ],
+)
+def test_tiled_checks_refuse_like_the_plain_ones(fault):
+    # n=300 gives a partial second tile row and column
+    a = _bad_matrix(300, fault)
+    expected = _plain_refusal(a)
+    for build in (SparseSymMatrix.from_dense, SparseSymMatrix._adopt):
+        with pytest.raises(ValueError) as excinfo:
+            build(a.copy())
+        assert str(excinfo.value) == expected
+
+
+def test_from_dense_does_not_alias_its_argument():
+    dense = _symmetric(300)
+    kept = dense.copy()
+    r = SparseSymMatrix.from_dense(dense)
+    dense[...] = np.nan
+    assert np.array_equal(r.to_dense(), kept)
+    assert not np.shares_memory(r.scipy_csr.data, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +281,39 @@ def test_linear_plus_uniform_full_rank():
     assert model[-1] > 0
     w = dense_eigvalsh(r.to_dense())
     assert w.min() > 0.5 * model[-1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 700])
+@pytest.mark.parametrize("family", ["linear", "exponential", "linuniform"])
+def test_generated_matrix_has_the_bits_of_the_symmetrized_copy(family, n):
+    # the in-place tile-pair symmetrization against (d + d.T) / 2 of the
+    # same product, stored through from_dense
+    k = min(n, 3)
+    if family == "linuniform":
+        r, probs = generate_linear_plus_uniform(n, k, RngStream(n))
+        q = householder_qr(gaussian_vector(RngStream(n), n * n).reshape(n, n))
+    else:
+        r, probs = generate_low_rank_density(n, k, family, RngStream(n))
+        q = householder_qr(gaussian_vector(RngStream(n), n * k).reshape(n, k))
+    d = (q * probs) @ q.T
+    expected = SparseSymMatrix.from_dense((d + d.T) / 2.0).scipy_csr
+    assert r.dense_view() is not None
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(r.scipy_csr, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_low_rank_generation_holds_one_dense_array():
+    # the product's 8 n^2 bytes become the CSR values, next to 4 n^2 of
+    # int32 indices; a symmetrized copy or a copy into the CSR adds 8 n^2
+    n = 1024
+    tracemalloc.start()
+    try:
+        generate_low_rank_density(n, 10, "linear", RngStream(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * n * n
 
 
 # ---------------------------------------------------------------------------
