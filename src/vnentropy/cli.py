@@ -5,6 +5,11 @@ trailing per-cell summary block.  All commands are deterministic for a
 fixed seed; pass ``--no-timings`` to drop wall-clock fields so repeated
 runs (and runs with different ``--threads``) are byte-identical.
 
+Every command runs with numpy's bundled OpenBLAS held at one thread, so
+its output does not depend on ``OPENBLAS_NUM_THREADS``; the previous count
+is restored on exit.  Products with a filled matrix of n >= 2048 still
+use every CPU, through their row-band pool.
+
 Exit codes: 0 success (possibly with warnings), 1 usage error,
 2 numerical or I/O failure.
 """
@@ -16,10 +21,11 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -30,6 +36,7 @@ from . import linalg
 from .chebyshev import chebyshev_entropy
 from .densmat import (
     SparseSymMatrix,
+    blas_thread_functions,
     generate_haar_like_density,
     generate_linear_plus_uniform,
     generate_low_rank_density,
@@ -56,6 +63,8 @@ FAMILIES = ("haar", "tridiagonal", "lowrank", "linuniform")
 DECAYS = ("exponential", "linear")
 METHODS = ("exact", "taylor", "chebyshev", "sketch")
 SERIES = ("taylor", "chebyshev")
+# traced peak memory of the dense generators, in bytes per entry of the n x n matrix
+DENSE_PEAK = {"haar": 44, "linuniform": 33, "lowrank": 12}
 # bench grid method name -> (method, projection kind, nte)
 GRID_METHODS = {
     "exact": ("exact", None, False),
@@ -152,19 +161,35 @@ def load_matrix(path) -> tuple[SparseSymMatrix, np.ndarray | None]:
 # ---------------------------------------------------------------------------
 
 
+def physical_memory() -> int | None:
+    """Bytes of physical memory on this machine; None where unknown."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return None
+
+
 def generate_family(
     family: str, n: int, k: int | None, decay: str, seed: int
 ) -> tuple[SparseSymMatrix, np.ndarray | None]:
     """The matrix ``generate`` writes and a bench grid's family spec names,
     with its spectrum where known.
 
-    A family, size or decay the generators would refuse is a UsageError.
+    A family, size or decay the generators would refuse is a UsageError;
+    so is a dense family whose build would need more than the machine's
+    physical memory.
     """
     if family not in FAMILIES:
         raise UsageError(f"unknown matrix family {family!r}")
     min_n = 2 if family == "tridiagonal" else 1
     if n < min_n:
         raise UsageError(f"the {family} family needs n >= {min_n}, got {n}")
+    memory = physical_memory() if family in DENSE_PEAK else None
+    if memory is not None and DENSE_PEAK[family] * n * n > memory:
+        raise UsageError(
+            f"the {family} family at n={n} needs about {DENSE_PEAK[family] * n * n / 2**30:.1f} GiB, "
+            f"more than this machine's {memory / 2**30:.1f} GiB of memory"
+        )
     stream = RngStream(seed)
     if family == "haar":
         return generate_haar_like_density(n, stream)
@@ -315,7 +340,7 @@ def cmd_estimate(args) -> int:
                 record["rel_err"] = rec.rel_err
             else:
                 record["abs_err"] = abs(rec.estimate - rec.exact)
-        record["warnings"] = rec.warnings
+        record["warnings"] = [*rec.warnings, *args.warnings]
         out.write(json.dumps(record) + "\n")
     return 0
 
@@ -644,16 +669,39 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
+def one_blas_thread():
+    """Hold the BLAS at one thread for the block, then restore its count.
+
+    Yields None, or the warning to report when the count cannot be set.
+    """
+    functions = blas_thread_functions()
+    if functions is None:
+        yield "BLAS thread count not pinned (numpy's bundled OpenBLAS not found): last digits may depend on it"
+        return
+    get, set_ = functions
+    previous = get()
+    set_(1)
+    try:
+        yield None
+    finally:
+        set_(previous)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        parser.exit(EXIT_USAGE, f"vnentropy: usage error: {exc}\n")
-    except (ValueError, OSError) as exc:
-        print(f"vnentropy: error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    with one_blas_thread() as unpinned:
+        args.warnings = [unpinned] if unpinned else []
+        if unpinned and args.command != "estimate":
+            print(f"vnentropy: warning: {unpinned}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except UsageError as exc:
+            parser.exit(EXIT_USAGE, f"vnentropy: usage error: {exc}\n")
+        except (ValueError, OSError) as exc:
+            print(f"vnentropy: error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -4,13 +4,16 @@ A density matrix is a symmetric positive semidefinite matrix with unit
 trace; its eigenvalues are the probabilities of the underlying pure
 states.  Matrices are stored in CSR form (:class:`SparseSymMatrix`); one
 with every entry stored is multiplied through BLAS on a view of its CSR
-values.
+values, in fixed row bands from n = 2048 up while the BLAS runs one
+thread.
 Generators that know their own spectrum return it, a descending array,
 so estimator output can be checked against ground truth.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NoReturn
@@ -18,12 +21,16 @@ from typing import NoReturn
 import numpy as np
 import scipy.sparse as sp
 
+from .hutchinson import fan_out
 from .rng import RngStream, gaussian_vector
 
 TRACE_TOL = 1e-10
 
 # width of the square tiles that symmetrize and check a dense matrix in place
 _TILE = 256
+# a filled product of at least BAND_MIN_N rows runs in bands of BAND_ROWS rows
+BAND_ROWS = 256
+BAND_MIN_N = 2048
 
 
 class MatrixMarketError(ValueError):
@@ -38,9 +45,11 @@ class SparseSymMatrix:
     indices are sorted within each row and none repeats.  When all n^2
     entries are stored (the haar, lowrank and linuniform generators), the
     data array is the row-major dense matrix, and ``matvec``, ``matmat``,
-    ``shifted`` and ``to_dense`` work on that view through numpy/BLAS;
-    every other matrix uses scipy's CSR kernels.  A filled matrix holds
-    8 n^2 bytes of values and 4 n^2 bytes of int32 column indices.
+    ``shifted`` and ``to_dense`` work on that view through numpy/BLAS
+    (``matmat`` in row bands from n = 2048 up while the BLAS runs one
+    thread, on a thread pool when called from the main thread); every
+    other matrix uses scipy's CSR kernels.  A filled matrix holds 8 n^2
+    bytes of values and 4 n^2 bytes of int32 column indices.
     :meth:`from_dense` copies its argument; the lowrank and linuniform
     generators hand their own n x n array over instead.  Instances are
     immutable and safe for concurrent read-only use.
@@ -123,7 +132,16 @@ class SparseSymMatrix:
         A filled matrix multiplies through BLAS gemm.  Gemm rounds each
         column the same at any block width, but a one-column product would
         go through gemv, which rounds differently; it is padded to two
-        columns instead.
+        columns instead.  From n = ``BAND_MIN_N`` up, while numpy's bundled
+        OpenBLAS runs one thread (as the CLI holds it), the product fills
+        one n x s output in bands of ``BAND_ROWS`` rows, the rows left over
+        at the end joining the last band; the bands run through
+        :func:`~vnentropy.hutchinson.fan_out`, so on a pool when called
+        from the main thread.  The layout depends on n only, and each band
+        gets the bits of one unbanded product.  Smaller bands would reach
+        OpenBLAS's small-matrix kernel at narrow widths, which rounds
+        differently, so below ``BAND_MIN_N`` the product stays one call; so
+        it does under a BLAS on more threads, which already share the CPUs.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.n:
@@ -132,8 +150,8 @@ class SparseSymMatrix:
         if view is None:
             return self.scipy_csr @ x
         if x.shape[1] == 1:
-            return (view @ np.repeat(x, 2, axis=1))[:, :1]
-        return view @ x
+            return _banded_product(view, np.repeat(x, 2, axis=1))[:, :1]
+        return _banded_product(view, x)
 
     def shifted(self, scale: float, shift: float) -> "SparseSymMatrix":
         """The matrix scale * self + shift * I.
@@ -177,6 +195,43 @@ def validate_spectrum(probs: np.ndarray) -> None:
         raise ValueError(f"probabilities sum to {probs.sum():.12g}, not 1")
     if np.any(np.diff(probs) > 0):
         raise ValueError("probabilities must be sorted descending")
+
+
+@functools.cache
+def blas_thread_functions():
+    """The get and set thread-count functions of numpy's bundled OpenBLAS;
+    None when numpy links another BLAS."""
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    try:
+        # a handle on numpy's extension also finds the symbols of the BLAS it links
+        lib = ctypes.CDLL(core.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def _banded_product(view: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """view @ x, in row bands from n = BAND_MIN_N up while the BLAS runs
+    one thread (see ``matmat``)."""
+    n = view.shape[0]
+    blas = blas_thread_functions()
+    # a BLAS on more threads, or one whose count is unknown, already shares the CPUs
+    if n < BAND_MIN_N or blas is None or blas[0]() != 1:
+        return view @ x
+    out = np.empty((n, x.shape[1]))
+    edges = [*range(0, n - n % BAND_ROWS, BAND_ROWS), n]
+
+    def band(rows: slice) -> None:
+        np.matmul(view[rows], x, out=out[rows])
+
+    fan_out(band, [slice(a, b) for a, b in zip(edges, edges[1:])])
+    return out
 
 
 def _tile_pairs(n: int):

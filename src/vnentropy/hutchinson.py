@@ -9,16 +9,16 @@ are scheduled and however many quantities one pass yields.
 
 A block holds about ``BLOCK_ENTRIES`` entries (8 MiB): ``PROBE_CHUNK``
 columns up to n = 8192, fewer beyond.  The widths depend on n and s only,
-never on the machine.  When a block is that full (n >= 8192) and the
-caller is the main thread, the blocks run on a pool of one thread per
-available CPU (at most one per block); the sparse product, the reductions
-and the draws release the GIL.  Smaller matrices stay serial: on a tiny
-one each draw is mostly Python overhead that holds the GIL, and on a
-filled one BLAS threads already share the CPUs, so a pool can be slower.
-Elsewhere, for instance in a ``bench`` cell on its own ``--threads`` pool,
-the blocks run one after another.  Each worker holds about five blocks at
-a time.  A matrix with every entry stored multiplies through BLAS, whose
-own threads then multiply with the workers.
+never on the machine.  When a block is that full (n >= 8192), the blocks
+go through :func:`fan_out`: on a pool of one thread per available CPU
+when the caller is the main thread, one after another elsewhere (for
+instance in a ``bench`` cell on its own ``--threads`` pool).  The sparse
+product, the reductions and the draws release the GIL.  Smaller matrices
+keep their blocks serial: on a tiny one each draw is mostly Python
+overhead that holds the GIL, and a filled one from n = 2048 up spreads
+each product's row bands over the CPUs instead, or leaves them to a
+multithreaded BLAS (see ``SparseSymMatrix.matmat``); the two pools never
+nest.  Each worker holds about five blocks at a time.
 """
 
 from __future__ import annotations
@@ -52,6 +52,22 @@ def available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def fan_out(fn: Callable, tasks: list) -> list:
+    """``[fn(task) for task in tasks]``, in task order.
+
+    Called from the main thread, the tasks run on a pool of one thread per
+    available CPU, at most one per task; anywhere else, for instance on a
+    worker of such a pool, one after another, so pools never nest.  A
+    task's exception is re-raised, and tasks not yet started are dropped.
+    """
+    on_main = threading.current_thread() is threading.main_thread()
+    workers = min(len(tasks), available_cpus()) if on_main else 1
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def probe_blocks(n: int, s: int) -> list[range]:
@@ -99,12 +115,8 @@ def probe_average(
         return kernel(np.column_stack([draw(stream.child(i), n) for i in block]))
 
     blocks = probe_blocks(n, s)
-    on_main = threading.current_thread() is threading.main_thread()
-    fan_out = on_main and n * PROBE_CHUNK >= BLOCK_ENTRIES
-    workers = min(len(blocks), available_cpus()) if fan_out else 1
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            values = list(pool.map(run, blocks))
+    if n * PROBE_CHUNK >= BLOCK_ENTRIES:
+        values = fan_out(run, blocks)
     else:
         values = [run(block) for block in blocks]
     per_probe = np.concatenate(values, axis=-1, dtype=np.float64)

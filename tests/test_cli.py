@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vnentropy
 import vnentropy.linalg
 import vnentropy.report
 from vnentropy import SparseSymMatrix, cli, write_matrix_market
@@ -782,3 +785,78 @@ def test_a_failed_shared_power_method_fails_exactly_the_rows_of_separate_cells(
     # the six and raw cells of repetition 1: 2 u x 3 m x (2 s + 2 s + 1 + 1)
     assert expected.count("RuntimeError") == 36
     assert all(r["estimate"] == "" for r in rows if r["error"])
+
+
+def test_main_holds_blas_at_one_thread_and_restores_the_count(tmp_path, capsys, monkeypatch):
+    functions = cli.blas_thread_functions()
+    if functions is None:
+        pytest.skip("numpy does not link its bundled OpenBLAS")
+    get, set_ = functions
+    inside = []
+
+    def generate(args):
+        inside.append(get())
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_generate", generate)
+    before = get()
+    set_(2)
+    try:
+        code, _, err = run_cli(
+            capsys, "generate", "--family", "tridiagonal", "--n", "4", "--out", str(tmp_path / "t.mtx")
+        )
+        assert (code, err, inside) == (0, "", [1])
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_sketch_output_does_not_depend_on_blas_threads(tmp_path, capsys):
+    # at n=500, OpenBLAS rounds the gemm and the Gram route differently on 1 and 2 threads
+    if cli.blas_thread_functions() is None:
+        pytest.skip("numpy does not link its bundled OpenBLAS")
+    path = tmp_path / "low.mtx"
+    run_cli(capsys, "generate", "--family", "lowrank", "--n", "500", "--k", "10", "--out", str(path))
+    argv = [sys.executable, "-m", "vnentropy", "estimate", str(path), "--method", "sketch",
+            "--proj", "gaussian", "--rank", "10", "--s", "100", "--no-timings"]
+    src = str(Path(vnentropy.__file__).parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        run = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["warnings"] == []
+
+
+def test_a_run_without_a_bundled_openblas_goes_ahead_and_warns(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "blas_thread_functions", lambda: None)
+    path = tmp_path / "tri.mtx"
+    code, _, err = run_cli(capsys, "generate", "--family", "tridiagonal", "--n", "8", "--out", str(path))
+    assert code == 0 and err.count("not pinned") == 1
+    code, out, err = run_cli(
+        capsys, "estimate", str(path), "--method", "taylor", "--m", "3", "--s", "4", "--no-timings"
+    )
+    assert (code, err) == (0, "")
+    assert sum("not pinned" in w for w in json.loads(out)["warnings"]) == 1
+
+
+@pytest.mark.parametrize("family", sorted(cli.DENSE_PEAK))
+def test_dense_generation_past_physical_memory_is_refused_up_front(
+    tmp_path, capsys, monkeypatch, family
+):
+    n, out = 64, tmp_path / "m.mtx"
+    argv = ["generate", "--family", family, "--n", str(n), "--k", "2", "--out", str(out)]
+    monkeypatch.setattr(cli, "physical_memory", lambda: cli.DENSE_PEAK[family] * n * n - 1)
+    for name in ("generate_haar_like_density", "generate_low_rank_density", "generate_linear_plus_uniform"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("the generator ran"))
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    assert "more than this machine's" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "physical_memory", lambda: cli.DENSE_PEAK[family] * n * n)
+    assert run_cli(capsys, *argv)[0] == 0 and out.exists()

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,8 @@ from vnentropy import (
     read_matrix_market,
     write_matrix_market,
 )
+from vnentropy import densmat, hutchinson
+from vnentropy.cli import one_blas_thread
 from vnentropy.densmat import MatrixMarketError, low_rank_probs, validate_spectrum
 from vnentropy.linalg import dense_eigvalsh, householder_qr
 from vnentropy.rng import gaussian_vector
@@ -119,6 +122,84 @@ def test_filled_matmat_does_not_depend_on_block_width():
     full = r.matmat(x)
     for w in range(1, 130):
         assert np.array_equal(r.matmat(x[:, :w]), full[:, :w]), w
+
+
+def _filled(n, seed=0):
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    return SparseSymMatrix.from_dense((g + g.T) / 2.0)
+
+
+def _bands(monkeypatch, r, x):
+    """r.matmat(x), and the (start, stop) rows of the bands it hands to
+    fan_out, or None when it makes one call."""
+    seen = []
+
+    def record(fn, tasks):
+        seen.extend((t.start, t.stop) for t in tasks)
+        return [fn(t) for t in tasks]
+
+    with monkeypatch.context() as m:
+        m.setattr(densmat, "fan_out", record)
+        return r.matmat(x), seen or None
+
+
+def test_filled_products_run_in_fixed_bands_from_n_2048(monkeypatch):
+    for n, edges in (
+        (2047, None),
+        (2048, list(range(0, 2049, 256))),
+        (2049, [*range(0, 1793, 256), 2049]),  # one row left over joins the last band
+        (2303, [*range(0, 1793, 256), 2303]),
+        (2304, list(range(0, 2305, 256))),
+    ):
+        r = _filled(n)
+        x = np.random.default_rng(1).standard_normal((n, 3))
+        with one_blas_thread():
+            out, bands = _bands(monkeypatch, r, x)
+            assert np.array_equal(out, r.dense_view() @ x), n
+        assert bands == (None if edges is None else list(zip(edges, edges[1:]))), n
+
+
+def test_filled_products_leave_a_multithreaded_or_unknown_blas_one_call(monkeypatch):
+    r = _filled(2048)
+    x = np.ones((2048, 3))
+    functions = densmat.blas_thread_functions()
+    if functions is not None:
+        get, set_ = functions
+        before = get()
+        set_(2)
+        try:
+            assert _bands(monkeypatch, r, x)[1] is None
+        finally:
+            set_(before)
+    monkeypatch.setattr(densmat, "blas_thread_functions", lambda: None)
+    assert _bands(monkeypatch, r, x)[1] is None
+
+
+def test_banded_bits_do_not_depend_on_workers_or_calling_thread(monkeypatch):
+    n = 2100
+    r = _filled(n)
+    x = np.random.default_rng(2).standard_normal((n, 129))
+    with one_blas_thread():
+        reference = r.dense_view() @ x
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(hutchinson, "available_cpus", lambda: workers)
+            assert np.array_equal(r.matmat(x), reference), workers
+        caller = {}
+        worker = threading.Thread(target=lambda: caller.setdefault("out", r.matmat(x)))
+        worker.start()
+        worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert np.array_equal(caller["out"], reference)
+
+
+@pytest.mark.parametrize("n", [2048, 2049, 2100])
+def test_banded_matmat_does_not_depend_on_block_width(n):
+    r = _filled(n, seed=n)
+    x = np.random.default_rng(3).standard_normal((n, 129))
+    with one_blas_thread():
+        full = r.matmat(x)
+        for w in (1, 2, 3, 4, 5, 8, 64, 127, 128, 129):
+            assert np.array_equal(r.matmat(x[:, :w]), full[:, :w]), w
 
 
 def _plain_refusal(a):
