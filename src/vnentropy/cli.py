@@ -7,8 +7,10 @@ runs (and runs with different ``--threads``) are byte-identical.
 
 Every command runs with numpy's bundled OpenBLAS held at one thread, so
 its output does not depend on ``OPENBLAS_NUM_THREADS``; the previous count
-is restored on exit.  Products with a filled matrix of n >= 2048 still
-use every CPU, through their row-band pool.
+is restored on exit.  Of the BLAS work, only ``estimate``'s products
+with a filled matrix of n >= 2048 still use every CPU, through their
+row-band pool; the rest (smaller products, eigensolves, generation, and
+every product in a ``bench`` cell) runs on one core.
 
 Exit codes: 0 success (possibly with warnings), 1 usage error,
 2 numerical or I/O failure.
@@ -25,7 +27,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -35,8 +37,8 @@ import numpy as np
 from . import linalg
 from .chebyshev import chebyshev_entropy
 from .densmat import (
+    DENSE_PEAK,
     SparseSymMatrix,
-    blas_thread_functions,
     generate_haar_like_density,
     generate_linear_plus_uniform,
     generate_low_rank_density,
@@ -56,6 +58,7 @@ from .report import (
 from .rng import RngStream
 from .sketch import PROJECTION_KINDS, ProjectionSpec, default_s_sketch, sketch_entropy
 from .taylor import taylor_entropy
+from .threads import one_blas_thread
 
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
@@ -63,8 +66,6 @@ FAMILIES = ("haar", "tridiagonal", "lowrank", "linuniform")
 DECAYS = ("exponential", "linear")
 METHODS = ("exact", "taylor", "chebyshev", "sketch")
 SERIES = ("taylor", "chebyshev")
-# traced peak memory of the dense generators, in bytes per entry of the n x n matrix
-DENSE_PEAK = {"haar": 44, "linuniform": 33, "lowrank": 12}
 # bench grid method name -> (method, projection kind, nte)
 GRID_METHODS = {
     "exact": ("exact", None, False),
@@ -176,8 +177,8 @@ def generate_family(
     with its spectrum where known.
 
     A family, size or decay the generators would refuse is a UsageError;
-    so is a dense family whose build would need more than the machine's
-    physical memory.
+    so is a dense family whose build (by its ``DENSE_PEAK`` figure) would
+    need more than the machine's physical memory.
     """
     if family not in FAMILIES:
         raise UsageError(f"unknown matrix family {family!r}")
@@ -667,25 +668,6 @@ def build_parser() -> _Parser:
     ben.set_defaults(func=cmd_bench)
 
     return parser
-
-
-@contextmanager
-def one_blas_thread():
-    """Hold the BLAS at one thread for the block, then restore its count.
-
-    Yields None, or the warning to report when the count cannot be set.
-    """
-    functions = blas_thread_functions()
-    if functions is None:
-        yield "BLAS thread count not pinned (numpy's bundled OpenBLAS not found): last digits may depend on it"
-        return
-    get, set_ = functions
-    previous = get()
-    set_(1)
-    try:
-        yield None
-    finally:
-        set_(previous)
 
 
 def main(argv=None) -> int:

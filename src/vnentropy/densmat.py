@@ -12,8 +12,6 @@ so estimator output can be checked against ground truth.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import NoReturn
@@ -21,8 +19,8 @@ from typing import NoReturn
 import numpy as np
 import scipy.sparse as sp
 
-from .hutchinson import fan_out
 from .rng import RngStream, gaussian_vector
+from .threads import blas_thread_functions, fan_out
 
 TRACE_TOL = 1e-10
 
@@ -136,7 +134,7 @@ class SparseSymMatrix:
         OpenBLAS runs one thread (as the CLI holds it), the product fills
         one n x s output in bands of ``BAND_ROWS`` rows, the rows left over
         at the end joining the last band; the bands run through
-        :func:`~vnentropy.hutchinson.fan_out`, so on a pool when called
+        :func:`~vnentropy.threads.fan_out`, so on a pool when called
         from the main thread.  The layout depends on n only, and each band
         gets the bits of one unbanded product.  Smaller bands would reach
         OpenBLAS's small-matrix kernel at narrow widths, which rounds
@@ -197,25 +195,6 @@ def validate_spectrum(probs: np.ndarray) -> None:
         raise ValueError("probabilities must be sorted descending")
 
 
-@functools.cache
-def blas_thread_functions():
-    """The get and set thread-count functions of numpy's bundled OpenBLAS;
-    None when numpy links another BLAS."""
-    try:
-        from numpy._core import _multiarray_umath as core
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as core
-    try:
-        # a handle on numpy's extension also finds the symbols of the BLAS it links
-        lib = ctypes.CDLL(core.__file__)
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
 def _banded_product(view: np.ndarray, x: np.ndarray) -> np.ndarray:
     """view @ x, in row bands from n = BAND_MIN_N up while the BLAS runs
     one thread (see ``matmat``)."""
@@ -254,6 +233,13 @@ def _sym_from_product(q: np.ndarray, probs: np.ndarray) -> SparseSymMatrix:
         a[i, j] = lo
         a[j, i] = lo.T
     return SparseSymMatrix._adopt(a)
+
+
+# bytes per entry of the n x n matrix that each dense generator's build
+# peaks at under tracemalloc, rounded up from its measured peak at n = 1024
+# (44.01, 33.03 and 12.59 n^2; at n = 4096 lowrank reads 12.05 n^2).
+# Writing the matrix out is not included.
+DENSE_PEAK = {"haar": 45, "linuniform": 34, "lowrank": 13}
 
 
 def generate_haar_like_density(

@@ -10,7 +10,7 @@ are scheduled and however many quantities one pass yields.
 A block holds about ``BLOCK_ENTRIES`` entries (8 MiB): ``PROBE_CHUNK``
 columns up to n = 8192, fewer beyond.  The widths depend on n and s only,
 never on the machine.  When a block is that full (n >= 8192), the blocks
-go through :func:`fan_out`: on a pool of one thread per available CPU
+go through :func:`~vnentropy.threads.fan_out`: on a pool of one thread per available CPU
 when the caller is the main thread, one after another elsewhere (for
 instance in a ``bench`` cell on its own ``--threads`` pool).  The sparse
 product, the reductions and the draws release the GIL.  Smaller matrices
@@ -24,14 +24,12 @@ nest.  Each worker holds about five blocks at a time.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
 
 from .rng import RngStream, gaussian_vector
+from .threads import fan_out
 
 PROBE_CHUNK = 128
 BLOCK_ENTRIES = 2**20
@@ -44,30 +42,6 @@ def default_s(epsilon: float, delta: float) -> int:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return math.ceil(20.0 * math.log(2.0 / delta) / epsilon**2)
-
-
-def available_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def fan_out(fn: Callable, tasks: list) -> list:
-    """``[fn(task) for task in tasks]``, in task order.
-
-    Called from the main thread, the tasks run on a pool of one thread per
-    available CPU, at most one per task; anywhere else, for instance on a
-    worker of such a pool, one after another, so pools never nest.  A
-    task's exception is re-raised, and tasks not yet started are dropped.
-    """
-    on_main = threading.current_thread() is threading.main_thread()
-    workers = min(len(tasks), available_cpus()) if on_main else 1
-    if workers <= 1:
-        return [fn(task) for task in tasks]
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, tasks))
 
 
 def probe_blocks(n: int, s: int) -> list[range]:

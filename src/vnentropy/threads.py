@@ -1,0 +1,80 @@
+"""CPU and BLAS thread control shared by the matrix products and the estimators.
+
+:func:`fan_out` is the one rule by which work spreads over threads: a pool
+of one thread per available CPU from the main thread, one task after
+another anywhere else, so pools never nest.  :func:`one_blas_thread`
+holds numpy's bundled OpenBLAS at one thread, which makes BLAS results
+independent of ``OPENBLAS_NUM_THREADS`` and leaves the CPUs to the pools.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from typing import Callable
+
+
+def available_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def fan_out(fn: Callable, tasks: list) -> list:
+    """``[fn(task) for task in tasks]``, in task order.
+
+    Called from the main thread, the tasks run on a pool of one thread per
+    available CPU, at most one per task; anywhere else, for instance on a
+    worker of such a pool, one after another, so pools never nest.  A
+    task's exception is re-raised, and tasks not yet started are dropped.
+    """
+    on_main = threading.current_thread() is threading.main_thread()
+    workers = min(len(tasks), available_cpus()) if on_main else 1
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
+@functools.cache
+def blas_thread_functions():
+    """The get and set thread-count functions of numpy's bundled OpenBLAS;
+    None when numpy links another BLAS."""
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    try:
+        # a handle on numpy's extension also finds the symbols of the BLAS it links
+        lib = ctypes.CDLL(core.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold the BLAS at one thread for the block, then restore its count.
+
+    Yields None, or the warning to report when the count cannot be set.
+    """
+    functions = blas_thread_functions()
+    if functions is None:
+        yield "BLAS thread count not pinned (numpy's bundled OpenBLAS not found): last digits may depend on it"
+        return
+    get, set_ = functions
+    previous = get()
+    set_(1)
+    try:
+        yield None
+    finally:
+        set_(previous)

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import vnentropy
 import vnentropy.linalg
 import vnentropy.report
-from vnentropy import SparseSymMatrix, cli, write_matrix_market
+import vnentropy.threads
+from vnentropy import SparseSymMatrix, cli, densmat, write_matrix_market
 from vnentropy.cli import main, parse_seed, parse_u_mode
 
 
@@ -788,7 +789,7 @@ def test_a_failed_shared_power_method_fails_exactly_the_rows_of_separate_cells(
 
 
 def test_main_holds_blas_at_one_thread_and_restores_the_count(tmp_path, capsys, monkeypatch):
-    functions = cli.blas_thread_functions()
+    functions = vnentropy.threads.blas_thread_functions()
     if functions is None:
         pytest.skip("numpy does not link its bundled OpenBLAS")
     get, set_ = functions
@@ -813,7 +814,7 @@ def test_main_holds_blas_at_one_thread_and_restores_the_count(tmp_path, capsys, 
 
 def test_sketch_output_does_not_depend_on_blas_threads(tmp_path, capsys):
     # at n=500, OpenBLAS rounds the gemm and the Gram route differently on 1 and 2 threads
-    if cli.blas_thread_functions() is None:
+    if vnentropy.threads.blas_thread_functions() is None:
         pytest.skip("numpy does not link its bundled OpenBLAS")
     path = tmp_path / "low.mtx"
     run_cli(capsys, "generate", "--family", "lowrank", "--n", "500", "--k", "10", "--out", str(path))
@@ -832,7 +833,7 @@ def test_sketch_output_does_not_depend_on_blas_threads(tmp_path, capsys):
 
 
 def test_a_run_without_a_bundled_openblas_goes_ahead_and_warns(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "blas_thread_functions", lambda: None)
+    monkeypatch.setattr(vnentropy.threads, "blas_thread_functions", lambda: None)
     path = tmp_path / "tri.mtx"
     code, _, err = run_cli(capsys, "generate", "--family", "tridiagonal", "--n", "8", "--out", str(path))
     assert code == 0 and err.count("not pinned") == 1
@@ -843,13 +844,13 @@ def test_a_run_without_a_bundled_openblas_goes_ahead_and_warns(tmp_path, capsys,
     assert sum("not pinned" in w for w in json.loads(out)["warnings"]) == 1
 
 
-@pytest.mark.parametrize("family", sorted(cli.DENSE_PEAK))
+@pytest.mark.parametrize("family", sorted(densmat.DENSE_PEAK))
 def test_dense_generation_past_physical_memory_is_refused_up_front(
     tmp_path, capsys, monkeypatch, family
 ):
     n, out = 64, tmp_path / "m.mtx"
     argv = ["generate", "--family", family, "--n", str(n), "--k", "2", "--out", str(out)]
-    monkeypatch.setattr(cli, "physical_memory", lambda: cli.DENSE_PEAK[family] * n * n - 1)
+    monkeypatch.setattr(cli, "physical_memory", lambda: densmat.DENSE_PEAK[family] * n * n - 1)
     for name in ("generate_haar_like_density", "generate_low_rank_density", "generate_linear_plus_uniform"):
         monkeypatch.setattr(cli, name, lambda *args: pytest.fail("the generator ran"))
     with pytest.raises(SystemExit) as excinfo:
@@ -858,5 +859,5 @@ def test_dense_generation_past_physical_memory_is_refused_up_front(
     assert "more than this machine's" in capsys.readouterr().err
     assert not out.exists()
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "physical_memory", lambda: cli.DENSE_PEAK[family] * n * n)
+    monkeypatch.setattr(cli, "physical_memory", lambda: densmat.DENSE_PEAK[family] * n * n)
     assert run_cli(capsys, *argv)[0] == 0 and out.exists()

@@ -21,11 +21,11 @@ from vnentropy import (
     read_matrix_market,
     write_matrix_market,
 )
-from vnentropy import densmat, hutchinson
-from vnentropy.cli import one_blas_thread
+from vnentropy import densmat
 from vnentropy.densmat import MatrixMarketError, low_rank_probs, validate_spectrum
 from vnentropy.linalg import dense_eigvalsh, householder_qr
 from vnentropy.rng import gaussian_vector
+from vnentropy.threads import one_blas_thread
 
 
 def test_matvec_identity():
@@ -182,7 +182,7 @@ def test_banded_bits_do_not_depend_on_workers_or_calling_thread(monkeypatch):
     with one_blas_thread():
         reference = r.dense_view() @ x
         for workers in (1, 2, 3):
-            monkeypatch.setattr(hutchinson, "available_cpus", lambda: workers)
+            monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: workers)
             assert np.array_equal(r.matmat(x), reference), workers
         caller = {}
         worker = threading.Thread(target=lambda: caller.setdefault("out", r.matmat(x)))
@@ -395,6 +395,25 @@ def test_low_rank_generation_holds_one_dense_array():
     finally:
         tracemalloc.stop()
     assert peak <= 13 * n * n
+
+
+@pytest.mark.parametrize("family", sorted(densmat.DENSE_PEAK))
+def test_dense_generators_peak_within_their_recorded_bound(family):
+    # generate refuses a build whose DENSE_PEAK figure exceeds the machine's
+    # memory; the figure must cover the build at sizes where that matters
+    n = 1024
+    build = {
+        "haar": lambda: generate_haar_like_density(n, RngStream(1)),
+        "linuniform": lambda: generate_linear_plus_uniform(n, 10, RngStream(1)),
+        "lowrank": lambda: generate_low_rank_density(n, 10, "exponential", RngStream(1)),
+    }[family]
+    tracemalloc.start()
+    try:
+        build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= densmat.DENSE_PEAK[family] * n * n
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def test_blocks_hold_probes_in_index_order(monkeypatch):
         (32768, 1, [32, 32, 32, 12]),
         (32768, 2, [32, 32, 32, 12]),  # on a pool, blocks arrive in any order
     ):
-        monkeypatch.setattr(hutchinson, "available_cpus", lambda: workers)
+        monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: workers)
         stream = RngStream(5)
         s = sum(widths)
         blocks = []
@@ -167,12 +167,12 @@ def test_bits_do_not_depend_on_workers_calling_thread_or_width(monkeypatch):
     s = 129  # blocks of 64, 64 and 1
     with monkeypatch.context() as m:
         m.setattr(hutchinson, "BLOCK_ENTRIES", 2**40)  # PROBE_CHUNK wide
-        m.setattr(hutchinson, "available_cpus", lambda: 1)
+        m.setattr("vnentropy.threads.available_cpus", lambda: 1)
         assert len(hutchinson.probe_blocks(r.n, s)[0]) == PROBE_CHUNK
         full_chunks, _ = run_all(r, s)
     main = threading.get_ident()
     for workers in (1, 2, 3):
-        monkeypatch.setattr(hutchinson, "available_cpus", lambda: workers)
+        monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: workers)
         out, threads = run_all(r, s)
         assert out == full_chunks
         assert (main in threads) == (workers == 1)
@@ -190,13 +190,13 @@ def test_bits_do_not_depend_on_workers_calling_thread_or_width(monkeypatch):
 
 
 def test_small_matrices_never_fan_out(monkeypatch):
-    monkeypatch.setattr(hutchinson, "available_cpus", lambda: 3)
+    monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: 3)
     _, threads = run_all(generate_tridiagonal_poisson(4096)[0], 300)
     assert threads == {threading.get_ident()}
 
 
 def test_a_failing_block_stops_the_blocks_not_yet_started(monkeypatch):
-    monkeypatch.setattr(hutchinson, "available_cpus", lambda: 2)
+    monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: 2)
     calls = []
 
     def failing(block):
