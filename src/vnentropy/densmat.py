@@ -24,8 +24,17 @@ from .threads import blas_thread_functions, fan_out
 
 TRACE_TOL = 1e-10
 
-# width of the square tiles that symmetrize and check a dense matrix in place
-_TILE = 256
+# width of the square tiles in which a filled matrix is symmetrized and
+# checked, one tile pair at a time; the bits do not depend on it.  A lowrank
+# n = 4096 build on 2 vCPUs took 0.17 s at 96 on the pool and 0.19 s at 64 or
+# 128 (medians of 9); at 64 two threads gained nothing over one, waiting on
+# each other for the GIL between numpy calls
+_TILE = 96
+# from TILE_POOL_MIN_N rows up, the tile pairs are dealt round-robin into
+# _PAIR_TASKS task lists for fan_out, even shares of the lower triangle for up
+# to 8 CPUs; below it the pool cost more than it saved
+TILE_POOL_MIN_N = 2048
+_PAIR_TASKS = 8
 # a filled product of at least BAND_MIN_N rows runs in bands of BAND_ROWS rows
 BAND_ROWS = 256
 BAND_MIN_N = 2048
@@ -68,26 +77,66 @@ class SparseSymMatrix:
         """Store a copy of a dense symmetric matrix with every entry explicit.
 
         Keeping explicit zeros stores all n^2 entries, so products run
-        through BLAS on a view of the values.  Writing to the caller's
-        array later leaves the matrix unchanged.
+        through BLAS on a view of the values.  The copy is checked for
+        exact symmetry and finiteness in one pass over its tile pairs (see
+        :meth:`_adopt`).  Writing to the caller's array later leaves the
+        matrix unchanged.
         """
         return cls._adopt(np.array(dense, dtype=np.float64, order="C", ndmin=1))
 
     @classmethod
-    def _adopt(cls, a: np.ndarray) -> "SparseSymMatrix":
+    def _adopt(cls, a: np.ndarray, symmetrize: bool = False) -> "SparseSymMatrix":
         """Wrap a C-ordered float64 array as the values of a filled matrix,
         without copying it; the caller must not write to it afterwards.
 
-        Checks exact symmetry one tile pair at a time and finiteness one
-        row band at a time, so no n x n temporary is made.
+        One pass over the tile pairs (I, J), J <= I, checks each pair for
+        exact symmetry and finiteness while it is in cache; with
+        ``symmetrize`` it first writes (a[I,J] + a[J,I].T) / 2 and its
+        transpose into the pair, the bits of (a + a.T) / 2 since addition
+        commutes.  No n x n temporary is made.  From n = ``TILE_POOL_MIN_N``
+        up, the pairs run in ``_PAIR_TASKS`` task lists through
+        :func:`~vnentropy.threads.fan_out`, so on a pool when called from
+        the main thread.  Each pair belongs to one task and every operation
+        is element-wise, so the bits do not depend on the CPU count; the
+        asymmetry message wins over the non-finite one, whichever task
+        finds which.
         """
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         n = a.shape[0]
-        # NaN is unequal to itself, so it fails here, before the finiteness check
-        if not all(np.array_equal(a[i, j], a[j, i].T) for i, j in _tile_pairs(n)):
+
+        def one_task(pairs) -> tuple[bool, bool]:
+            """(asymmetric, non-finite) over the task's pairs; it may stop at
+            an asymmetric pair, whose message wins, but not at a non-finite one."""
+            nonfinite = False
+            for i, j in pairs:
+                if symmetrize:
+                    lo = (a[i, j] + a[j, i].T) / 2.0
+                    a[i, j] = lo
+                    a[j, i] = lo.T
+                # x - y is exactly 0 just when x == y, both finite; so one
+                # subtraction clears a pair, and only a pair it fails is
+                # checked again: NaN is unequal to itself, so it counts as
+                # asymmetric; an equal pair is finite where a[I,J] is
+                with np.errstate(invalid="ignore", over="ignore"):
+                    differs = (a[i, j] - a[j, i].T).any()
+                if differs:
+                    if not np.array_equal(a[i, j], a[j, i].T):
+                        return True, nonfinite
+                    nonfinite = nonfinite or not np.isfinite(a[i, j]).all()
+            return False, nonfinite
+
+        starts = range(0, n, _TILE)
+        pairs = [
+            (slice(i, i + _TILE), slice(j, j + _TILE)) for i in starts for j in starts if j <= i
+        ]
+        if n >= TILE_POOL_MIN_N:
+            flags = fan_out(one_task, [pairs[r::_PAIR_TASKS] for r in range(_PAIR_TASKS)])
+        else:
+            flags = [one_task(pairs)]
+        if any(asymmetric for asymmetric, _ in flags):
             raise ValueError("matrix is not exactly symmetric")
-        if not all(np.isfinite(a[i : i + _TILE]).all() for i in range(0, n, _TILE)):
+        if any(nonfinite for _, nonfinite in flags):
             raise ValueError("matrix contains non-finite entries")
         # int32, the index dtype scipy keeps, so it makes no copy of the tile
         indices = np.tile(np.arange(n, dtype=np.int32), n)
@@ -213,31 +262,9 @@ def _banded_product(view: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tile_pairs(n: int):
-    """Slices (I, J) of the square tiles on and below the diagonal of an
-    n x n matrix; with their mirrors (J, I) they cover every entry."""
-    starts = range(0, n, _TILE)
-    return ((slice(i, i + _TILE), slice(j, j + _TILE)) for i in starts for j in starts if j <= i)
-
-
-def _sym_from_product(q: np.ndarray, probs: np.ndarray) -> SparseSymMatrix:
-    """The matrix (q * probs) @ q.T, made exactly symmetric in place.
-
-    Each tile pair gets (A[I,J] + A[J,I].T) / 2 and its transpose, the
-    bits of (d + d.T) / 2 since addition commutes, so the product is the
-    only n x n array and it becomes the CSR values.
-    """
-    a = (q * probs) @ q.T
-    for i, j in _tile_pairs(a.shape[0]):
-        lo = (a[i, j] + a[j, i].T) / 2.0
-        a[i, j] = lo
-        a[j, i] = lo.T
-    return SparseSymMatrix._adopt(a)
-
-
 # bytes per entry of the n x n matrix that each dense generator's build
 # peaks at under tracemalloc, rounded up from its measured peak at n = 1024
-# (44.01, 33.03 and 12.59 n^2; at n = 4096 lowrank reads 12.05 n^2).
+# (44.01, 33.03 and 12.11 n^2; at n = 4096 lowrank reads 12.04 n^2).
 # Writing the matrix out is not included.
 DENSE_PEAK = {"haar": 45, "linuniform": 34, "lowrank": 13}
 
@@ -303,7 +330,7 @@ def generate_low_rank_density(
     from . import linalg
 
     q = linalg.householder_qr(gaussian_vector(stream, n * k).reshape(n, k))
-    return _sym_from_product(q, probs), probs
+    return SparseSymMatrix._adopt((q * probs) @ q.T, symmetrize=True), probs
 
 
 def generate_linear_plus_uniform(
@@ -319,7 +346,7 @@ def generate_linear_plus_uniform(
     from . import linalg
 
     q = linalg.householder_qr(gaussian_vector(stream, n * n).reshape(n, n))
-    return _sym_from_product(q, probs), probs
+    return SparseSymMatrix._adopt((q * probs) @ q.T, symmetrize=True), probs
 
 
 # ---------------------------------------------------------------------------

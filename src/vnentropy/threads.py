@@ -1,8 +1,10 @@
-"""CPU and BLAS thread control shared by the matrix products and the estimators.
+"""CPU and BLAS thread control shared by the matrix products, the
+filled-matrix build and the estimators.
 
-:func:`fan_out` is the one rule by which work spreads over threads: a pool
-of one thread per available CPU from the main thread, one task after
-another anywhere else, so pools never nest.  :func:`one_blas_thread`
+:func:`fan_out` is the one rule by which work spreads over threads (probe
+blocks, bands of filled products, tile pairs of a filled matrix's build):
+a pool of one thread per available CPU from the main thread, one task
+after another anywhere else, so pools never nest.  :func:`one_blas_thread`
 holds numpy's bundled OpenBLAS at one thread, which makes BLAS results
 independent of ``OPENBLAS_NUM_THREADS`` and leaves the CPUs to the pools.
 """

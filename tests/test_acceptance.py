@@ -254,26 +254,19 @@ def test_09_exact_debug_identity():
            f"worst deviation {worst:.2e} over {len(cases)} low-rank cases; {time.perf_counter()-t0:.1f}s")
 
 
-def _median_taylor_seconds(r, reps=5):
-    cfg = EstimatorConfig(u_mode="manual", u_value=1.0, m_override=100, s_override=64, seed=1)
-    taylor_entropy(r, cfg)  # warm-up
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        taylor_entropy(r, cfg)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
-
-
-def _median_countsketch_seconds(r, reps=11):
-    r.scipy_csr
-    apply_countsketch(r, 256, RngStream(999))  # warm-up
-    times = []
-    for i in range(reps):
-        t0 = time.perf_counter()
-        apply_countsketch(r, 256, RngStream(i))
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+def _median_seconds(run, matrices, reps):
+    """Median time of run(r, rep) for each matrix r, after one warm-up
+    run(r, None) each.  The matrices take turns within every repetition,
+    so load from other processes falls on all of them alike."""
+    for r in matrices:
+        run(r, None)
+    times = [[] for _ in matrices]
+    for rep in range(reps):
+        for r, t in zip(matrices, times):
+            t0 = time.perf_counter()
+            run(r, rep)
+            t.append(time.perf_counter() - t0)
+    return [statistics.median(t) for t in times]
 
 
 def test_10_performance_scaling():
@@ -281,8 +274,14 @@ def test_10_performance_scaling():
     r2, _ = generate_tridiagonal_poisson(2048)
     r4, _ = generate_tridiagonal_poisson(4096)
 
-    taylor_ratio = _median_taylor_seconds(r4) / _median_taylor_seconds(r2)
-    sketch_ratio = _median_countsketch_seconds(r4) / _median_countsketch_seconds(r2)
+    cfg = EstimatorConfig(u_mode="manual", u_value=1.0, m_override=100, s_override=64, seed=1)
+    taylor2, taylor4 = _median_seconds(lambda r, rep: taylor_entropy(r, cfg), (r2, r4), reps=5)
+    sketch2, sketch4 = _median_seconds(
+        lambda r, rep: apply_countsketch(r, 256, RngStream(999 if rep is None else rep)),
+        (r2, r4), reps=11,
+    )
+    taylor_ratio = taylor4 / taylor2
+    sketch_ratio = sketch4 / sketch2
     nnz_ratio = r4.nnz / r2.nnz
 
     taylor_ok = 1.5 <= taylor_ratio <= 3.0

@@ -234,23 +234,112 @@ def _bad_matrix(n, fault):
         ("asymmetric", 3, 10),
         ("asymmetric", 280, 10),  # off-diagonal tile
         ("asymmetric", 10, 280),
-        ("asymmetric", 299, 270),  # last, partial tile
+        ("asymmetric", 299, 270),  # partial tile in the last tile row
         ("nan", 5, 5),
         ("nan", 290, 20),
         ("inf", 7, 7),
         ("inf", 299, 100),
-        ("inf", 299, 280),  # last, partial row band only
+        ("inf", 299, 280),
         ("lone inf", 120, 299),
+        ("asymmetric", 299, 295),  # last, partial diagonal tile
+        ("inf", 298, 298),
     ],
 )
-def test_tiled_checks_refuse_like_the_plain_ones(fault):
-    # n=300 gives a partial second tile row and column
+def test_tiled_checks_refuse_like_the_plain_ones(monkeypatch, fault):
+    # n=300 gives a partial last tile row and column; with the pool
+    # threshold lifted, its tile pairs run as tasks on 1 and 3 CPUs too
     a = _bad_matrix(300, fault)
     expected = _plain_refusal(a)
-    for build in (SparseSymMatrix.from_dense, SparseSymMatrix._adopt):
-        with pytest.raises(ValueError) as excinfo:
-            build(a.copy())
-        assert str(excinfo.value) == expected
+    for cpus in (None, 1, 3):
+        if cpus is not None:
+            monkeypatch.setattr(densmat, "TILE_POOL_MIN_N", 0)
+            monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: cpus)
+        for build in (SparseSymMatrix.from_dense, SparseSymMatrix._adopt):
+            with pytest.raises(ValueError) as excinfo:
+                build(a.copy())
+            assert str(excinfo.value) == expected, cpus
+
+
+@pytest.mark.parametrize(
+    "inf_pair, asymmetric_pair",
+    [
+        ((0, 0), (1, 0)),  # the first and second pairs: tasks 0 and 1
+        ((1, 0), (0, 0)),
+        ((0, 0), (3, 2)),  # the first and ninth pairs: both task 0, inf first
+    ],
+)
+def test_asymmetry_wins_whichever_task_finds_the_non_finite_entry(
+    monkeypatch, inf_pair, asymmetric_pair
+):
+    # from TILE_POOL_MIN_N up, pair p of the row-major list of tile pairs
+    # (I, J), J <= I, falls to task p % 8; a task stops at an asymmetric
+    # pair but not at a non-finite one
+    n, t = 2100, densmat._TILE
+    assert n >= densmat.TILE_POOL_MIN_N
+    a = _filled(n).to_dense().copy()
+    (i, j), (k, m) = inf_pair, asymmetric_pair
+    a[i * t + 7, j * t + 3] = a[j * t + 3, i * t + 7] = np.inf
+    a[k * t + 9, m * t + 2] += 1.0
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: cpus)
+        with pytest.raises(ValueError, match="^matrix is not exactly symmetric$"):
+            SparseSymMatrix.from_dense(a)
+
+
+def _bits_on_any_cpus(monkeypatch, build):
+    """The stored values of build() at 1, 2 and 3 available CPUs, and
+    when built on a thread other than the main one."""
+    bits = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: cpus)
+        bits.append(build().scipy_csr.data.tobytes())
+    caller = {}
+    worker = threading.Thread(target=lambda: caller.setdefault("r", build()))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    return bits + [caller["r"].scipy_csr.data.tobytes()]
+
+
+def _first_result(fn):
+    """fn, run on the first call only; later calls return that result."""
+    results = []
+
+    def first(*args):
+        if not results:
+            results.append(fn(*args))
+        return results[0]
+
+    return first
+
+
+@pytest.mark.parametrize("n", [100, 300, 2100])
+@pytest.mark.parametrize("family", ["lowrank", "linuniform"])
+def test_generated_bits_do_not_depend_on_cpus_or_calling_thread(monkeypatch, family, n):
+    # every build draws the same matrix, so the draw runs once; the draw
+    # itself stands in for its QR, whose bits are not at stake here
+    draw, qr = _first_result(gaussian_vector), _first_result(lambda g: g)
+    monkeypatch.setattr(densmat, "gaussian_vector", draw)
+    monkeypatch.setattr("vnentropy.linalg.householder_qr", qr)
+    if family == "lowrank":
+        build = lambda: generate_low_rank_density(n, 10, "linear", RngStream(n))
+    else:
+        build = lambda: generate_linear_plus_uniform(n, 10, RngStream(n))
+    probs = build()[1]
+    bits = _bits_on_any_cpus(monkeypatch, lambda: build()[0])
+    q = qr()
+    d = (q * probs) @ q.T
+    assert bits == [((d + d.T) / 2.0).tobytes()] * 4
+
+
+@pytest.mark.parametrize("n", [300, 2100])
+def test_from_dense_bits_do_not_depend_on_cpus_or_calling_thread(monkeypatch, n):
+    if n == 300:
+        dense = generate_haar_like_density(n, RngStream(3))[0].to_dense()
+    else:
+        dense = _filled(n).to_dense()
+    bits = _bits_on_any_cpus(monkeypatch, lambda: SparseSymMatrix.from_dense(dense))
+    assert bits == [dense.tobytes()] * 4
 
 
 def test_from_dense_does_not_alias_its_argument():
