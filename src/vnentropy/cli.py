@@ -30,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,10 +39,11 @@ from .chebyshev import chebyshev_entropy
 from .densmat import (
     DENSE_PEAK,
     SparseSymMatrix,
-    generate_haar_like_density,
+    generate_haar_like_matrix,
     generate_linear_plus_uniform,
     generate_low_rank_density,
     generate_tridiagonal_poisson,
+    oracle_spectrum,
     read_matrix_market,
     validate_spectrum,
     write_matrix_market,
@@ -58,7 +59,7 @@ from .report import (
 from .rng import RngStream
 from .sketch import PROJECTION_KINDS, ProjectionSpec, default_s_sketch, sketch_entropy
 from .taylor import taylor_entropy
-from .threads import one_blas_thread
+from .threads import alongside, one_blas_thread
 
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
@@ -172,9 +173,10 @@ def physical_memory() -> int | None:
 
 def generate_family(
     family: str, n: int, k: int | None, decay: str, seed: int
-) -> tuple[SparseSymMatrix, np.ndarray | None]:
+) -> tuple[SparseSymMatrix, Callable[[], np.ndarray | None]]:
     """The matrix ``generate`` writes and a bench grid's family spec names,
-    with its spectrum where known.
+    and a call that returns its spectrum where known; for the haar family
+    that call runs the oracle.
 
     A family, size or decay the generators would refuse is a UsageError;
     so is a dense family whose build (by its ``DENSE_PEAK`` figure) would
@@ -193,23 +195,40 @@ def generate_family(
         )
     stream = RngStream(seed)
     if family == "haar":
-        return generate_haar_like_density(n, stream)
+        matrix = generate_haar_like_matrix(n, stream)
+        return matrix, lambda: oracle_spectrum(matrix)
     if family == "tridiagonal":
-        return generate_tridiagonal_poisson(n)
-    if k is None:
+        matrix, probs = generate_tridiagonal_poisson(n)
+    elif k is None:
         raise UsageError(f"k is required for the {family} family")
-    if not 1 <= k <= n:
+    elif not 1 <= k <= n:
         raise UsageError(f"the {family} family needs 1 <= k <= n, got k={k}, n={n}")
-    if family == "lowrank":
+    elif family == "lowrank":
         if decay not in DECAYS:
             raise UsageError(f"decay must be one of {DECAYS}, got {decay!r}")
-        return generate_low_rank_density(n, k, decay, stream)
-    return generate_linear_plus_uniform(n, k, stream)
+        matrix, probs = generate_low_rank_density(n, k, decay, stream)
+    else:
+        matrix, probs = generate_linear_plus_uniform(n, k, stream)
+    return matrix, lambda: probs
 
 
 def cmd_generate(args) -> int:
-    matrix, probs = generate_family(args.family, args.n, args.k, args.decay, args.seed)
-    write_matrix_market(matrix, args.out)
+    matrix, spectrum = generate_family(args.family, args.n, args.k, args.decay, args.seed)
+    written = []
+
+    def write() -> None:
+        write_matrix_market(matrix, args.out)
+        written.append(True)
+
+    # the writer formats text under the GIL while the haar oracle's LAPACK
+    # call releases it, so with two CPUs they overlap; the oracle keeps the
+    # calling thread, where its n x n temporaries reuse the build's memory
+    try:
+        probs = alongside(spectrum, write)
+    except BaseException:
+        if written:  # the spectrum failed: leave no matrix without its sidecar
+            Path(args.out).unlink()
+        raise
     if probs is not None:
         write_spectrum(probs, sidecar_path(args.out))
     return 0
@@ -425,13 +444,14 @@ def _grid_matrix(spec) -> tuple[SparseSymMatrix, np.ndarray | None]:
         value = spec.get(key)
         if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
             raise UsageError(f"grid matrix {key!r} must be an integer, got {value!r}")
-    return generate_family(
+    matrix, spectrum = generate_family(
         spec.get("family"),
         spec["n"],
         spec.get("k"),
         spec.get("decay", "linear"),
         _parse_grid_entry(parse_seed, spec.get("seed", 0), "matrix seed"),
     )
+    return matrix, spectrum()
 
 
 def _bench_cells(grid, n: int, probs: np.ndarray | None) -> list[tuple[tuple, RunSpec]]:

@@ -264,8 +264,11 @@ def _banded_product(view: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 # bytes per entry of the n x n matrix that each dense generator's build
 # peaks at under tracemalloc, rounded up from its measured peak at n = 1024
-# (44.01, 33.03 and 12.11 n^2; at n = 4096 lowrank reads 12.04 n^2).
-# Writing the matrix out is not included.
+# (44.01, 33.03 and 12.11 n^2; at n = 4096 lowrank reads 12.04 n^2).  Haar
+# now frees its draw and product before the oracle runs and reads 36.04 n^2;
+# its figure is left at 45.  Writing the matrix out adds one band of the
+# writer (under 1 MiB), so the figures bound a whole ``generate`` (traced at
+# n = 1024: 36.07, 33.06 and 12.77 n^2).
 DENSE_PEAK = {"haar": 45, "linuniform": 34, "lowrank": 13}
 
 
@@ -277,17 +280,28 @@ def generate_haar_like_density(
     The spectrum is recovered by the exact eigendecomposition oracle when
     n is within its default size limit; otherwise it is None.
     """
+    r = generate_haar_like_matrix(n, stream)
+    return r, oracle_spectrum(r)
+
+
+def generate_haar_like_matrix(n: int, stream: RngStream) -> SparseSymMatrix:
+    """The matrix of :func:`generate_haar_like_density`, without its spectrum."""
     if n < 1:
         raise ValueError("n must be at least 1")
     g = gaussian_vector(stream, n * n).reshape(n, n)
     w = g @ g.T
     w = (w + w.T) / 2.0
-    r = SparseSymMatrix.from_dense(w / np.trace(w))
+    return SparseSymMatrix.from_dense(w / np.trace(w))
+
+
+def oracle_spectrum(R: SparseSymMatrix) -> np.ndarray | None:
+    """The exact oracle's spectrum of R when n is within the oracle's default
+    size limit; None otherwise."""
     from . import linalg
 
-    if n > linalg.DEFAULT_ORACLE_LIMIT:
-        return r, None
-    return r, linalg.exact_entropy(r)[1]
+    if R.n > linalg.DEFAULT_ORACLE_LIMIT:
+        return None
+    return linalg.exact_entropy(R)[1]
 
 
 def poisson_spectrum(n: int) -> np.ndarray:
@@ -354,23 +368,49 @@ def generate_linear_plus_uniform(
 # ---------------------------------------------------------------------------
 
 
-# data lines formatted per write: bounds the text held at once to a few MB
-_WRITE_CHUNK = 1 << 16
+# stored entries per band of whole rows that the writer formats at once (a
+# longer row is a band by itself); this bounds its text and index temporaries
+# to one band's.  A haar n = 1024 generate took the same time with bands of
+# 1024, 4096, 16384 and 65536 entries (1.14-1.19 s, medians of 5) and peaked
+# at 99.6, 99.8, 102.8 and 113.3 MB RSS
+_WRITE_BAND = 4096
+
+
+def _row_bands(csr):
+    """The CSR's bands of whole rows of about ``_WRITE_BAND`` stored entries,
+    in row order: each band's slice of the entry arrays, each entry's row,
+    and the mask of its lower-triangle entries."""
+    indptr, n = csr.indptr, csr.shape[0]
+    start = 0
+    while start < n:
+        end = int(np.searchsorted(indptr, int(indptr[start]) + _WRITE_BAND, side="right")) - 1
+        end = max(end, start + 1)
+        entries = slice(indptr[start], indptr[end])
+        rows = np.repeat(np.arange(start, end), np.diff(indptr[start : end + 1]))
+        yield entries, rows, rows >= csr.indices[entries]
+        start = end
 
 
 def write_matrix_market(R: SparseSymMatrix, path) -> None:
-    """Serialize the lower triangle with 17 significant digits."""
+    """Serialize the lower triangle with 17 significant digits.
+
+    One pass over the row bands counts the lower-triangle entries for the
+    size line; a second formats each band's entries in one ``%`` call, the
+    bytes of one ``"{} {} {:.17g}\\n".format`` line per entry.  No
+    n^2- or nnz-length temporary is made.
+    """
     csr = R.scipy_csr
-    rows = np.repeat(np.arange(R.n), np.diff(csr.indptr))
-    mask = rows >= csr.indices
-    li, lj, lv = rows[mask] + 1, csr.indices[mask] + 1, csr.data[mask]
+    count = sum(int(np.count_nonzero(lower)) for _, _, lower in _row_bands(csr))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        fh.write(f"{R.n} {R.n} {li.size}\n")
-        line = "{} {} {:.17g}\n".format
-        for start in range(0, li.size, _WRITE_CHUNK):
-            part = slice(start, start + _WRITE_CHUNK)
-            fh.write("".join(map(line, li[part].tolist(), lj[part].tolist(), lv[part].tolist())))
+        fh.write(f"{R.n} {R.n} {count}\n")
+        for entries, rows, lower in _row_bands(csr):
+            k = int(np.count_nonzero(lower))
+            fields = [0] * (3 * k)
+            fields[0::3] = (rows[lower] + 1).tolist()
+            fields[1::3] = (csr.indices[entries][lower] + 1).tolist()
+            fields[2::3] = csr.data[entries][lower].tolist()
+            fh.write(("%d %d %.17g\n" * k) % tuple(fields))
 
 
 # one data line of a coordinate real file: 1-based row, column, value

@@ -1,10 +1,12 @@
 """CPU and BLAS thread control shared by the matrix products, the
-filled-matrix build and the estimators.
+filled-matrix build, the estimators and ``generate``.
 
 :func:`fan_out` is the one rule by which work spreads over threads (probe
 blocks, bands of filled products, tile pairs of a filled matrix's build):
 a pool of one thread per available CPU from the main thread, one task
-after another anywhere else, so pools never nest.  :func:`one_blas_thread`
+after another anywhere else, so pools never nest.  :func:`alongside`
+runs one side task on a worker by the same rule (``generate`` writes its
+file there while the calling thread runs the oracle).  :func:`one_blas_thread`
 holds numpy's bundled OpenBLAS at one thread, which makes BLAS results
 independent of ``OPENBLAS_NUM_THREADS`` and leaves the CPUs to the pools.
 """
@@ -17,7 +19,9 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Callable
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 
 def available_cpus() -> int:
@@ -42,6 +46,26 @@ def fan_out(fn: Callable, tasks: list) -> list:
         return [fn(task) for task in tasks]
     with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(fn, tasks))
+
+
+def alongside(main: Callable[[], T], side: Callable[[], object]) -> T:
+    """``main()``, returned, while ``side()`` runs on one worker thread.
+
+    As with :func:`fan_out`, the worker is used only from the main thread
+    with at least two CPUs available; otherwise ``main()`` runs, then
+    ``side()``, so a ``main`` that raises leaves ``side`` unstarted.  Either
+    way both have ended when this returns or raises, and an exception of
+    ``main`` wins over one of ``side``.
+    """
+    if threading.current_thread() is not threading.main_thread() or available_cpus() < 2:
+        result = main()
+        side()
+        return result
+    with ThreadPoolExecutor(1) as pool:
+        done = pool.submit(side)
+        result = main()
+        done.result()
+    return result
 
 
 @functools.cache

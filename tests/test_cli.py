@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,62 @@ def test_generate_same_seed_is_byte_identical(tmp_path, capsys):
         run_cli(capsys, "generate", "--family", "haar", "--n", "12", "--seed", "0x2a", "--out", str(out))
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.mtx.spectrum").read_bytes() == (tmp_path / "b.mtx.spectrum").read_bytes()
+
+
+def test_generate_writes_on_a_worker_while_the_oracle_keeps_the_calling_thread(
+    tmp_path, capsys, monkeypatch
+):
+    # the oracle's n x n temporaries belong on the thread whose memory the
+    # build just freed; with one CPU the two run one after the other
+    seen = {}
+
+    def recording(name, real):
+        def call(*args):
+            seen[name] = threading.current_thread()
+            return real(*args)
+
+        return call
+
+    oracle, writer = vnentropy.linalg.exact_entropy, cli.write_matrix_market
+    monkeypatch.setattr(vnentropy.linalg, "exact_entropy", recording("oracle", oracle))
+    monkeypatch.setattr(cli, "write_matrix_market", recording("writer", writer))
+    files = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: cpus)
+        seen.clear()
+        out = tmp_path / f"haar{cpus}.mtx"
+        assert run_cli(capsys, "generate", "--family", "haar", "--n", "40", "--out", str(out))[0] == 0
+        assert seen["oracle"] is threading.main_thread()
+        assert (seen["writer"] is threading.main_thread()) == (cpus == 1)
+        files[cpus] = out.read_bytes(), cli.sidecar_path(out).read_bytes()
+    assert files[1] == files[2]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_generate_oracle_failure_leaves_no_files(tmp_path, capsys, monkeypatch, cpus):
+    # with two CPUs the writer has finished the file by the time the oracle's
+    # failure is raised, so the file is removed; with one it never started
+    monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: cpus)
+
+    def fail(*args):
+        raise ValueError("eigensolver failed")
+
+    monkeypatch.setattr(vnentropy.linalg, "exact_entropy", fail)
+    out = tmp_path / "m.mtx"
+    code, _, err = run_cli(capsys, "generate", "--family", "haar", "--n", "40", "--out", str(out))
+    assert (code, err) == (2, "vnentropy: error: eigensolver failed\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_generate_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, cpus):
+    monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: cpus)
+    (tmp_path / "dir.mtx").mkdir()
+    for out in (tmp_path / "missing" / "m.mtx", tmp_path / "dir.mtx"):
+        code, _, err = run_cli(capsys, "generate", "--family", "haar", "--n", "40", "--out", str(out))
+        assert code == 2 and err.startswith("vnentropy: error:") and str(out) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["dir.mtx"]
+    assert list((tmp_path / "dir.mtx").iterdir()) == []
 
 
 def test_estimate_exact_on_quarter_identity(tmp_path, capsys):
@@ -851,7 +908,7 @@ def test_dense_generation_past_physical_memory_is_refused_up_front(
     n, out = 64, tmp_path / "m.mtx"
     argv = ["generate", "--family", family, "--n", str(n), "--k", "2", "--out", str(out)]
     monkeypatch.setattr(cli, "physical_memory", lambda: densmat.DENSE_PEAK[family] * n * n - 1)
-    for name in ("generate_haar_like_density", "generate_low_rank_density", "generate_linear_plus_uniform"):
+    for name in ("generate_haar_like_matrix", "generate_low_rank_density", "generate_linear_plus_uniform"):
         monkeypatch.setattr(cli, name, lambda *args: pytest.fail("the generator ran"))
     with pytest.raises(SystemExit) as excinfo:
         main(argv)

@@ -1,3 +1,4 @@
+import io
 import math
 import threading
 import tracemalloc
@@ -709,11 +710,89 @@ def reference_matrix_market(R: SparseSymMatrix) -> bytes:
     return "".join(out).encode("ascii")
 
 
-def test_writer_matches_the_reference_across_writes(tmp_path):
-    r, _ = generate_tridiagonal_poisson(40000)  # 79,999 data lines, more than one write
+def _awkward_values() -> SparseSymMatrix:
+    """n=7 with -0.0, a subnormal, 1e-5 (exponent form) and 1e300 among its
+    values, an explicit zero, an empty row and rows missing their diagonal."""
+    lower = {
+        (0, 0): -0.0,
+        (2, 0): 5e-324,
+        (2, 2): 1e-5,
+        (3, 1): 1e300,
+        (3, 3): 0.0,
+        (5, 2): -0.1,
+        (6, 0): 1.0 / 3.0,
+        (6, 5): 2.5e-308,
+        (6, 6): 123456789.0,
+    }
+    rows, cols, data = [], [], []
+    for (i, j), v in lower.items():
+        for r, c in {(i, j), (j, i)}:
+            rows.append(r)
+            cols.append(c)
+            data.append(v)
+    csr = sp.csr_matrix((data, (rows, cols)), shape=(7, 7))
+    csr.sort_indices()
+    return SparseSymMatrix(csr)
+
+
+WRITER_CASES = {
+    # 79,999 data lines, many bands
+    "tridiagonal": lambda: generate_tridiagonal_poisson(40000)[0],
+    "haar": lambda: generate_haar_like_density(300, RngStream(4))[0],
+    "awkward-values": _awkward_values,
+}
+
+
+@pytest.mark.parametrize("band", [1, 2, 7, None], ids=["band1", "band2", "band7", "default"])
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_writer_matches_the_reference_across_writes(tmp_path, monkeypatch, case, band):
+    # bands of 1, 2 and 7 entries end on empty rows, on rows missing their
+    # diagonal and inside rows longer than a band, which make bands alone
+    r = WRITER_CASES[case]()
+    if band is not None:
+        if case == "tridiagonal":  # 40000 rows in bands this small take seconds
+            r = generate_tridiagonal_poisson(3000)[0]
+        monkeypatch.setattr(densmat, "_WRITE_BAND", band)
     path = tmp_path / "m.mtx"
     write_matrix_market(r, path)
     assert path.read_bytes() == reference_matrix_market(r)
+
+
+class _FullDisk(OSError):
+    pass
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_writer_holds_one_band_at_a_time(tmp_path, monkeypatch, n):
+    # the writer used to build about 31 n^2 bytes of n^2-length row, mask
+    # and index arrays before its first write (31 MiB at n = 1024); now it
+    # holds one band's text and temporaries.  Tracing a whole write costs
+    # about 18 us per entry, so the file here fills up after 1 MiB of text,
+    # past the counting pass over all bands and a dozen or more bands written
+    x = np.random.default_rng(n).random(n)
+    r = SparseSymMatrix.from_dense(np.add.outer(x, x))
+    assert r.dense_view() is not None
+    room = [2**20]
+
+    class SmallDisk(io.TextIOWrapper):
+        def write(self, text):
+            room[0] -= len(text)
+            if room[0] < 0:
+                raise _FullDisk("no space left")
+            return super().write(text)
+
+    def small_disk_open(path, mode, encoding):
+        return SmallDisk(open(path, mode + "b"), encoding=encoding)
+
+    monkeypatch.setattr(densmat, "open", small_disk_open, raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_FullDisk):
+            write_matrix_market(r, tmp_path / "m.mtx")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @st.composite
@@ -741,11 +820,15 @@ def sparse_symmetric(draw):
     return SparseSymMatrix(csr)
 
 
-@given(sparse_symmetric())
+@given(sparse_symmetric(), st.sampled_from([1, 2, 7, None]))
 @settings(max_examples=200, deadline=None)
-def test_matrix_market_round_trip_is_bitwise(tmp_path_factory, r):
+def test_matrix_market_round_trip_is_bitwise(tmp_path_factory, r, band):
+    # band: the writer's band size in entries, or None for its own
     path = tmp_path_factory.mktemp("mm") / "m.mtx"
-    write_matrix_market(r, path)
+    with pytest.MonkeyPatch.context() as m:
+        if band is not None:
+            m.setattr(densmat, "_WRITE_BAND", band)
+        write_matrix_market(r, path)
     assert path.read_bytes() == reference_matrix_market(r)
     back = read_matrix_market(path).scipy_csr
     for name in ("data", "indices", "indptr"):
