@@ -67,6 +67,18 @@ FAMILIES = ("haar", "tridiagonal", "lowrank", "linuniform")
 DECAYS = ("exponential", "linear")
 METHODS = ("exact", "taylor", "chebyshev", "sketch")
 SERIES = ("taylor", "chebyshev")
+# the estimate flags each method reads, by argparse dest; every method reads
+# --seed, --out, --no-timings and --compute-exact
+SERIES_FLAGS = ("eps", "delta", "ell", "m", "s", "u_mode", "nte")
+METHOD_FLAGS = {
+    "exact": (),
+    **{name: SERIES_FLAGS for name in SERIES},
+    "sketch": ("proj", "rank", "s", "eps"),
+}
+# the top-level fields of a bench grid
+GRID_FIELDS = (
+    "matrix", "methods", "seeds", "repetitions", "m_values", "s_values", "u_modes", "delta", "rank"
+)
 # bench grid method name -> (method, projection kind, nte)
 GRID_METHODS = {
     "exact": ("exact", None, False),
@@ -213,7 +225,11 @@ def generate_family(
 
 
 def cmd_generate(args) -> int:
-    matrix, spectrum = generate_family(args.family, args.n, args.k, args.decay, args.seed)
+    for flag, families in (("k", ("lowrank", "linuniform")), ("decay", ("lowrank",))):
+        if getattr(args, flag) is not None and args.family not in families:
+            raise UsageError(f"the {args.family} family does not read --{flag}")
+    decay = args.decay or "linear"
+    matrix, spectrum = generate_family(args.family, args.n, args.k, decay, args.seed)
     written = []
 
     def write() -> None:
@@ -297,47 +313,47 @@ def run_method(
     return [run_record(estimate, wall_ms, probs, warnings, fields)]
 
 
-def _sketch_spec(kind: str, s: int, rank: int, seed: int, n: int) -> RunSpec:
-    if not 1 <= rank <= n:
-        raise ValueError(f"sketch rank must lie in [1, {n}], got {rank}")
-    return RunSpec("sketch", seed, proj=ProjectionSpec(kind, s, RngStream(seed)), rank=rank)
-
-
-def _estimate_spec(args, n: int) -> RunSpec:
-    """The run the flags ask for; out-of-range values raise ValueError."""
-    if args.method == "exact":
-        return RunSpec("exact", args.seed)
-    if args.method == "sketch":
-        if args.rank is None or args.proj is None:
+def _run_spec(n: int, method: str, seed: int, **settings) -> RunSpec:
+    """The run of ``method`` on an n x n matrix, for ``estimate`` and every
+    bench cell.  ``settings`` are estimate flag values by argparse dest; an
+    absent one takes the flag's default, and a method ignores those it
+    does not read.  Out-of-range values raise ValueError."""
+    get = settings.get
+    if method == "exact":
+        return RunSpec("exact", seed)
+    s, eps = get("s"), get("eps", 0.1)
+    if method == "sketch":
+        rank, proj = get("rank"), get("proj")
+        if rank is None or proj is None:
             raise UsageError("sketch needs --rank and --proj")
-        kind = "exact_debug" if args.proj == "exact" else args.proj
-        s = args.s
+        if not 1 <= rank <= n:
+            raise ValueError(f"sketch rank must lie in [1, {n}], got {rank}")
+        kind = "exact_debug" if proj == "exact" else proj
         if s is None:
-            s = n if kind == "exact_debug" else default_s_sketch(kind, n, args.rank, args.eps)
-        return _sketch_spec(kind, s, args.rank, args.seed, n)
-    if args.m is None and args.ell is None:
+            s = n if kind == "exact_debug" else default_s_sketch(kind, n, rank, eps)
+        return RunSpec("sketch", seed, proj=ProjectionSpec(kind, s, RngStream(seed)), rank=rank)
+    m, ell, nte = get("m"), get("ell"), get("nte", False)
+    if m is None and ell is None:
         raise UsageError("provide --ell (with --eps/--delta) or an explicit --m")
-    if args.m is not None and args.s is None and not args.nte:
+    if m is not None and s is None and not nte:
         raise UsageError("provide --s alongside --m (or use --nte)")
-    mode, value = args.u_mode
+    mode, value = get("u_mode", ("six", None))
     cfg = EstimatorConfig(
-        epsilon=args.eps,
-        delta=args.delta,
-        ell=args.ell,
-        u_mode=mode,
-        u_value=value,
-        m_override=args.m,
-        s_override=args.s,
-        nte=args.nte,
-        seed=args.seed,
+        epsilon=eps, delta=get("delta", 0.1), ell=ell, u_mode=mode, u_value=value,
+        m_override=m, s_override=s, nte=nte, seed=seed,
     )
-    return RunSpec(args.method, args.seed, cfg=cfg)
+    return RunSpec(method, seed, cfg=cfg)
 
 
 def cmd_estimate(args) -> int:
+    flags = (*SERIES_FLAGS, "proj", "rank")
+    settings = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+    unread = ["--" + f.replace("_", "-") for f in settings if f not in METHOD_FLAGS[args.method]]
+    if unread:
+        raise UsageError(f"the {args.method} method does not read {' '.join(unread)}")
     matrix, probs = load_matrix(args.matrix)
     try:
-        spec = _estimate_spec(args, matrix.n)
+        spec = _run_spec(matrix.n, args.method, args.seed, **settings)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     # opened before the run, so an unwritable path costs no estimate
@@ -383,7 +399,8 @@ def _is_count(value) -> bool:
 
 
 def _load_grid(path) -> dict:
-    """Read a bench grid and validate it before any cell runs.
+    """Read a bench grid and validate it before any cell runs; a top-level
+    field outside ``GRID_FIELDS`` is refused, since no cell reads it.
 
     Seeds become ints in parse_seed's range, each ``u_modes`` entry becomes
     a ``(text, (mode, value))`` pair and each ``methods`` entry a
@@ -392,6 +409,9 @@ def _load_grid(path) -> dict:
     """
     with open(path, "r", encoding="utf-8") as fh:
         grid = json.load(fh)
+    unread = [key for key in grid if key not in GRID_FIELDS]
+    if unread:
+        raise UsageError(f"no bench cell reads the grid field {unread[0]!r}")
     for key in ("matrix", "methods", "seeds"):
         if key not in grid:
             raise UsageError(f"grid is missing the {key!r} field")
@@ -464,6 +484,7 @@ def _bench_cells(grid, n: int, probs: np.ndarray | None) -> list[tuple[tuple, Ru
     ell = None
     if probs is not None and probs[-1] > 0:
         ell = float(probs[-1])
+    delta = float(grid.get("delta", 0.1))
     cells = []
     for name, (method, kind, nte) in grid["methods"]:
         series = method in SERIES
@@ -471,25 +492,11 @@ def _bench_cells(grid, n: int, probs: np.ndarray | None) -> list[tuple[tuple, Ru
         ss = [None] if method == "exact" or nte else grid["s_values"]
         us = grid["u_modes"] if series else [(None, (None, None))]
         cases = itertools.product(ms, ss, us, grid["seeds"], range(grid.get("repetitions", 1)))
-        for m, s, (u_text, (mode, value)), seed, rep in cases:
-            run_seed = seed + (rep << 32)
-            if method == "exact":
-                spec = RunSpec("exact", run_seed)
-            elif method == "sketch":
-                spec = _sketch_spec(kind, s, grid["rank"], run_seed, n)
-            else:
-                cfg = EstimatorConfig(
-                    epsilon=float(grid.get("epsilon", 0.1)),
-                    delta=float(grid.get("delta", 0.1)),
-                    ell=ell,
-                    u_mode=mode,
-                    u_value=value,
-                    m_override=m,
-                    s_override=0 if nte else s,
-                    nte=nte,
-                    seed=run_seed,
-                )
-                spec = RunSpec(method, run_seed, cfg=cfg)
+        for m, s, (u_text, u_mode), seed, rep in cases:
+            spec = _run_spec(
+                n, method, seed + (rep << 32), delta=delta, ell=ell, u_mode=u_mode,
+                m=m, s=0 if nte else s, nte=nte, proj=kind, rank=grid.get("rank"),
+            )
             cells.append(((name, m, s, u_text, seed, rep), spec))
     return cells
 
@@ -654,8 +661,8 @@ def build_parser() -> _Parser:
     gen = sub.add_parser("generate", help="write a matrix (+ spectrum sidecar) to disk")
     gen.add_argument("--family", required=True, choices=FAMILIES)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--k", type=int, default=None)
-    gen.add_argument("--decay", choices=DECAYS, default="linear")
+    gen.add_argument("--k", type=int)
+    gen.add_argument("--decay", choices=DECAYS)
     gen.add_argument("--seed", type=parse_seed, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_generate)
@@ -663,17 +670,16 @@ def build_parser() -> _Parser:
     est = sub.add_parser("estimate", help="estimate the entropy of a stored matrix")
     est.add_argument("matrix")
     est.add_argument("--method", required=True, choices=METHODS)
-    est.add_argument("--eps", type=float, default=0.1)
-    est.add_argument("--delta", type=float, default=0.1)
-    est.add_argument("--ell", type=float, default=None)
-    est.add_argument("--m", type=int, default=None)
-    est.add_argument("--s", type=int, default=None)
-    est.add_argument("--u-mode", type=parse_u_mode, default=("six", None))
-    est.add_argument("--nte", action="store_true")
-    est.add_argument(
-        "--proj", choices=("gaussian", "srht", "countsketch", "exact"), default=None
-    )
-    est.add_argument("--rank", type=int, default=None)
+    # None where not given, so a flag the method does not read is refused
+    est.add_argument("--eps", type=float)
+    est.add_argument("--delta", type=float)
+    est.add_argument("--ell", type=float)
+    est.add_argument("--m", type=int)
+    est.add_argument("--s", type=int)
+    est.add_argument("--u-mode", type=parse_u_mode)
+    est.add_argument("--nte", action="store_true", default=None)
+    est.add_argument("--proj", choices=("gaussian", "srht", "countsketch", "exact"))
+    est.add_argument("--rank", type=int)
     est.add_argument("--seed", type=parse_seed, default=0)
     est.add_argument("--no-timings", action="store_true")
     est.add_argument("--compute-exact", action="store_true")

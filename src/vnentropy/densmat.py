@@ -19,6 +19,7 @@ from typing import NoReturn
 import numpy as np
 import scipy.sparse as sp
 
+from . import linalg
 from .rng import RngStream, gaussian_vector
 from .threads import blas_thread_functions, fan_out
 
@@ -93,50 +94,43 @@ class SparseSymMatrix:
         exact symmetry and finiteness while it is in cache; with
         ``symmetrize`` it first writes (a[I,J] + a[J,I].T) / 2 and its
         transpose into the pair, the bits of (a + a.T) / 2 since addition
-        commutes.  No n x n temporary is made.  From n = ``TILE_POOL_MIN_N``
-        up, the pairs run in ``_PAIR_TASKS`` task lists through
+        commutes.  From n = ``TILE_POOL_MIN_N`` up, the pairs run in
+        ``_PAIR_TASKS`` task lists through
         :func:`~vnentropy.threads.fan_out`, so on a pool when called from
         the main thread.  Each pair belongs to one task and every operation
-        is element-wise, so the bits do not depend on the CPU count; the
-        asymmetry message wins over the non-finite one, whichever task
-        finds which.
+        is element-wise, so the bits do not depend on the CPU count.  No
+        n x n temporary is made unless a pair fails; then whole-array
+        checks name the fault, asymmetry before non-finite entries.
         """
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         n = a.shape[0]
 
-        def one_task(pairs) -> tuple[bool, bool]:
-            """(asymmetric, non-finite) over the task's pairs; it may stop at
-            an asymmetric pair, whose message wins, but not at a non-finite one."""
-            nonfinite = False
+        def clean(pairs) -> bool:
+            """Whether every pair of the task is exactly symmetric and finite;
+            it symmetrizes every pair even after one fails."""
+            ok = True
             for i, j in pairs:
                 if symmetrize:
                     lo = (a[i, j] + a[j, i].T) / 2.0
                     a[i, j] = lo
                     a[j, i] = lo.T
-                # x - y is exactly 0 just when x == y, both finite; so one
-                # subtraction clears a pair, and only a pair it fails is
-                # checked again: NaN is unequal to itself, so it counts as
-                # asymmetric; an equal pair is finite where a[I,J] is
+                # x - y is exactly 0 just when x == y, both finite
                 with np.errstate(invalid="ignore", over="ignore"):
-                    differs = (a[i, j] - a[j, i].T).any()
-                if differs:
-                    if not np.array_equal(a[i, j], a[j, i].T):
-                        return True, nonfinite
-                    nonfinite = nonfinite or not np.isfinite(a[i, j]).all()
-            return False, nonfinite
+                    ok = ok and not (a[i, j] - a[j, i].T).any()
+            return ok
 
         starts = range(0, n, _TILE)
         pairs = [
             (slice(i, i + _TILE), slice(j, j + _TILE)) for i in starts for j in starts if j <= i
         ]
         if n >= TILE_POOL_MIN_N:
-            flags = fan_out(one_task, [pairs[r::_PAIR_TASKS] for r in range(_PAIR_TASKS)])
+            flags = fan_out(clean, [pairs[r::_PAIR_TASKS] for r in range(_PAIR_TASKS)])
         else:
-            flags = [one_task(pairs)]
-        if any(asymmetric for asymmetric, _ in flags):
-            raise ValueError("matrix is not exactly symmetric")
-        if any(nonfinite for _, nonfinite in flags):
+            flags = [clean(pairs)]
+        if not all(flags):
+            if not np.array_equal(a, a.T):  # NaN is unequal to itself
+                raise ValueError("matrix is not exactly symmetric")
             raise ValueError("matrix contains non-finite entries")
         # int32, the index dtype scipy keeps, so it makes no copy of the tile
         indices = np.tile(np.arange(n, dtype=np.int32), n)
@@ -264,12 +258,12 @@ def _banded_product(view: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 # bytes per entry of the n x n matrix that each dense generator's build
 # peaks at under tracemalloc, rounded up from its measured peak at n = 1024
-# (44.01, 33.03 and 12.11 n^2; at n = 4096 lowrank reads 12.04 n^2).  Haar
-# now frees its draw and product before the oracle runs and reads 36.04 n^2;
-# its figure is left at 45.  Writing the matrix out adds one band of the
-# writer (under 1 MiB), so the figures bound a whole ``generate`` (traced at
-# n = 1024: 36.07, 33.06 and 12.77 n^2).
-DENSE_PEAK = {"haar": 45, "linuniform": 34, "lowrank": 13}
+# (haar with its oracle 36.03, linuniform 33.03 and lowrank 12.11 n^2; haar
+# reads 36.32 n^2 at n = 256 and 36.02 at 2048, lowrank 12.04 at 4096).
+# Writing the matrix out adds one band of the writer (under 1 MiB), so the
+# figures bound a whole ``generate`` (traced at n = 1024: 36.05, 33.06 and
+# 12.77 n^2; a haar one at n = 256, 512 and 2048: 36.63, 36.19 and 36.02).
+DENSE_PEAK = {"haar": 37, "linuniform": 34, "lowrank": 13}
 
 
 def generate_haar_like_density(
@@ -297,8 +291,6 @@ def generate_haar_like_matrix(n: int, stream: RngStream) -> SparseSymMatrix:
 def oracle_spectrum(R: SparseSymMatrix) -> np.ndarray | None:
     """The exact oracle's spectrum of R when n is within the oracle's default
     size limit; None otherwise."""
-    from . import linalg
-
     if R.n > linalg.DEFAULT_ORACLE_LIMIT:
         return None
     return linalg.exact_entropy(R)[1]
@@ -341,8 +333,6 @@ def generate_low_rank_density(
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     probs = low_rank_probs(k, decay)
-    from . import linalg
-
     q = linalg.householder_qr(gaussian_vector(stream, n * k).reshape(n, k))
     return SparseSymMatrix._adopt((q * probs) @ q.T, symmetrize=True), probs
 
@@ -357,8 +347,6 @@ def generate_linear_plus_uniform(
         [np.arange(k, 0, -1, dtype=np.float64), np.ones(n - k, dtype=np.float64)]
     )
     probs = weights / weights.sum()
-    from . import linalg
-
     q = linalg.householder_qr(gaussian_vector(stream, n * n).reshape(n, n))
     return SparseSymMatrix._adopt((q * probs) @ q.T, symmetrize=True), probs
 

@@ -7,9 +7,12 @@ sketch pipeline.  Dense matrices are plain row-major float64 ndarrays.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .densmat import SparseSymMatrix
+if TYPE_CHECKING:
+    from .densmat import SparseSymMatrix
 
 DEFAULT_ORACLE_LIMIT = 4096
 SYMMETRY_TOL = 1e-10
@@ -36,19 +39,19 @@ def householder_qr(a: np.ndarray) -> np.ndarray:
     return q
 
 
-def dense_eigvalsh(a: np.ndarray, max_n: int = DEFAULT_ORACLE_LIMIT) -> np.ndarray:
+def dense_eigvalsh(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a dense symmetric matrix, ascending.
 
     Inputs must be symmetric within ``1e-10 * max|A|`` and no larger than
-    ``max_n`` (the exact path refuses oversized problems rather than
-    silently taking hours).
+    ``DEFAULT_ORACLE_LIMIT`` (the exact path refuses oversized problems
+    rather than silently taking hours).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
-    if n > max_n:
-        raise ValueError(f"matrix size {n} exceeds the oracle limit {max_n}")
+    if n > DEFAULT_ORACLE_LIMIT:
+        raise ValueError(f"matrix size {n} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
     scale = np.max(np.abs(a)) if n else 0.0
     if np.max(np.abs(a - a.T)) > SYMMETRY_TOL * max(scale, 1e-300):
         raise ValueError("matrix is not symmetric within tolerance")
@@ -72,8 +75,7 @@ def thin_singular_values(b: np.ndarray, top: int) -> np.ndarray:
     if top == 0:
         return np.zeros(0)
     gram = b.T @ b
-    gram = (gram + gram.T) / 2.0
-    w = dense_eigvalsh(gram, max_n=max(gram.shape[0], DEFAULT_ORACLE_LIMIT))
+    w = np.linalg.eigvalsh((gram + gram.T) / 2.0)
     # Gram eigenvalues at the eigensolver noise floor would square-root into
     # spurious ~1e-8 singular values; treat them as exact zeros.
     floor = max(b.shape) * np.finfo(np.float64).eps * max(w[-1], 0.0)
@@ -101,18 +103,16 @@ def entropy_from_probs(probs: np.ndarray, clamp: float) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def exact_entropy(
-    R: SparseSymMatrix, max_n: int = DEFAULT_ORACLE_LIMIT
-) -> tuple[float, np.ndarray]:
+def exact_entropy(R: SparseSymMatrix) -> tuple[float, np.ndarray]:
     """Exact entropy from the dense eigenvalues, and the spectrum, descending;
     the oracle for all tests.
 
     Eigenvalues in ``[-1e-10 * n, 0]`` are treated as zero; anything more
     negative means the input is not positive semidefinite.
     """
-    if R.n > max_n:
-        raise ValueError(f"matrix size {R.n} exceeds the oracle limit {max_n}")
-    w = dense_eigvalsh(R.to_dense(), max_n=max_n)
+    if R.n > DEFAULT_ORACLE_LIMIT:
+        raise ValueError(f"matrix size {R.n} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
+    w = dense_eigvalsh(R.to_dense())
     floor = -1e-10 * R.n
     if w[0] < floor:
         raise ValueError(f"eigenvalue {w[0]!r} below {floor!r}: not positive semidefinite")

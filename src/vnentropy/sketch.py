@@ -165,20 +165,16 @@ def sketch_entropy(R: SparseSymMatrix, k: int, spec: ProjectionSpec) -> SketchSp
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={R.n}")
     if spec.kind == "gaussian":
         sketch = apply_gaussian(R, spec.s, spec.stream)
-        s_used = spec.s
     elif spec.kind == "srht":
         sketch = apply_srht(R, spec.s, spec.stream)
-        s_used = spec.s
     elif spec.kind == "countsketch":
         sketch = apply_countsketch(R, spec.s, spec.stream)
-        s_used = spec.s
     else:  # exact_debug: Pi = I_n
         sketch = R.to_dense()
-        s_used = R.n
     probs = thin_singular_values(sketch, min(k, min(sketch.shape)))
     return SketchSpectrum(
         probs_tilde=probs,
         entropy_tilde=entropy_from_probs(probs, SKETCH_CLAMP),
         kind=spec.kind,
-        s=s_used,
+        s=sketch.shape[1],
     )

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -264,6 +265,85 @@ def test_generate_out_of_range_sizes_are_usage_errors(tmp_path, capsys, name):
     assert excinfo.value.code == 1
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
+
+
+UNREAD_ESTIMATE_FLAGS = {
+    "exact-series-and-sketch-flags": (
+        ("--method", "exact", "--nte", "--m", "5", "--u-mode", "raw", "--rank", "3", "--proj", "gaussian"),
+        "the exact method does not read --m --u-mode --nte --proj --rank",
+    ),
+    "exact-eps": (("--method", "exact", "--eps", "0.5"), "does not read --eps"),
+    "sketch-m": (("--method", "sketch", "--proj", "srht", "--rank", "2", "--m", "3"), "--m"),
+    "sketch-nte": (("--method", "sketch", "--proj", "srht", "--rank", "2", "--nte"), "--nte"),
+    "sketch-delta": (("--method", "sketch", "--proj", "srht", "--rank", "2", "--delta", "0.2"), "--delta"),
+    "taylor-proj": (("--method", "taylor", "--m", "3", "--s", "4", "--proj", "srht"), "--proj"),
+    "chebyshev-rank": (("--method", "chebyshev", "--m", "3", "--s", "4", "--rank", "2"), "--rank"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREAD_ESTIMATE_FLAGS))
+def test_estimate_refuses_flags_its_method_does_not_read_before_reading(tmp_path, capsys, name):
+    flags, message = UNREAD_ESTIMATE_FLAGS[name]
+    # the file does not exist: reading it would exit 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["estimate", str(tmp_path / "missing.mtx"), *flags, "--compute-exact"])
+    assert excinfo.value.code == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--method", "exact", "--compute-exact", "--seed", "3"),
+        ("--method", "sketch", "--proj", "gaussian", "--rank", "2", "--s", "4", "--eps", "0.5"),
+        ("--method", "chebyshev", "--eps", "0.5", "--delta", "0.2", "--ell", "0.1", "--m", "3",
+         "--s", "4", "--u-mode", "raw"),
+        ("--method", "taylor", "--m", "3", "--s", "0", "--nte", "--compute-exact"),
+    ],
+    ids=lambda flags: flags[1],
+)
+def test_estimate_accepts_every_flag_its_method_reads(tmp_path, capsys, flags):
+    path = write_identity_density(tmp_path, 4)
+    code, out, err = run_cli(capsys, "estimate", str(path), *flags, "--no-timings")
+    assert code == 0, err
+    assert json.loads(out)["method"] == flags[1]
+
+
+UNREAD_GENERATE_FLAGS = {
+    "haar-k": ("--family", "haar", "--n", "4", "--k", "2"),
+    "tridiagonal-k": ("--family", "tridiagonal", "--n", "4", "--k", "2"),
+    "haar-decay": ("--family", "haar", "--n", "4", "--decay", "linear"),
+    "tridiagonal-decay": ("--family", "tridiagonal", "--n", "4", "--decay", "exponential"),
+    "linuniform-decay": ("--family", "linuniform", "--n", "4", "--k", "2", "--decay", "linear"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREAD_GENERATE_FLAGS))
+def test_generate_refuses_flags_its_family_does_not_read(tmp_path, capsys, name):
+    out = tmp_path / "m.mtx"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["generate", *UNREAD_GENERATE_FLAGS[name], "--out", str(out)])
+    assert excinfo.value.code == 1
+    assert "family does not read --" + name.split("-")[1] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_generate_and_estimate_examples_run(tmp_path, capsys, monkeypatch):
+    # the vnentropy generate and estimate lines of README's Command line block
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines()]
+    wanted = (["vnentropy", "generate"], ["vnentropy", "estimate"])
+    commands = [argv[1:] for argv in lines if argv[:2] in wanted]
+    monkeypatch.chdir(tmp_path)
+    assert {argv[0] for argv in commands} == {"generate", "estimate"}
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 0, (argv, capsys.readouterr().err)
+        capsys.readouterr()
 
 
 def test_pure_state_record_carries_one_warning(tmp_path, capsys):
@@ -575,6 +655,8 @@ BAD_GRIDS = {
     "string-s": {"s_values": ["8"]},
     "zero-s": {"s_values": [0]},
     "epsilon-above-one": {"epsilon": 2},
+    "epsilon-in-range": {"epsilon": 0.5},
+    "unknown-field": {"note": "no cell reads it"},
     "lowrank-without-k": {"matrix": {"family": "lowrank", "n": 8}},
     "linuniform-without-k": {"matrix": {"family": "linuniform", "n": 8}},
     "family-without-n": {"matrix": {"family": "tridiagonal"}},
@@ -906,7 +988,9 @@ def test_dense_generation_past_physical_memory_is_refused_up_front(
     tmp_path, capsys, monkeypatch, family
 ):
     n, out = 64, tmp_path / "m.mtx"
-    argv = ["generate", "--family", family, "--n", str(n), "--k", "2", "--out", str(out)]
+    argv = ["generate", "--family", family, "--n", str(n), "--out", str(out)]
+    if family in ("lowrank", "linuniform"):
+        argv += ["--k", "2"]
     monkeypatch.setattr(cli, "physical_memory", lambda: densmat.DENSE_PEAK[family] * n * n - 1)
     for name in ("generate_haar_like_matrix", "generate_low_rank_density", "generate_linear_plus_uniform"):
         monkeypatch.setattr(cli, name, lambda *args: pytest.fail("the generator ran"))

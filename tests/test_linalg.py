@@ -12,6 +12,7 @@ from vnentropy import (
     exact_entropy,
     generate_tridiagonal_poisson,
     householder_qr,
+    linalg,
     thin_singular_values,
 )
 from vnentropy.densmat import validate_spectrum
@@ -51,11 +52,12 @@ def test_eigh_diagonal_and_analytic_2x2():
     assert np.allclose(w, [1.0, 3.0], atol=1e-12)
 
 
-def test_eigh_rejects_asymmetric_and_oversized():
+def test_eigh_rejects_asymmetric_and_oversized(monkeypatch):
     with pytest.raises(ValueError):
         dense_eigvalsh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    monkeypatch.setattr(linalg, "DEFAULT_ORACLE_LIMIT", 4)
     with pytest.raises(ValueError):
-        dense_eigvalsh(np.eye(5), max_n=4)
+        dense_eigvalsh(np.eye(5))
 
 
 def test_thin_singular_values_orthonormal_columns():
@@ -139,9 +141,10 @@ def test_exact_entropy_matches_closed_form_spectrum():
     validate_spectrum(oracle)
 
 
-def test_exact_entropy_rejects_indefinite_and_oversized():
+def test_exact_entropy_rejects_indefinite_and_oversized(monkeypatch):
     with pytest.raises(ValueError):
         exact_entropy(diagonal_matrix([1.5, -0.5]))
     r, _ = rotated_density([0.5, 0.3, 0.2], RngStream(0))
+    monkeypatch.setattr(linalg, "DEFAULT_ORACLE_LIMIT", 2)
     with pytest.raises(ValueError):
-        exact_entropy(r, max_n=2)
+        exact_entropy(r)

@@ -10,6 +10,7 @@ from vnentropy import (
     default_m_taylor,
     entropy_from_probs,
     generate_linear_plus_uniform,
+    generate_tridiagonal_poisson,
     taylor_entropy,
 )
 from vnentropy.rng import gaussian_vector
@@ -176,3 +177,21 @@ def test_assumption_violation_is_reported_not_raised():
     rep = taylor_entropy(r, cfg, model)
     assert "assumption violated: u is below the top probability p1" in rep.warnings
     assert any("assumption violated" in w for w in rep.warnings)
+
+
+@pytest.mark.parametrize("u_mode", ["manual", "raw"])
+def test_nte_series_stays_exact_when_u_is_below_p1(u_mode):
+    # with u < p1 the top eigenvalues lie outside [0, u], where a Chebyshev
+    # basis on [0, u] grows exponentially; the Taylor recurrence must keep
+    # the series' own digits there (raw u/p1 is about 0.96 at this n)
+    matrix, probs = generate_tridiagonal_poisson(1024)
+    cfg = EstimatorConfig(
+        u_mode=u_mode, u_value=0.9 * probs[0] if u_mode == "manual" else None,
+        m_override=(100, 200), nte=True, seed=0,
+    )
+    rec = taylor_entropy(matrix, cfg, probs)
+    u = rec.fields["u"]
+    assert u < probs[0]
+    for m in (100, 200):
+        direct = math.log(1.0 / u) + float(np.sum(series_terms(probs, u, m)))
+        assert abs(rec.estimates[m] - direct) <= 1e-12 * abs(direct), m
