@@ -2,10 +2,10 @@
 
 A density matrix is a symmetric positive semidefinite matrix with unit
 trace; its eigenvalues are the probabilities of the underlying pure
-states.  Matrices are stored in CSR form (:class:`SparseSymMatrix`); one
-with every entry stored is multiplied through BLAS on a view of its CSR
-values, in fixed row bands from n = 2048 up while the BLAS runs one
-thread.
+states.  A matrix (:class:`SparseSymMatrix`) with every entry stored is
+one dense n x n block, multiplied through BLAS in fixed row bands from
+n = 2048 up while the BLAS runs one thread; any other is stored in CSR
+form.
 Generators that know their own spectrum return it, a descending array,
 so estimator output can be checked against ground truth.
 """
@@ -47,23 +47,29 @@ class MatrixMarketError(ValueError):
 
 @dataclass(frozen=True)
 class SparseSymMatrix:
-    """Symmetric real matrix, stored as one scipy CSR matrix.
+    """Symmetric real matrix, stored as one scipy sparse matrix.
 
-    The CSR is canonical: both triangles are stored explicitly, column
-    indices are sorted within each row and none repeats.  When all n^2
-    entries are stored (the haar, lowrank and linuniform generators), the
-    data array is the row-major dense matrix, and ``matvec``, ``matmat``,
-    ``shifted`` and ``to_dense`` work on that view through numpy/BLAS
-    (``matmat`` in row bands from n = 2048 up while the BLAS runs one
-    thread, on a thread pool when called from the main thread); every
-    other matrix uses scipy's CSR kernels.  A filled matrix holds 8 n^2
-    bytes of values and 4 n^2 bytes of int32 column indices.
+    ``scipy_csr`` holds one of two formats:
+
+    * a filled matrix, with all n^2 entries stored (:meth:`from_dense`, the
+      haar, lowrank and linuniform generators, and a Matrix Market file
+      that lists every entry), is a BSR matrix of one n x n block, the
+      row-major dense array itself: 8 n^2 bytes and no column indices.
+      ``matvec``, ``matmat``, ``shifted`` and ``to_dense`` work on that
+      block through numpy/BLAS (``matmat`` in row bands from n = 2048 up
+      while the BLAS runs one thread, on a thread pool when called from
+      the main thread);
+    * any other matrix is a canonical CSR: both triangles are stored
+      explicitly, column indices are sorted within each row and none
+      repeats.  It runs on scipy's CSR kernels, even when it stores n^2
+      entries.
+
     :meth:`from_dense` copies its argument; the lowrank and linuniform
     generators hand their own n x n array over instead.  Instances are
     immutable and safe for concurrent read-only use.
     """
 
-    scipy_csr: sp.csr_matrix
+    scipy_csr: sp.csr_matrix | sp.bsr_matrix
 
     @property
     def n(self) -> int:
@@ -87,7 +93,7 @@ class SparseSymMatrix:
 
     @classmethod
     def _adopt(cls, a: np.ndarray, symmetrize: bool = False) -> "SparseSymMatrix":
-        """Wrap a C-ordered float64 array as the values of a filled matrix,
+        """Wrap a C-ordered float64 array as the block of a filled matrix,
         without copying it; the caller must not write to it afterwards.
 
         One pass over the tile pairs (I, J), J <= I, checks each pair for
@@ -132,28 +138,19 @@ class SparseSymMatrix:
             if not np.array_equal(a, a.T):  # NaN is unequal to itself
                 raise ValueError("matrix is not exactly symmetric")
             raise ValueError("matrix contains non-finite entries")
-        # int32, the index dtype scipy keeps, so it makes no copy of the tile
-        indices = np.tile(np.arange(n, dtype=np.int32), n)
-        indptr = np.arange(0, n * n + 1, n)
-        return cls(sp.csr_matrix((a.reshape(-1), indices, indptr), shape=(n, n), copy=False))
+        return cls(_one_block(a))
 
     def dense_view(self) -> np.ndarray | None:
-        """The matrix as a read-only row-major n x n view of the stored
-        values when all n^2 entries are stored; None otherwise.
-
-        Canonical CSR with n^2 entries holds every row in full and in
-        column order, so its data array is the dense matrix; nothing is
-        copied.
-        """
-        csr = self.scipy_csr
-        if csr.nnz != self.n * self.n:
+        """The block of a filled matrix, as a read-only view; None for one
+        stored in CSR form.  Nothing is copied."""
+        if self.scipy_csr.format != "bsr":
             return None
-        view = csr.data.reshape(self.n, self.n)
+        view = self.scipy_csr.data[0]
         view.flags.writeable = False
         return view
 
     def to_dense(self) -> np.ndarray:
-        """The dense matrix; read-only when it is a view of a filled matrix."""
+        """The dense matrix; read-only when it is the block of a filled matrix."""
         view = self.dense_view()
         return self.scipy_csr.toarray() if view is None else view
 
@@ -197,21 +194,23 @@ class SparseSymMatrix:
     def shifted(self, scale: float, shift: float) -> "SparseSymMatrix":
         """The matrix scale * self + shift * I.
 
-        When every diagonal entry is stored, the result shares this
-        matrix's index arrays and owns only a new data array; otherwise it
-        is a one-off CSR sum.
+        A filled matrix gives a new block.  A CSR whose every diagonal
+        entry is stored gives one that shares its index arrays and owns
+        only a new data array; any other CSR gives a one-off CSR sum.
         """
+        view = self.dense_view()
+        if view is not None:
+            a = view * scale
+            a.reshape(-1)[:: self.n + 1] += shift
+            return SparseSymMatrix(_one_block(a))
         csr = self.scipy_csr
-        if self.dense_view() is not None:
-            diag = slice(None, None, self.n + 1)
-        else:
-            rows = np.repeat(np.arange(self.n), np.diff(csr.indptr))
-            diag = np.flatnonzero(rows == csr.indices)
-            del rows
-            if diag.size != self.n:
-                a = (scale * csr + shift * sp.identity(self.n, format="csr")).tocsr()
-                a.sort_indices()
-                return SparseSymMatrix(a)
+        rows = np.repeat(np.arange(self.n), np.diff(csr.indptr))
+        diag = np.flatnonzero(rows == csr.indices)
+        del rows
+        if diag.size != self.n:
+            a = (scale * csr + shift * sp.identity(self.n, format="csr")).tocsr()
+            a.sort_indices()
+            return SparseSymMatrix(a)
         data = csr.data * scale
         data[diag] += shift
         return SparseSymMatrix(
@@ -238,6 +237,13 @@ def validate_spectrum(probs: np.ndarray) -> None:
         raise ValueError("probabilities must be sorted descending")
 
 
+def _one_block(a: np.ndarray) -> sp.bsr_matrix:
+    """A C-ordered n x n float64 array as a BSR matrix of one block, the
+    array itself."""
+    n = a.shape[0]
+    return sp.bsr_matrix((a[None], [0], [0, 1]), shape=(n, n))
+
+
 def _banded_product(view: np.ndarray, x: np.ndarray) -> np.ndarray:
     """view @ x, in row bands from n = BAND_MIN_N up while the BLAS runs
     one thread (see ``matmat``)."""
@@ -258,12 +264,14 @@ def _banded_product(view: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 # bytes per entry of the n x n matrix that each dense generator's build
 # peaks at under tracemalloc, rounded up from its measured peak at n = 1024
-# (haar with its oracle 36.03, linuniform 33.03 and lowrank 12.11 n^2; haar
-# reads 36.32 n^2 at n = 256 and 36.02 at 2048, lowrank 12.04 at 4096).
-# Writing the matrix out adds one band of the writer (under 1 MiB), so the
-# figures bound a whole ``generate`` (traced at n = 1024: 36.05, 33.06 and
-# 12.77 n^2; a haar one at n = 256, 512 and 2048: 36.63, 36.19 and 36.02).
-DENSE_PEAK = {"haar": 37, "linuniform": 34, "lowrank": 13}
+# (haar with its oracle 32.21, linuniform 33.03 and lowrank 8.36 n^2; haar
+# reads 32.12 n^2 at 2048, lowrank 8.07 at 4096).  On top comes about
+# 0.2 MB of tile temporaries, so a haar build reads 35.18 n^2 at n = 256
+# and 32.81 at 512.  Writing the matrix out adds one band of the writer
+# (under 1 MiB), so the figures bound a whole ``generate`` from n = 512 up
+# (traced at n = 1024: 32.23, 33.06 and 8.87 n^2; a haar one at n = 512
+# and 2048: 32.94 and 32.12).
+DENSE_PEAK = {"haar": 33, "linuniform": 34, "lowrank": 9}
 
 
 def generate_haar_like_density(
@@ -364,18 +372,30 @@ def generate_linear_plus_uniform(
 _WRITE_BAND = 4096
 
 
-def _row_bands(csr):
-    """The CSR's bands of whole rows of about ``_WRITE_BAND`` stored entries,
-    in row order: each band's slice of the entry arrays, each entry's row,
-    and the mask of its lower-triangle entries."""
-    indptr, n = csr.indptr, csr.shape[0]
+def _lower_bands(R: SparseSymMatrix):
+    """R's lower-triangle entries in row order, in bands of whole rows of
+    about ``_WRITE_BAND`` stored entries: each band's 0-based rows, columns
+    and values."""
+    n, view = R.n, R.dense_view()
+    if view is not None:  # every row of a block stores n entries
+        step = max(1, _WRITE_BAND // n)
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            lower = np.arange(n) <= np.arange(start, stop)[:, None]
+            rows, cols = np.nonzero(lower)
+            yield rows + start, cols, view[start:stop][lower]
+        return
+    csr = R.scipy_csr
+    indptr = csr.indptr
     start = 0
     while start < n:
         end = int(np.searchsorted(indptr, int(indptr[start]) + _WRITE_BAND, side="right")) - 1
         end = max(end, start + 1)
         entries = slice(indptr[start], indptr[end])
         rows = np.repeat(np.arange(start, end), np.diff(indptr[start : end + 1]))
-        yield entries, rows, rows >= csr.indices[entries]
+        cols = csr.indices[entries]
+        lower = rows >= cols
+        yield rows[lower], cols[lower], csr.data[entries][lower]
         start = end
 
 
@@ -387,17 +407,16 @@ def write_matrix_market(R: SparseSymMatrix, path) -> None:
     bytes of one ``"{} {} {:.17g}\\n".format`` line per entry.  No
     n^2- or nnz-length temporary is made.
     """
-    csr = R.scipy_csr
-    count = sum(int(np.count_nonzero(lower)) for _, _, lower in _row_bands(csr))
+    count = sum(rows.size for rows, _, _ in _lower_bands(R))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
         fh.write(f"{R.n} {R.n} {count}\n")
-        for entries, rows, lower in _row_bands(csr):
-            k = int(np.count_nonzero(lower))
+        for rows, cols, values in _lower_bands(R):
+            k = rows.size
             fields = [0] * (3 * k)
-            fields[0::3] = (rows[lower] + 1).tolist()
-            fields[1::3] = (csr.indices[entries][lower] + 1).tolist()
-            fields[2::3] = csr.data[entries][lower].tolist()
+            fields[0::3] = (rows + 1).tolist()
+            fields[1::3] = (cols + 1).tolist()
+            fields[2::3] = values.tolist()
             fh.write(("%d %d %.17g\n" * k) % tuple(fields))
 
 
@@ -417,7 +436,9 @@ def read_matrix_market(path) -> SparseSymMatrix:
     :class:`MatrixMarketError` carrying the offending line number.  The
     data lines stream from the open file into one array and are checked
     as arrays; only a file that fails is read again, line by line, by
-    :func:`_locate_fault`.
+    :func:`_locate_fault`.  A file that lists every entry (n(n+1)/2 of a
+    ``symmetric`` one, n^2 of a ``general`` one) is scattered into a
+    filled matrix's block; any other becomes a canonical CSR.
     """
     with open(path, "r", encoding="ascii") as fh:
         first = fh.readline()
@@ -465,6 +486,12 @@ def read_matrix_market(path) -> SparseSymMatrix:
     i, j, v = entries["i"] - 1, entries["j"] - 1, entries["v"]
     if not _entries_valid(i, j, v, nrows, count, symmetry == "symmetric"):
         _locate_fault(path, size_line, nrows, count, symmetry, "invalid entries")
+    if count == (nrows * (nrows + 1) // 2 if symmetry == "symmetric" else nrows * nrows):
+        # the checks passed, so the file lists every entry once: a filled matrix
+        a = np.zeros((nrows, nrows))
+        a[i, j] = v
+        a[j, i] = v
+        return SparseSymMatrix(_one_block(a))
     if symmetry == "symmetric":
         lower = i != j
         i, j, v = (np.concatenate((a, b[lower])) for a, b in ((i, j), (j, i), (v, v)))

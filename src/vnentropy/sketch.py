@@ -114,7 +114,7 @@ def apply_countsketch(R: SparseSymMatrix, s: int, stream: RngStream) -> np.ndarr
 
     Row t of Pi holds a single +-1 in a uniformly chosen column; R Pi
     scatters each stored column of R into one sketch column.  A filled R
-    is sketched as (Pi^T R)^T, a sparse product with its dense view: R is
+    is sketched as (Pi^T R)^T, a sparse product with its block: R is
     exactly symmetric and each entry sums over the same coordinates in
     the same order, so the sketch is bitwise the same.
     """

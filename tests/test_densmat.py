@@ -57,9 +57,9 @@ def test_matvec_matches_dense_multiply(seed):
     assert np.linalg.norm(r.matvec(x) - expected) <= 1e-12 * max(scale, 1e-30)
 
 
-def test_from_dense_holds_one_copy_of_the_indices():
-    # 8 n^2 bytes of values and 4 n^2 of int32 column indices, at the peak
-    # too; an int64 copy of the indices, kept or transient, adds 8 n^2 more
+def test_from_dense_holds_one_copy_of_the_values():
+    # 8 n^2 bytes of values, at the peak too (8.80 n^2 with the tile
+    # temporaries); a column index array, or a second copy, adds 4 n^2 or more
     n = 512
     dense = np.eye(n) / n
     tracemalloc.start()
@@ -69,36 +69,60 @@ def test_from_dense_holds_one_copy_of_the_indices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 13 * n * n
+    assert peak <= 9 * n * n
 
 
-def test_every_constructor_yields_canonical_csr(tmp_path):
-    # the filled-matrix products read the CSR values as the dense matrix,
-    # which holds only for sorted, duplicate-free rows
+def test_every_constructor_yields_a_one_block_bsr_or_canonical_csr(tmp_path):
+    # a filled matrix is a BSR of one n x n block, which dense_view shares;
+    # the CSR kernels need sorted, duplicate-free rows
     g = gaussian_vector(RngStream(2), 36).reshape(6, 6)
     filled = SparseSymMatrix.from_dense(g + g.T)
     tri, _ = generate_tridiagonal_poisson(6)
     sym = tmp_path / "sym.mtx"
     write_matrix_market(tri, sym)
+    full_sym = tmp_path / "full-sym.mtx"
+    write_matrix_market(filled, full_sym)
     general = tmp_path / "general.mtx"
     general.write_text(GEN + "3 3 5\n3 1 0.5\n2 2 1.0\n1 3 0.5\n3 3 0.25\n1 1 2.0\n")
+    full_general = tmp_path / "full-general.mtx"
+    full_general.write_text(GEN + "2 2 4\n2 1 0.5\n1 1 2.0\n2 2 0.0\n1 2 0.5\n")
     no_diagonal = SparseSymMatrix(
         sp.csr_matrix((np.array([0.5, 0.5]), np.array([1, 0]), np.array([0, 1, 2])), shape=(2, 2))
     )
-    built = {
+    # n^2 entries stored by hand stay a CSR
+    by_hand = SparseSymMatrix(sp.csr_matrix(g + g.T))
+    blocks = {
         "from_dense": filled,
+        "haar": generate_haar_like_density(5, RngStream(1))[0],
+        "lowrank": generate_low_rank_density(5, 2, "linear", RngStream(1))[0],
+        "linuniform": generate_linear_plus_uniform(5, 2, RngStream(1))[0],
+        "read full symmetric": read_matrix_market(full_sym),
+        "read full general": read_matrix_market(full_general),
+        "shifted filled": filled.shifted(2.0, -1.0),
+    }
+    for name, r in blocks.items():
+        bsr, view = r.scipy_csr, r.dense_view()
+        assert bsr.format == "bsr" and bsr.blocksize == (r.n, r.n), name
+        assert bsr.data.shape == (1, r.n, r.n), name
+        assert bsr.indices.tolist() == [0] and bsr.indptr.tolist() == [0, 1], name
+        assert r.nnz == r.n * r.n, name
+        assert view is not None and not view.flags.writeable, name
+        assert np.shares_memory(view, bsr.data), name
+        assert np.array_equal(r.to_dense(), bsr.toarray()), name
+    csrs = {
         "tridiagonal": tri,
         "read symmetric": read_matrix_market(sym),
         "read general": read_matrix_market(general),
-        "shifted filled": filled.shifted(2.0, -1.0),
         "shifted stored diagonal": tri.shifted(2.0, -1.0),
         "shifted without diagonal": no_diagonal.shifted(2.0, -1.0),
+        "n^2 entries by hand": by_hand,
     }
-    for name, r in built.items():
+    for name, r in csrs.items():
         csr = r.scipy_csr
         # a fresh wrapper recomputes the flag instead of trusting a cached one
         fresh = sp.csr_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape)
         assert csr.format == "csr" and fresh.has_canonical_format, name
+        assert r.dense_view() is None, name
 
 
 def test_filled_matrix_is_its_own_dense_view():
@@ -475,8 +499,8 @@ def test_generated_matrix_has_the_bits_of_the_symmetrized_copy(family, n):
 
 
 def test_low_rank_generation_holds_one_dense_array():
-    # the product's 8 n^2 bytes become the CSR values, next to 4 n^2 of
-    # int32 indices; a symmetrized copy or a copy into the CSR adds 8 n^2
+    # the product's 8 n^2 bytes become the block (8.36 n^2 at the peak); a
+    # symmetrized copy or a copy into the block adds 8 n^2
     n = 1024
     tracemalloc.start()
     try:
@@ -484,7 +508,7 @@ def test_low_rank_generation_holds_one_dense_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 13 * n * n
+    assert peak <= 9 * n * n
 
 
 @pytest.mark.parametrize("family", sorted(densmat.DENSE_PEAK))
@@ -533,6 +557,61 @@ def test_round_trip_random_dense(seed, tmp_path):
     path = tmp_path / "m.mtx"
     write_matrix_market(r, path)
     assert np.array_equal(read_matrix_market(path).scipy_csr.data, r.scipy_csr.data)
+
+
+def test_round_trip_of_a_filled_matrix_gives_the_same_block(tmp_path):
+    r = generate_haar_like_density(300, RngStream(4))[0]
+    path = tmp_path / "m.mtx"
+    write_matrix_market(r, path)
+    back = read_matrix_market(path)
+    assert back.scipy_csr.format == "bsr"
+    assert back.dense_view().tobytes() == r.dense_view().tobytes()
+
+
+def test_reading_a_full_symmetric_file_fills_one_block(tmp_path):
+    # the file's n(n+1)/2 entries are scattered into the block; mirroring
+    # them into COO arrays and sorting those into a CSR peaked at 56.5 n^2
+    n = 1024
+    r = densmat.generate_haar_like_matrix(n, RngStream(1))
+    path = tmp_path / "haar.mtx"
+    write_matrix_market(r, path)
+    tracemalloc.start()
+    try:
+        back = read_matrix_market(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.scipy_csr.format == "bsr"
+    assert np.array_equal(back.dense_view(), r.dense_view())
+    assert peak <= 34 * n * n
+
+
+def test_reading_a_full_general_file_fills_one_block(tmp_path):
+    d = _symmetric(7)
+    order = np.random.default_rng(1).permutation(49)
+    lines = [f"{k // 7 + 1} {k % 7 + 1} {d.flat[k]:.17g}\n" for k in order]
+    path = tmp_path / "m.mtx"
+    path.write_text(GEN + "7 7 49\n" + "".join(lines))
+    r = read_matrix_market(path)
+    assert r.scipy_csr.format == "bsr"
+    assert r.dense_view().tobytes() == d.tobytes()
+
+
+@pytest.mark.parametrize("missing", [(4, 1), (3, 3)], ids=["off-diagonal", "diagonal"])
+def test_a_symmetric_file_missing_one_entry_reads_as_csr(tmp_path, missing):
+    n = 6
+    d = _symmetric(n)
+    kept = [(i, j) for i in range(n) for j in range(i + 1) if (i, j) != missing]
+    lines = [f"{i + 1} {j + 1} {d[i, j]:.17g}\n" for i, j in kept]
+    path = tmp_path / "m.mtx"
+    path.write_text(SYM + f"{n} {n} {len(kept)}\n" + "".join(lines))
+    rows, cols = zip(*{(a, b) for i, j in kept for a, b in ((i, j), (j, i))})
+    expected = sp.csr_matrix((d[rows, cols], (rows, cols)), shape=(n, n))
+    r = read_matrix_market(path)
+    assert r.dense_view() is None
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(r.scipy_csr, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_one_based_indices_map_to_zero_based(tmp_path):
@@ -698,7 +777,7 @@ def test_blank_lines_and_tabs_among_the_data_are_accepted(tmp_path):
 
 def reference_matrix_market(R: SparseSymMatrix) -> bytes:
     """The writer's format, one formatted line per lower-triangle entry."""
-    csr = R.scipy_csr
+    csr = R.scipy_csr.tocsr()
     rows = np.repeat(np.arange(R.n), np.diff(csr.indptr))
     mask = rows >= csr.indices
     out = [
@@ -830,7 +909,7 @@ def test_matrix_market_round_trip_is_bitwise(tmp_path_factory, r, band):
             m.setattr(densmat, "_WRITE_BAND", band)
         write_matrix_market(r, path)
     assert path.read_bytes() == reference_matrix_market(r)
-    back = read_matrix_market(path).scipy_csr
+    back = read_matrix_market(path).scipy_csr.tocsr()
     for name in ("data", "indices", "indptr"):
         a, b = getattr(back, name), getattr(r.scipy_csr, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

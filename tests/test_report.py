@@ -166,7 +166,6 @@ def test_shifted_filled_matrix_shifts_its_diagonal_in_place():
     r, _ = rotated_density([0.5, 0.3, 0.15, 0.05], RngStream(7))
     y = r.shifted(4.0 / 0.7, -2.0)
     np.testing.assert_array_equal(y.to_dense(), 4.0 / 0.7 * r.to_dense() - 2.0 * np.eye(4))
-    assert np.shares_memory(y.scipy_csr.indices, r.scipy_csr.indices)
     assert not np.shares_memory(y.scipy_csr.data, r.scipy_csr.data)
 
 

@@ -131,7 +131,7 @@ def test_countsketch_of_a_filled_matrix_is_bitwise_the_csr_sketch():
     cols = uniform_indices(stream.child(0), s, r.n)
     signs = rademacher_vector(stream.child(1), r.n)
     pi = scipy.sparse.csc_matrix((signs, (np.arange(r.n), cols)), shape=(r.n, s))
-    probs = thin_singular_values((r.scipy_csr @ pi).toarray(), 10)
+    probs = thin_singular_values((r.scipy_csr.tocsr() @ pi).toarray(), 10)
     got = sketch_entropy(r, 10, ProjectionSpec("countsketch", s, stream))
     assert np.array_equal(got.probs_tilde, probs)
     assert got.entropy_tilde == entropy_from_probs(probs, SKETCH_CLAMP)
