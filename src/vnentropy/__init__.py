@@ -9,7 +9,7 @@ top probability), and a random-projection route for low-rank matrices.
 from .chebyshev import cheb_coefficients, chebyshev_entropy, default_m_cheb
 from .densmat import (
     SparseSymMatrix,
-    generate_haar_like_density,
+    generate_haar_like_matrix,
     generate_linear_plus_uniform,
     generate_low_rank_density,
     generate_tridiagonal_poisson,
@@ -19,7 +19,6 @@ from .densmat import (
 )
 from .hutchinson import default_s, probe_average
 from .linalg import (
-    dense_eigvalsh,
     entropy_from_probs,
     exact_entropy,
     householder_qr,

@@ -43,7 +43,6 @@ from .densmat import (
     generate_linear_plus_uniform,
     generate_low_rank_density,
     generate_tridiagonal_poisson,
-    oracle_spectrum,
     read_matrix_market,
     validate_spectrum,
     write_matrix_market,
@@ -63,7 +62,12 @@ from .threads import alongside, one_blas_thread
 
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
-FAMILIES = ("haar", "tridiagonal", "lowrank", "linuniform")
+# the generate flags and grid matrix fields each family reads besides n;
+# tridiagonal draws nothing, so it reads no seed
+FAMILY_FIELDS = {
+    "haar": ("seed",), "tridiagonal": (), "lowrank": ("k", "decay", "seed"), "linuniform": ("k", "seed")
+}
+FAMILIES = tuple(FAMILY_FIELDS)
 DECAYS = ("exponential", "linear")
 METHODS = ("exact", "taylor", "chebyshev", "sketch")
 SERIES = ("taylor", "chebyshev")
@@ -74,6 +78,8 @@ METHOD_FLAGS = {
     "exact": (),
     **{name: SERIES_FLAGS for name in SERIES},
     "sketch": ("proj", "rank", "s", "eps"),
+    # the exact projection keeps every column, so it has no width to set
+    "sketch --proj exact": ("proj", "rank"),
 }
 # the top-level fields of a bench grid
 GRID_FIELDS = (
@@ -208,7 +214,8 @@ def generate_family(
     stream = RngStream(seed)
     if family == "haar":
         matrix = generate_haar_like_matrix(n, stream)
-        return matrix, lambda: oracle_spectrum(matrix)
+        known = n <= linalg.DEFAULT_ORACLE_LIMIT  # through the module, which a tracer may wrap
+        return matrix, lambda: linalg.exact_entropy(matrix)[1] if known else None
     if family == "tridiagonal":
         matrix, probs = generate_tridiagonal_poisson(n)
     elif k is None:
@@ -225,11 +232,12 @@ def generate_family(
 
 
 def cmd_generate(args) -> int:
-    for flag, families in (("k", ("lowrank", "linuniform")), ("decay", ("lowrank",))):
-        if getattr(args, flag) is not None and args.family not in families:
-            raise UsageError(f"the {args.family} family does not read --{flag}")
-    decay = args.decay or "linear"
-    matrix, spectrum = generate_family(args.family, args.n, args.k, decay, args.seed)
+    given = [f for f in ("k", "decay", "seed") if getattr(args, f) is not None]
+    unread = ["--" + f for f in given if f not in FAMILY_FIELDS[args.family]]
+    if unread:
+        raise UsageError(f"the {args.family} family does not read {' '.join(unread)}")
+    decay, seed = args.decay or "linear", args.seed or 0
+    matrix, spectrum = generate_family(args.family, args.n, args.k, decay, seed)
     written = []
 
     def write() -> None:
@@ -348,9 +356,10 @@ def _run_spec(n: int, method: str, seed: int, **settings) -> RunSpec:
 def cmd_estimate(args) -> int:
     flags = (*SERIES_FLAGS, "proj", "rank")
     settings = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
-    unread = ["--" + f.replace("_", "-") for f in settings if f not in METHOD_FLAGS[args.method]]
+    method = "sketch --proj exact" if (args.method, args.proj) == ("sketch", "exact") else args.method
+    unread = ["--" + f.replace("_", "-") for f in settings if f not in METHOD_FLAGS[method]]
     if unread:
-        raise UsageError(f"the {args.method} method does not read {' '.join(unread)}")
+        raise UsageError(f"the {method} method does not read {' '.join(unread)}")
     matrix, probs = load_matrix(args.matrix)
     try:
         spec = _run_spec(matrix.n, args.method, args.seed, **settings)
@@ -392,6 +401,11 @@ def _parse_grid_entry(parse, value, what: str):
         return parse(str(value))
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"grid {what} {value!r}: {exc}")
+
+
+def _reads_s(method: str, kind: str | None, nte: bool) -> bool:
+    """Whether a grid method runs once per ``s_values`` entry."""
+    return method != "exact" and not nte and kind != "exact_debug"
 
 
 def _is_count(value) -> bool:
@@ -437,10 +451,10 @@ def _load_grid(path) -> dict:
         parsed = GRID_METHODS.get(name) if isinstance(name, str) else None
         if parsed is None:
             raise UsageError(f"unknown bench method {name!r}")
-        method, _, nte = parsed
+        method = parsed[0]
         if method in SERIES and not grid.get("m_values"):
             raise UsageError(f"method {name!r} needs nonempty m_values")
-        if method != "exact" and not nte and not grid.get("s_values"):
+        if _reads_s(*parsed) and not grid.get("s_values"):
             raise UsageError(f"method {name!r} needs nonempty s_values")
         if method == "sketch" and not _is_count(grid.get("rank")):
             raise UsageError(f"method {name!r} needs an integer rank >= 1")
@@ -453,6 +467,8 @@ def _grid_matrix(spec) -> tuple[SparseSymMatrix, np.ndarray | None]:
     if not isinstance(spec, dict):
         raise UsageError(f"grid field 'matrix' must be an object, got {spec!r}")
     if "path" in spec:
+        if len(spec) > 1:
+            raise UsageError(f"a grid matrix 'path' takes no other field, got {sorted(spec)}")
         if not isinstance(spec["path"], str):
             raise UsageError(f"grid matrix 'path' must be a string, got {spec['path']!r}")
         if not Path(spec["path"]).exists():
@@ -460,12 +476,17 @@ def _grid_matrix(spec) -> tuple[SparseSymMatrix, np.ndarray | None]:
         return load_matrix(spec["path"])
     if "n" not in spec:
         raise UsageError("grid matrix needs a 'path' or an 'n'")
+    family = spec.get("family")
+    if family in FAMILIES:  # generate_family refuses any other
+        unread = [key for key in spec if key not in ("family", "n", *FAMILY_FIELDS[family])]
+        if unread:
+            raise UsageError(f"the {family} family does not read the grid matrix field {unread[0]!r}")
     for key in ("n", "k"):
         value = spec.get(key)
         if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
             raise UsageError(f"grid matrix {key!r} must be an integer, got {value!r}")
     matrix, spectrum = generate_family(
-        spec.get("family"),
+        family,
         spec["n"],
         spec.get("k"),
         spec.get("decay", "linear"),
@@ -489,7 +510,7 @@ def _bench_cells(grid, n: int, probs: np.ndarray | None) -> list[tuple[tuple, Ru
     for name, (method, kind, nte) in grid["methods"]:
         series = method in SERIES
         ms = grid["m_values"] if series else [None]
-        ss = [None] if method == "exact" or nte else grid["s_values"]
+        ss = grid["s_values"] if _reads_s(method, kind, nte) else [None]
         us = grid["u_modes"] if series else [(None, (None, None))]
         cases = itertools.product(ms, ss, us, grid["seeds"], range(grid.get("repetitions", 1)))
         for m, s, (u_text, u_mode), seed, rep in cases:
@@ -663,7 +684,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--k", type=int)
     gen.add_argument("--decay", choices=DECAYS)
-    gen.add_argument("--seed", type=parse_seed, default=0)
+    gen.add_argument("--seed", type=parse_seed)  # 0 where not given, for families that draw
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_generate)
 

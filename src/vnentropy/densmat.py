@@ -7,7 +7,8 @@ one dense n x n block, multiplied through BLAS in fixed row bands from
 n = 2048 up while the BLAS runs one thread; any other is stored in CSR
 form.
 Generators that know their own spectrum return it, a descending array,
-so estimator output can be checked against ground truth.
+so estimator output can be checked against ground truth; the haar
+generator's spectrum comes from the exact oracle.
 """
 
 from __future__ import annotations
@@ -64,9 +65,7 @@ class SparseSymMatrix:
       repeats.  It runs on scipy's CSR kernels, even when it stores n^2
       entries.
 
-    :meth:`from_dense` copies its argument; the lowrank and linuniform
-    generators hand their own n x n array over instead.  Instances are
-    immutable and safe for concurrent read-only use.
+    Instances are immutable and safe for concurrent read-only use.
     """
 
     scipy_csr: sp.csr_matrix | sp.bsr_matrix
@@ -87,7 +86,8 @@ class SparseSymMatrix:
         through BLAS on a view of the values.  The copy is checked for
         exact symmetry and finiteness in one pass over its tile pairs (see
         :meth:`_adopt`).  Writing to the caller's array later leaves the
-        matrix unchanged.
+        matrix unchanged.  The three dense generators hand their own array
+        to :meth:`_adopt` instead.
         """
         return cls._adopt(np.array(dense, dtype=np.float64, order="C", ndmin=1))
 
@@ -264,44 +264,26 @@ def _banded_product(view: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 # bytes per entry of the n x n matrix that each dense generator's build
 # peaks at under tracemalloc, rounded up from its measured peak at n = 1024
-# (haar with its oracle 32.21, linuniform 33.03 and lowrank 8.36 n^2; haar
-# reads 32.12 n^2 at 2048, lowrank 8.07 at 4096).  On top comes about
-# 0.2 MB of tile temporaries, so a haar build reads 35.18 n^2 at n = 256
-# and 32.81 at 512.  Writing the matrix out adds one band of the writer
+# (haar with its oracle 24.00, in its Gaussian draw; linuniform 33.03 and
+# lowrank 8.36 n^2; haar reads 24.00 n^2 at 2048, lowrank 8.07 at 4096).
+# On top come about 0.2 MB of tile temporaries and one band of the writer
 # (under 1 MiB), so the figures bound a whole ``generate`` from n = 512 up
-# (traced at n = 1024: 32.23, 33.06 and 8.87 n^2; a haar one at n = 512
-# and 2048: 32.94 and 32.12).
-DENSE_PEAK = {"haar": 33, "linuniform": 34, "lowrank": 9}
-
-
-def generate_haar_like_density(
-    n: int, stream: RngStream
-) -> tuple[SparseSymMatrix, np.ndarray | None]:
-    """Random dense density matrix R = G G^T / trace(G G^T), G Gaussian.
-
-    The spectrum is recovered by the exact eigendecomposition oracle when
-    n is within its default size limit; otherwise it is None.
-    """
-    r = generate_haar_like_matrix(n, stream)
-    return r, oracle_spectrum(r)
+# (traced at n = 1024: 24.05, 33.06 and 8.87 n^2; a haar one at n = 256,
+# 512 and 2048: 24.72, 24.13 and 24.01).
+DENSE_PEAK = {"haar": 25, "linuniform": 34, "lowrank": 9}
 
 
 def generate_haar_like_matrix(n: int, stream: RngStream) -> SparseSymMatrix:
-    """The matrix of :func:`generate_haar_like_density`, without its spectrum."""
+    """Random dense density matrix R = G G^T / trace(G G^T), G Gaussian,
+    scaled in place and handed over as the block; its spectrum is the
+    exact oracle's to compute."""
     if n < 1:
         raise ValueError("n must be at least 1")
     g = gaussian_vector(stream, n * n).reshape(n, n)
     w = g @ g.T
-    w = (w + w.T) / 2.0
-    return SparseSymMatrix.from_dense(w / np.trace(w))
-
-
-def oracle_spectrum(R: SparseSymMatrix) -> np.ndarray | None:
-    """The exact oracle's spectrum of R when n is within the oracle's default
-    size limit; None otherwise."""
-    if R.n > linalg.DEFAULT_ORACLE_LIMIT:
-        return None
-    return linalg.exact_entropy(R)[1]
+    del g
+    w /= np.trace(w)
+    return SparseSymMatrix._adopt(w, symmetrize=True)
 
 
 def poisson_spectrum(n: int) -> np.ndarray:

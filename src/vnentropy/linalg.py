@@ -1,8 +1,7 @@
-"""Dense kernels: QR, symmetric eigenvalues, Gram-route singular values,
-and entropy from a probability vector.
+"""Dense kernels: QR, Gram-route singular values, entropy from a
+probability vector, and the exact-entropy oracle.
 
-These back the matrix generators, the exact-entropy oracle, and the
-sketch pipeline.  Dense matrices are plain row-major float64 ndarrays.
+These back the matrix generators, the tests and the sketch pipeline.  Dense matrices are plain row-major float64 ndarrays.
 """
 
 from __future__ import annotations
@@ -37,25 +36,6 @@ def householder_qr(a: np.ndarray) -> np.ndarray:
             f"rank-deficient input: pivot {pivots.min():.3e} below {threshold:.3e}"
         )
     return q
-
-
-def dense_eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a dense symmetric matrix, ascending.
-
-    Inputs must be symmetric within ``1e-10 * max|A|`` and no larger than
-    ``DEFAULT_ORACLE_LIMIT`` (the exact path refuses oversized problems
-    rather than silently taking hours).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n > DEFAULT_ORACLE_LIMIT:
-        raise ValueError(f"matrix size {n} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
-    scale = np.max(np.abs(a)) if n else 0.0
-    if np.max(np.abs(a - a.T)) > SYMMETRY_TOL * max(scale, 1e-300):
-        raise ValueError("matrix is not symmetric within tolerance")
-    return np.linalg.eigvalsh(a)
 
 
 def thin_singular_values(b: np.ndarray, top: int) -> np.ndarray:
@@ -105,14 +85,23 @@ def entropy_from_probs(probs: np.ndarray, clamp: float) -> float:
 
 def exact_entropy(R: SparseSymMatrix) -> tuple[float, np.ndarray]:
     """Exact entropy from the dense eigenvalues, and the spectrum, descending;
-    the oracle for all tests.
+    the oracle for all tests.  It refuses n above ``DEFAULT_ORACLE_LIMIT``
+    rather than silently taking hours.
 
-    Eigenvalues in ``[-1e-10 * n, 0]`` are treated as zero; anything more
-    negative means the input is not positive semidefinite.
+    A filled matrix's block, proved exactly symmetric when it was built,
+    goes to the eigensolver as it is; a CSR matrix is made dense and must
+    be symmetric within ``1e-10 * max|R|``.  Eigenvalues in
+    ``[-1e-10 * n, 0]`` are treated as zero; anything more negative means
+    the input is not positive semidefinite.
     """
     if R.n > DEFAULT_ORACLE_LIMIT:
         raise ValueError(f"matrix size {R.n} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
-    w = dense_eigvalsh(R.to_dense())
+    a = R.dense_view()
+    if a is None:
+        a = R.scipy_csr.toarray()
+        if np.max(np.abs(a - a.T)) > SYMMETRY_TOL * max(np.max(np.abs(a)), 1e-300):
+            raise ValueError("matrix is not symmetric within tolerance")
+    w = np.linalg.eigvalsh(a)
     floor = -1e-10 * R.n
     if w[0] < floor:
         raise ValueError(f"eigenvalue {w[0]!r} below {floor!r}: not positive semidefinite")

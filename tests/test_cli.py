@@ -278,6 +278,18 @@ UNREAD_ESTIMATE_FLAGS = {
     "sketch-delta": (("--method", "sketch", "--proj", "srht", "--rank", "2", "--delta", "0.2"), "--delta"),
     "taylor-proj": (("--method", "taylor", "--m", "3", "--s", "4", "--proj", "srht"), "--proj"),
     "chebyshev-rank": (("--method", "chebyshev", "--m", "3", "--s", "4", "--rank", "2"), "--rank"),
+    "sketch-exact-s": (
+        ("--method", "sketch", "--proj", "exact", "--rank", "3", "--s", "7"),
+        "the sketch --proj exact method does not read --s",
+    ),
+    "sketch-exact-eps": (
+        ("--method", "sketch", "--proj", "exact", "--rank", "3", "--eps", "0.5"),
+        "the sketch --proj exact method does not read --eps",
+    ),
+    "sketch-exact-s-and-eps": (
+        ("--method", "sketch", "--proj", "exact", "--rank", "3", "--s", "7", "--eps", "0.5"),
+        "the sketch --proj exact method does not read --eps --s",
+    ),
 }
 
 
@@ -309,12 +321,24 @@ def test_estimate_accepts_every_flag_its_method_reads(tmp_path, capsys, flags):
     assert json.loads(out)["method"] == flags[1]
 
 
+def test_exact_projection_keeps_every_column(tmp_path, capsys):
+    path = write_identity_density(tmp_path, 6)
+    code, out, err = run_cli(
+        capsys, "estimate", str(path), "--method", "sketch", "--proj", "exact", "--rank", "2",
+        "--no-timings",
+    )
+    assert code == 0, err
+    record = json.loads(out)
+    assert (record["proj"], record["s"]) == ("exact_debug", 6)
+
+
 UNREAD_GENERATE_FLAGS = {
     "haar-k": ("--family", "haar", "--n", "4", "--k", "2"),
     "tridiagonal-k": ("--family", "tridiagonal", "--n", "4", "--k", "2"),
     "haar-decay": ("--family", "haar", "--n", "4", "--decay", "linear"),
     "tridiagonal-decay": ("--family", "tridiagonal", "--n", "4", "--decay", "exponential"),
     "linuniform-decay": ("--family", "linuniform", "--n", "4", "--k", "2", "--decay", "linear"),
+    "tridiagonal-seed": ("--family", "tridiagonal", "--n", "4", "--seed", "3"),
 }
 
 
@@ -486,7 +510,7 @@ def test_stored_matrix_at_scale_makes_no_dense_array(tmp_path, capsys, monkeypat
         pytest.fail("a dense array was made")
 
     monkeypatch.setattr(SparseSymMatrix, "to_dense", densify)
-    monkeypatch.setattr(vnentropy.linalg, "dense_eigvalsh", densify)
+    monkeypatch.setattr(vnentropy.linalg, "exact_entropy", densify)
     n = 65536
     path = tmp_path / "tri.mtx"
     code, _, err = run_cli(
@@ -670,6 +694,13 @@ BAD_GRIDS = {
     "string-n": {"matrix": {"family": "tridiagonal", "n": "abc"}},
     "fractional-k": {"matrix": {"family": "lowrank", "n": 8, "k": 2.5}},
     "negative-matrix-seed": {"matrix": {"family": "haar", "n": 6, "seed": -1}},
+    "haar-unread-fields": {
+        "matrix": {"family": "haar", "n": 32, "sede": 5, "k": 3, "decay": "exponential"}
+    },
+    "haar-k": {"matrix": {"family": "haar", "n": 8, "k": 2}},
+    "linuniform-decay": {"matrix": {"family": "linuniform", "n": 8, "k": 2, "decay": "linear"}},
+    "tridiagonal-seed": {"matrix": {"family": "tridiagonal", "n": 8, "seed": 3}},
+    "tridiagonal-k": {"matrix": {"family": "tridiagonal", "n": 8, "k": 2}},
     "non-string-matrix-path": {"matrix": {"path": 5}},
     "matrix-list": {"matrix": ["path"]},
     "matrix-string": {"matrix": "x.mtx"},
@@ -694,6 +725,53 @@ def test_bench_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, monkeypat
     assert excinfo.value.code == 1
     assert "usage error" in capsys.readouterr().err
     assert ran == []
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"n": 5, "family": "haar"}, "takes no other field, got ['family', 'n', 'path']"),
+        ({"seed": 3}, "takes no other field, got ['path', 'seed']"),
+    ],
+    ids=["family-fields", "seed"],
+)
+def test_a_path_matrix_spec_reads_only_its_path(tmp_path, capsys, extra, message):
+    # the file exists, so only the unread fields can fail the grid
+    path = write_identity_density(tmp_path, 4)
+    grid = tmp_path / "grid.json"
+    spec = {"methods": ["exact"], "seeds": [0]}
+    grid.write_text(json.dumps({"matrix": {"path": str(path), **extra}, **spec}))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", str(grid)])
+    assert excinfo.value.code == 1
+    assert message in capsys.readouterr().err
+    grid.write_text(json.dumps({"matrix": {"path": str(path)}, **spec}))
+    assert run_cli(capsys, "bench", str(grid), "--no-timings")[0] == 0
+
+
+def test_bench_exact_projection_runs_once_per_seed_with_no_s(tmp_path, capsys):
+    # the exact projection has no width, so s_values do not multiply its
+    # rows, and a grid of it alone needs none
+    base = {"matrix": {"family": "lowrank", "n": 8, "k": 2, "seed": 1}, "seeds": [0, 1], "rank": 2}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(
+        {**base, "methods": ["sketch:exact_debug", "sketch:gaussian"], "s_values": [4, 6]}
+    ))
+    code, out, err = run_cli(capsys, "bench", str(grid), "--no-timings")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+    assert [row[:3] + row[4:5] for row in rows] == [
+        ["sketch:exact_debug", "", "", "0"],
+        ["sketch:exact_debug", "", "", "1"],
+        ["sketch:gaussian", "", "4", "0"],
+        ["sketch:gaussian", "", "4", "1"],
+        ["sketch:gaussian", "", "6", "0"],
+        ["sketch:gaussian", "", "6", "1"],
+    ]
+    grid.write_text(json.dumps({**base, "methods": ["sketch:exact_debug"]}))
+    code, out_alone, err = run_cli(capsys, "bench", str(grid), "--no-timings")
+    assert code == 0, err
+    assert out_alone.splitlines()[:3] == out.splitlines()[:3]
 
 
 def test_bench_unwritable_out_exits_two_before_any_cell_runs(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,7 @@ from vnentropy import (
     SparseSymMatrix,
     entropy_from_probs,
     exact_entropy,
-    generate_haar_like_density,
+    generate_haar_like_matrix,
     generate_linear_plus_uniform,
     generate_low_rank_density,
     generate_tridiagonal_poisson,
@@ -24,7 +24,7 @@ from vnentropy import (
 )
 from vnentropy import densmat
 from vnentropy.densmat import MatrixMarketError, low_rank_probs, validate_spectrum
-from vnentropy.linalg import dense_eigvalsh, householder_qr
+from vnentropy.linalg import householder_qr
 from vnentropy.rng import gaussian_vector
 from vnentropy.threads import one_blas_thread
 
@@ -93,7 +93,7 @@ def test_every_constructor_yields_a_one_block_bsr_or_canonical_csr(tmp_path):
     by_hand = SparseSymMatrix(sp.csr_matrix(g + g.T))
     blocks = {
         "from_dense": filled,
-        "haar": generate_haar_like_density(5, RngStream(1))[0],
+        "haar": generate_haar_like_matrix(5, RngStream(1)),
         "lowrank": generate_low_rank_density(5, 2, "linear", RngStream(1))[0],
         "linuniform": generate_linear_plus_uniform(5, 2, RngStream(1))[0],
         "read full symmetric": read_matrix_market(full_sym),
@@ -360,7 +360,7 @@ def test_generated_bits_do_not_depend_on_cpus_or_calling_thread(monkeypatch, fam
 @pytest.mark.parametrize("n", [300, 2100])
 def test_from_dense_bits_do_not_depend_on_cpus_or_calling_thread(monkeypatch, n):
     if n == 300:
-        dense = generate_haar_like_density(n, RngStream(3))[0].to_dense()
+        dense = generate_haar_like_matrix(n, RngStream(3)).to_dense()
     else:
         dense = _filled(n).to_dense()
     bits = _bits_on_any_cpus(monkeypatch, lambda: SparseSymMatrix.from_dense(dense))
@@ -383,28 +383,38 @@ def test_from_dense_does_not_alias_its_argument():
 
 @pytest.mark.parametrize("n", [1, 5, 64])
 def test_haar_like_density_is_unit_trace_psd(n):
-    r, model = generate_haar_like_density(n, RngStream(0))
+    r = generate_haar_like_matrix(n, RngStream(0))
     assert abs(r.trace() - 1.0) < 1e-10
     r.validate_density()
-    w = dense_eigvalsh(r.to_dense())
+    w = np.linalg.eigvalsh(r.to_dense())
     assert w.min() >= -1e-10
-    assert model is not None and model.size == n
+    _, model = exact_entropy(r)
+    assert model.size == n
     validate_spectrum(model)
 
 
 def test_haar_like_density_entropy_near_log_n():
     n = 64
-    r, model = generate_haar_like_density(n, RngStream(7))
-    h, oracle = exact_entropy(r)
-    assert abs(h - entropy_from_probs(model, 1e-14)) < 1e-10
+    h, _ = exact_entropy(generate_haar_like_matrix(n, RngStream(7)))
     # dense random mixing: entropy sits an O(1) constant below ln n
     assert math.log(n) - 1.0 < h < math.log(n)
 
 
 def test_haar_generation_is_deterministic():
-    a, _ = generate_haar_like_density(16, RngStream(3))
-    b, _ = generate_haar_like_density(16, RngStream(3))
+    a = generate_haar_like_matrix(16, RngStream(3))
+    b = generate_haar_like_matrix(16, RngStream(3))
     assert np.array_equal(a.scipy_csr.data, b.scipy_csr.data)
+
+
+@pytest.mark.parametrize("n", [5, 300, 2100])
+def test_haar_block_has_the_bits_of_the_symmetrized_scaled_product(monkeypatch, n):
+    # the product is scaled in place and then symmetrized in tile pairs (on
+    # the pool at n = 2100); the reference symmetrizes a copy, then scales
+    monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: 2)
+    r = generate_haar_like_matrix(n, RngStream(n))
+    g = gaussian_vector(RngStream(n), n * n).reshape(n, n)
+    w = g @ g.T
+    assert r.dense_view().tobytes() == (((w + w.T) / 2.0) / np.trace(w)).tobytes()
 
 
 def test_tridiagonal_poisson_small_values():
@@ -422,7 +432,7 @@ def test_tridiagonal_spectrum_matches_eigensolver():
         csr = r.scipy_csr
         assert abs(csr - csr.T).max() == 0
         assert csr.has_sorted_indices
-        w = dense_eigvalsh(r.to_dense())
+        w = np.linalg.eigvalsh(r.to_dense())
         assert np.max(np.abs(w[::-1] - model)) < 1e-8
         assert np.max(np.abs(np.sort(poisson_spectrum(n)) - w)) < 1e-12
 
@@ -446,7 +456,7 @@ def test_low_rank_exponential_probs():
 
 def test_low_rank_density_has_rank_k():
     r, model = generate_low_rank_density(32, 4, "linear", RngStream(1))
-    w = dense_eigvalsh(r.to_dense())
+    w = np.linalg.eigvalsh(r.to_dense())
     assert np.all(w[:-4] < 1e-10)
     assert abs(r.trace() - 1.0) < 1e-10
     validate_spectrum(model)
@@ -474,7 +484,7 @@ def test_linear_plus_uniform_full_k_matches_low_rank():
 def test_linear_plus_uniform_full_rank():
     r, model = generate_linear_plus_uniform(12, 3, RngStream(2))
     assert model[-1] > 0
-    w = dense_eigvalsh(r.to_dense())
+    w = np.linalg.eigvalsh(r.to_dense())
     assert w.min() > 0.5 * model[-1]
 
 
@@ -514,10 +524,12 @@ def test_low_rank_generation_holds_one_dense_array():
 @pytest.mark.parametrize("family", sorted(densmat.DENSE_PEAK))
 def test_dense_generators_peak_within_their_recorded_bound(family):
     # generate refuses a build whose DENSE_PEAK figure exceeds the machine's
-    # memory; the figure must cover the build at sizes where that matters
+    # memory; the figure must cover the build, for haar with the oracle that
+    # writes its sidecar, at sizes where that matters (haar read 32.21 n^2
+    # when it copied its product twice and the oracle copied the block)
     n = 1024
     build = {
-        "haar": lambda: generate_haar_like_density(n, RngStream(1)),
+        "haar": lambda: exact_entropy(generate_haar_like_matrix(n, RngStream(1))),
         "linuniform": lambda: generate_linear_plus_uniform(n, 10, RngStream(1)),
         "lowrank": lambda: generate_low_rank_density(n, 10, "exponential", RngStream(1)),
     }[family]
@@ -560,7 +572,7 @@ def test_round_trip_random_dense(seed, tmp_path):
 
 
 def test_round_trip_of_a_filled_matrix_gives_the_same_block(tmp_path):
-    r = generate_haar_like_density(300, RngStream(4))[0]
+    r = generate_haar_like_matrix(300, RngStream(4))
     path = tmp_path / "m.mtx"
     write_matrix_market(r, path)
     back = read_matrix_market(path)
@@ -572,7 +584,7 @@ def test_reading_a_full_symmetric_file_fills_one_block(tmp_path):
     # the file's n(n+1)/2 entries are scattered into the block; mirroring
     # them into COO arrays and sorting those into a CSR peaked at 56.5 n^2
     n = 1024
-    r = densmat.generate_haar_like_matrix(n, RngStream(1))
+    r = generate_haar_like_matrix(n, RngStream(1))
     path = tmp_path / "haar.mtx"
     write_matrix_market(r, path)
     tracemalloc.start()
@@ -817,7 +829,7 @@ def _awkward_values() -> SparseSymMatrix:
 WRITER_CASES = {
     # 79,999 data lines, many bands
     "tridiagonal": lambda: generate_tridiagonal_poisson(40000)[0],
-    "haar": lambda: generate_haar_like_density(300, RngStream(4))[0],
+    "haar": lambda: generate_haar_like_matrix(300, RngStream(4)),
     "awkward-values": _awkward_values,
 }
 

@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import diagonal_matrix, rotated_density
 from vnentropy import (
     RngStream,
-    dense_eigvalsh,
+    SparseSymMatrix,
     entropy_from_probs,
     exact_entropy,
+    generate_haar_like_matrix,
     generate_tridiagonal_poisson,
     householder_qr,
     linalg,
@@ -45,19 +48,52 @@ def test_qr_rejects_rank_deficiency():
         householder_qr(a)
 
 
-def test_eigh_diagonal_and_analytic_2x2():
-    w = dense_eigvalsh(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(w, [1.0, 2.0, 3.0], atol=1e-14)
-    w = dense_eigvalsh(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    assert np.allclose(w, [1.0, 3.0], atol=1e-12)
+@pytest.mark.parametrize("store", ["block", "csr"])
+def test_exact_spectrum_of_a_diagonal_and_an_analytic_2x2(store):
+    def build(dense):
+        if store == "block":
+            return SparseSymMatrix.from_dense(dense)
+        return SparseSymMatrix(sp.csr_matrix(np.asarray(dense)))
+
+    _, probs = exact_entropy(build(np.diag([0.5, 1 / 6, 1 / 3])))
+    assert np.allclose(probs, [0.5, 1 / 3, 1 / 6], atol=1e-15)
+    _, probs = exact_entropy(build([[0.5, -0.25], [-0.25, 0.5]]))
+    assert np.allclose(probs, [0.75, 0.25], atol=1e-15)
 
 
-def test_eigh_rejects_asymmetric_and_oversized(monkeypatch):
-    with pytest.raises(ValueError):
-        dense_eigvalsh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+def test_exact_entropy_rejects_an_asymmetric_hand_built_csr_and_oversized(monkeypatch):
+    # only a CSR can be asymmetric: a block is checked exactly as it is built
+    asymmetric = sp.csr_matrix(np.array([[0.5, 1e-9], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="not symmetric within tolerance"):
+        exact_entropy(SparseSymMatrix(asymmetric))
+    # within 1e-10 * max|R| counts as symmetric
+    nearly = sp.csr_matrix(np.array([[0.5, 1e-11], [0.0, 0.5]]))
+    assert exact_entropy(SparseSymMatrix(nearly))[0] == pytest.approx(math.log(2))
     monkeypatch.setattr(linalg, "DEFAULT_ORACLE_LIMIT", 4)
-    with pytest.raises(ValueError):
-        dense_eigvalsh(np.eye(5))
+    for r in (generate_tridiagonal_poisson(5)[0], SparseSymMatrix.from_dense(np.eye(5) / 5)):
+        with pytest.raises(ValueError, match="exceeds the oracle limit 4"):
+            exact_entropy(r)
+
+
+def test_exact_entropy_of_a_block_and_of_its_csr_are_bitwise_equal():
+    r = generate_haar_like_matrix(50, RngStream(2))
+    h, probs = exact_entropy(r)
+    h_csr, probs_csr = exact_entropy(SparseSymMatrix(sp.csr_matrix(r.to_dense())))
+    assert h == h_csr and probs.tobytes() == probs_csr.tobytes()
+
+
+def test_the_oracle_makes_no_copy_of_a_block():
+    # the block goes to the eigensolver as it is; a dense copy and the
+    # symmetry check's temporaries read 16.0 n^2
+    n = 1024
+    r = generate_haar_like_matrix(n, RngStream(1))
+    tracemalloc.start()
+    try:
+        exact_entropy(r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * n
 
 
 def test_thin_singular_values_orthonormal_columns():
@@ -74,7 +110,7 @@ def test_thin_singular_values_padded_diagonal():
 def test_thin_singular_values_match_gram_eigensolve():
     b = gaussian_vector(RngStream(9), 256).reshape(32, 8)
     sv = thin_singular_values(b, 8)
-    w = dense_eigvalsh(b.T @ b)
+    w = np.linalg.eigvalsh(b.T @ b)
     assert np.max(np.abs(sv - np.sqrt(np.clip(w[::-1], 0, None)))) < 1e-8
 
 
