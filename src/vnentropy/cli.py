@@ -81,16 +81,15 @@ METHOD_FLAGS = {
     # the exact projection keeps every column, so it has no width to set
     "sketch --proj exact": ("proj", "rank"),
 }
-# the top-level fields of a bench grid
-GRID_FIELDS = (
-    "matrix", "methods", "seeds", "repetitions", "m_values", "s_values", "u_modes", "delta", "rank"
-)
-# bench grid method name -> (method, projection kind, nte)
+# bench grid method name -> (method, projection kind, nte, the grid fields
+# it reads); every method reads matrix, methods, seeds and repetitions
 GRID_METHODS = {
-    "exact": ("exact", None, False),
-    **{name: (name, None, False) for name in SERIES},
-    **{f"{name}_nte": (name, None, True) for name in SERIES},
-    **{f"sketch:{kind}": ("sketch", kind, False) for kind in PROJECTION_KINDS},
+    "exact": ("exact", None, False, ()),
+    **{name: (name, None, False, ("m_values", "s_values", "u_modes", "delta")) for name in SERIES},
+    **{f"{name}_nte": (name, None, True, ("m_values", "u_modes", "delta")) for name in SERIES},
+    **{f"sketch:{kind}": ("sketch", kind, False, ("s_values", "rank")) for kind in PROJECTION_KINDS},
+    # replaces the entry above: the exact projection keeps every column, so it reads no s_values
+    "sketch:exact_debug": ("sketch", "exact_debug", False, ("rank",)),
 }
 
 
@@ -403,35 +402,44 @@ def _parse_grid_entry(parse, value, what: str):
         raise UsageError(f"grid {what} {value!r}: {exc}")
 
 
-def _reads_s(method: str, kind: str | None, nte: bool) -> bool:
-    """Whether a grid method runs once per ``s_values`` entry."""
-    return method != "exact" and not nte and kind != "exact_debug"
-
-
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def _load_grid(path) -> dict:
-    """Read a bench grid and validate it before any cell runs; a top-level
-    field outside ``GRID_FIELDS`` is refused, since no cell reads it.
+    """Read a bench grid and validate it before any cell runs: a JSON
+    object in which every field besides ``matrix``, ``methods``, ``seeds``
+    and ``repetitions`` is read by a method of the grid (``GRID_METHODS``),
+    and each list field a method reads is nonempty.
 
     Seeds become ints in parse_seed's range, each ``u_modes`` entry becomes
     a ``(text, (mode, value))`` pair and each ``methods`` entry a
-    ``(name, (method, projection kind, nte))`` pair.  Repetition r of a cell
-    runs seed + r * 2**32, so repeated grids need seeds below 2**32.
+    ``(name, (method, projection kind, nte, fields read))`` pair.
+    Repetition r of a cell runs seed + r * 2**32, so repeated grids need
+    seeds below 2**32.
     """
     with open(path, "r", encoding="utf-8") as fh:
         grid = json.load(fh)
-    unread = [key for key in grid if key not in GRID_FIELDS]
-    if unread:
-        raise UsageError(f"no bench cell reads the grid field {unread[0]!r}")
+    if not isinstance(grid, dict):
+        raise UsageError(f"a bench grid must be a JSON object, got {grid!r}")
     for key in ("matrix", "methods", "seeds"):
         if key not in grid:
             raise UsageError(f"grid is missing the {key!r} field")
     for key in ("methods", "seeds"):
         if not isinstance(grid[key], list) or not grid[key]:
             raise UsageError(f"grid field {key!r} must be a nonempty list")
+    methods, readers = [], {}  # readers: grid field -> the first method that reads it
+    for name in grid["methods"]:
+        parsed = GRID_METHODS.get(name) if isinstance(name, str) else None
+        if parsed is None:
+            raise UsageError(f"unknown bench method {name!r}")
+        methods.append((name, parsed))
+        for key in parsed[3]:
+            readers.setdefault(key, name)
+    unread = [key for key in grid if key not in ("matrix", "methods", "seeds", "repetitions", *readers)]
+    if unread:
+        raise UsageError(f"no bench cell reads the grid field {unread[0]!r}")
+    grid["methods"] = methods
     reps = grid.get("repetitions", 1)
     if not _is_count(reps):
         raise UsageError(f"grid field 'repetitions' must be an integer >= 1, got {reps!r}")
@@ -439,27 +447,17 @@ def _load_grid(path) -> dict:
     if reps > 1 and max(grid["seeds"]) >= 2**32:
         raise UsageError("with repetitions > 1, grid seeds must be below 2**32")
     for key in ("m_values", "s_values"):
-        values = grid.get(key, [])
-        if not isinstance(values, list) or not all(_is_count(v) for v in values):
-            raise UsageError(f"grid field {key!r} must list integers >= 1, got {values!r}")
+        values = grid.get(key)
+        if key in readers and not (isinstance(values, list) and values and all(map(_is_count, values))):
+            raise UsageError(f"method {readers[key]!r} needs {key}, a nonempty list of integers >= 1")
+    grid.setdefault("u_modes", ["six"])
+    if not isinstance(grid["u_modes"], list) or not grid["u_modes"]:
+        raise UsageError(f"grid field 'u_modes' must be a nonempty list, got {grid['u_modes']!r}")
     grid["u_modes"] = [
-        (text, _parse_grid_entry(parse_u_mode, text, "u-mode"))
-        for text in grid.get("u_modes", ["six"])
+        (text, _parse_grid_entry(parse_u_mode, text, "u-mode")) for text in grid["u_modes"]
     ]
-    methods = []
-    for name in grid["methods"]:
-        parsed = GRID_METHODS.get(name) if isinstance(name, str) else None
-        if parsed is None:
-            raise UsageError(f"unknown bench method {name!r}")
-        method = parsed[0]
-        if method in SERIES and not grid.get("m_values"):
-            raise UsageError(f"method {name!r} needs nonempty m_values")
-        if _reads_s(*parsed) and not grid.get("s_values"):
-            raise UsageError(f"method {name!r} needs nonempty s_values")
-        if method == "sketch" and not _is_count(grid.get("rank")):
-            raise UsageError(f"method {name!r} needs an integer rank >= 1")
-        methods.append((name, parsed))
-    grid["methods"] = methods
+    if "rank" in readers and not _is_count(grid.get("rank")):
+        raise UsageError(f"method {readers['rank']!r} needs an integer rank >= 1")
     return grid
 
 
@@ -507,11 +505,11 @@ def _bench_cells(grid, n: int, probs: np.ndarray | None) -> list[tuple[tuple, Ru
         ell = float(probs[-1])
     delta = float(grid.get("delta", 0.1))
     cells = []
-    for name, (method, kind, nte) in grid["methods"]:
-        series = method in SERIES
-        ms = grid["m_values"] if series else [None]
-        ss = grid["s_values"] if _reads_s(method, kind, nte) else [None]
-        us = grid["u_modes"] if series else [(None, (None, None))]
+    for name, (method, kind, nte, reads) in grid["methods"]:
+        ms, ss, us = (
+            grid[key] if key in reads else [default]
+            for key, default in (("m_values", None), ("s_values", None), ("u_modes", (None, None)))
+        )
         cases = itertools.product(ms, ss, us, grid["seeds"], range(grid.get("repetitions", 1)))
         for m, s, (u_text, u_mode), seed, rep in cases:
             spec = _run_spec(

@@ -416,11 +416,14 @@ def read_matrix_market(path) -> SparseSymMatrix:
     Accepts ``symmetric`` headers (lower triangle mirrored) and ``general``
     headers whose data happens to be exactly symmetric; anything else is a
     :class:`MatrixMarketError` carrying the offending line number.  The
-    data lines stream from the open file into one array and are checked
-    as arrays; only a file that fails is read again, line by line, by
-    :func:`_locate_fault`.  A file that lists every entry (n(n+1)/2 of a
-    ``symmetric`` one, n^2 of a ``general`` one) is scattered into a
-    filled matrix's block; any other becomes a canonical CSR.
+    data lines stream from the open file into one array, whose range,
+    finiteness and (for ``symmetric`` files) lower triangle are checked as
+    arrays.  A file that lists every entry (n(n+1)/2 of a ``symmetric``
+    one, n^2 of a ``general`` one) fills a NaN-filled block, which
+    :meth:`SparseSymMatrix._adopt` proves exactly symmetric and finite, so
+    free of repeats; any other becomes a canonical CSR, which must keep
+    every entry and equal its transpose.  Only a file that fails is read
+    again, line by line, by :func:`_locate_fault`.
     """
     with open(path, "r", encoding="ascii") as fh:
         first = fh.readline()
@@ -466,39 +469,31 @@ def read_matrix_market(path) -> SparseSymMatrix:
             except ValueError as exc:
                 _locate_fault(path, size_line, nrows, count, symmetry, str(exc))
     i, j, v = entries["i"] - 1, entries["j"] - 1, entries["v"]
-    if not _entries_valid(i, j, v, nrows, count, symmetry == "symmetric"):
+    symmetric = symmetry == "symmetric"
+    bad = i.size != count or np.any((i < 0) | (i >= nrows) | (j < 0) | (j >= nrows))
+    if bad or not np.all(np.isfinite(v)) or (symmetric and np.any(i < j)):
         _locate_fault(path, size_line, nrows, count, symmetry, "invalid entries")
-    if count == (nrows * (nrows + 1) // 2 if symmetry == "symmetric" else nrows * nrows):
-        # the checks passed, so the file lists every entry once: a filled matrix
-        a = np.zeros((nrows, nrows))
+    if count == (nrows * (nrows + 1) // 2 if symmetric else nrows * nrows):
+        a = np.full((nrows, nrows), np.nan)
         a[i, j] = v
-        a[j, i] = v
-        return SparseSymMatrix(_one_block(a))
-    if symmetry == "symmetric":
+        if symmetric:
+            a[j, i] = v
+        try:
+            return SparseSymMatrix._adopt(a)
+        except ValueError as exc:
+            _locate_fault(path, size_line, nrows, count, symmetry, str(exc))
+    if symmetric:
         lower = i != j
         i, j, v = (np.concatenate((a, b[lower])) for a, b in ((i, j), (j, i), (v, v)))
-    # the COO-to-CSR conversion buckets entries by row and sorts each row's
-    # columns, so the arrays equal those built from (row, column)-sorted input
-    return SparseSymMatrix(sp.csr_matrix((v, (i, j)), shape=(nrows, nrows)))
-
-
-def _entries_valid(i, j, v, n: int, count: int, symmetric: bool) -> bool:
-    """The checks of :func:`_locate_fault`, on the 0-based data arrays."""
-    if i.size != count or np.any((i < 0) | (i >= n) | (j < 0) | (j >= n)):
-        return False
-    if not np.all(np.isfinite(v)) or (symmetric and np.any(i < j)):
-        return False
-    key = i * n + j
-    order = np.argsort(key)
-    key = key[order]
-    if np.any(key[1:] == key[:-1]):
-        return False
-    if symmetric or not count:
-        return True
-    # a 'general' file: entry (i, j) needs the same value at its mirror (j, i)
-    mirror = j * n + i
-    at = np.minimum(np.searchsorted(key, mirror), count - 1)
-    return np.array_equal(key[at], mirror) and np.array_equal(v[order][at], v)
+    # the COO-to-CSR conversion sums repeated entries and sorts each row's
+    # columns, so the arrays equal those built from (row, column)-sorted
+    # input, and a repeat leaves nnz short of the entry count
+    csr = sp.csr_matrix((v, (i, j)), shape=(nrows, nrows))
+    t = csr if symmetric else csr.T.tocsr()  # a 'symmetric' file was mirrored above
+    same = map(np.array_equal, (csr.indptr, csr.indices, csr.data), (t.indptr, t.indices, t.data))
+    if csr.nnz != v.size or not all(same):
+        _locate_fault(path, size_line, nrows, count, symmetry, "repeated or asymmetric entries")
+    return SparseSymMatrix(csr)
 
 
 def _locate_fault(path, size_line, nrows, count, symmetry, reason) -> NoReturn:
@@ -512,37 +507,38 @@ def _locate_fault(path, size_line, nrows, count, symmetry, reason) -> NoReturn:
     files, symmetry at the first offending entry in file order.
     ``reason`` is the error if none of these fire.
     """
-    entries: dict[tuple[int, int], float] = {}
+    entries: dict[int, float] = {}  # (i - 1) * nrows + j - 1 -> value
+    lineno = size_line
     with open(path, "r", encoding="ascii") as fh:
-        data_lines = list(itertools.islice(fh, size_line, None))
-    last_line = size_line + len(data_lines)
-    for lineno, line in enumerate(data_lines, start=size_line + 1):
-        if not line.strip():
-            continue
-        if len(entries) == count:
-            _fail(path, lineno, f"more than the declared {count} entries")
-        parts = line.split()
-        if len(parts) != 3 or "_" in line:
-            _fail(path, lineno, f"malformed entry {line.strip()!r}")
-        try:
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            _fail(path, lineno, f"malformed entry {line.strip()!r}")
-        if not (1 <= i <= nrows and 1 <= j <= nrows):
-            _fail(path, lineno, f"index ({i}, {j}) out of range for n={nrows}")
-        if not np.isfinite(v):
-            _fail(path, lineno, f"non-finite value {parts[2]!r}")
-        if symmetry == "symmetric" and i < j:
-            _fail(path, lineno, f"upper-triangle entry ({i}, {j}) in a symmetric file")
-        if (i, j) in entries:
-            _fail(path, lineno, f"duplicate entry ({i}, {j})")
-        entries[(i, j)] = v
-    if len(entries) != count:
-        _fail(path, last_line, f"declared {count} entries but found {len(entries)}")
+        for lineno, line in enumerate(itertools.islice(fh, size_line, None), start=size_line + 1):
+            if not line.strip():
+                continue
+            if len(entries) == count:
+                _fail(path, lineno, f"more than the declared {count} entries")
+            parts = line.split()
+            if len(parts) != 3 or "_" in line:
+                _fail(path, lineno, f"malformed entry {line.strip()!r}")
+            try:
+                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError:
+                _fail(path, lineno, f"malformed entry {line.strip()!r}")
+            if not (1 <= i <= nrows and 1 <= j <= nrows):
+                _fail(path, lineno, f"index ({i}, {j}) out of range for n={nrows}")
+            if not np.isfinite(v):
+                _fail(path, lineno, f"non-finite value {parts[2]!r}")
+            if symmetry == "symmetric" and i < j:
+                _fail(path, lineno, f"upper-triangle entry ({i}, {j}) in a symmetric file")
+            key = (i - 1) * nrows + j - 1
+            if key in entries:
+                _fail(path, lineno, f"duplicate entry ({i}, {j})")
+            entries[key] = v
+    if len(entries) != count:  # lineno is now the last line
+        _fail(path, lineno, f"declared {count} entries but found {len(entries)}")
     if symmetry == "general":
-        for (i, j), v in entries.items():
-            if entries.get((j, i)) != v:
+        for key, v in entries.items():
+            i, j = divmod(key, nrows)
+            if entries.get(j * nrows + i) != v:
                 raise MatrixMarketError(
-                    f"{path}: 'general' file is not symmetric at entry ({i}, {j})"
+                    f"{path}: 'general' file is not symmetric at entry ({i + 1}, {j + 1})"
                 )
     raise MatrixMarketError(f"{path}: {reason}")

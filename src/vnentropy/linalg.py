@@ -54,8 +54,8 @@ def thin_singular_values(b: np.ndarray, top: int) -> np.ndarray:
         raise ValueError(f"top must lie in [0, {bound}], got {top}")
     if top == 0:
         return np.zeros(0)
-    gram = b.T @ b
-    w = np.linalg.eigvalsh((gram + gram.T) / 2.0)
+    # numpy computes b.T @ b through syrk, which fills both triangles alike
+    w = np.linalg.eigvalsh(b.T @ b)
     # Gram eigenvalues at the eigensolver noise floor would square-root into
     # spurious ~1e-8 singular values; treat them as exact zeros.
     floor = max(b.shape) * np.finfo(np.float64).eps * max(w[-1], 0.0)

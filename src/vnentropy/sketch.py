@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import linalg
 from .densmat import SparseSymMatrix
 from .linalg import entropy_from_probs, thin_singular_values
 from .rng import (
@@ -159,10 +160,12 @@ def sketch_entropy(R: SparseSymMatrix, k: int, spec: ProjectionSpec) -> SketchSp
 
     The caller asserts rank(R) <= k; the recovered values are the top-k
     singular values of R Pi with entropy taken over those above the
-    clamp.
+    clamp.  ``exact_debug`` makes R dense, so it shares the oracle's n limit.
     """
     if not 1 <= k <= R.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={R.n}")
+    if spec.kind == "exact_debug" and R.n > linalg.DEFAULT_ORACLE_LIMIT:
+        raise ValueError(f"matrix size {R.n} exceeds the oracle limit {linalg.DEFAULT_ORACLE_LIMIT}")
     if spec.kind == "gaussian":
         sketch = apply_gaussian(R, spec.s, spec.stream)
     elif spec.kind == "srht":

@@ -681,6 +681,15 @@ BAD_GRIDS = {
     "epsilon-above-one": {"epsilon": 2},
     "epsilon-in-range": {"epsilon": 0.5},
     "unknown-field": {"note": "no cell reads it"},
+    "exact-reads-no-m-values": {"methods": ["exact", "sketch:gaussian"], "rank": 2},
+    "sketch-reads-no-m-values": {"methods": ["sketch:gaussian"], "rank": 2},
+    "sketch-reads-no-u-modes": {
+        "methods": ["sketch:gaussian"], "rank": 2, "m_values": None, "u_modes": ["six"]
+    },
+    "nte-reads-no-s-values": {"methods": ["taylor_nte"]},
+    "nte-reads-no-rank": {"methods": ["taylor", "taylor_nte"], "rank": 2},
+    "empty-u-modes": {"u_modes": []},
+    "string-u-modes": {"u_modes": "six"},
     "lowrank-without-k": {"matrix": {"family": "lowrank", "n": 8}},
     "linuniform-without-k": {"matrix": {"family": "linuniform", "n": 8}},
     "family-without-n": {"matrix": {"family": "tridiagonal"}},
@@ -707,6 +716,16 @@ BAD_GRIDS = {
 }
 
 
+# the bad grids refused for a field that no method of the grid reads
+UNREAD_GRID_FIELDS = {
+    "exact-reads-no-m-values": "m_values",
+    "sketch-reads-no-m-values": "m_values",
+    "sketch-reads-no-u-modes": "u_modes",
+    "nte-reads-no-s-values": "s_values",
+    "nte-reads-no-rank": "rank",
+}
+
+
 @pytest.mark.parametrize("name", sorted(BAD_GRIDS))
 def test_bench_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, monkeypatch, name):
     grid = tmp_path / "grid.json"
@@ -717,14 +736,58 @@ def test_bench_rejects_bad_grid_before_any_cell_runs(tmp_path, capsys, monkeypat
         "s_values": [2],
         "seeds": [0],
     }
-    grid.write_text(json.dumps({**spec, **BAD_GRIDS[name]}))
+    # a None in BAD_GRIDS drops the field from the grid
+    grid.write_text(json.dumps({k: v for k, v in {**spec, **BAD_GRIDS[name]}.items() if v is not None}))
     ran = []
     monkeypatch.setattr(cli, "_attempt", lambda *args: ran.append(args))
     with pytest.raises(SystemExit) as excinfo:
         main(["bench", str(grid)])
     assert excinfo.value.code == 1
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    if name in UNREAD_GRID_FIELDS:
+        assert f"no bench cell reads the grid field {UNREAD_GRID_FIELDS[name]!r}" in err
     assert ran == []
+
+
+@pytest.mark.parametrize("text", ["5", "null", '"matrix"', '["matrix"]'])
+def test_bench_refuses_a_grid_that_is_not_a_json_object(tmp_path, capsys, text):
+    grid = tmp_path / "grid.json"
+    grid.write_text(text)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", str(grid)])
+    assert excinfo.value.code == 1
+    assert "usage error: a bench grid must be a JSON object" in capsys.readouterr().err
+
+
+def test_bench_accepts_a_field_that_one_method_of_the_grid_reads(tmp_path, capsys):
+    rows = bench_rows(tmp_path, capsys, {
+        "matrix": {"family": "tridiagonal", "n": 8},
+        "methods": ["exact", "taylor"],
+        "m_values": [2],
+        "s_values": [2],
+        "seeds": [0],
+    })
+    assert [(r["method"], r["m"], r["s"], r["error"]) for r in rows] == [
+        ("exact", "", "", ""), ("taylor", "2", "2", "")
+    ]
+
+
+def test_the_exact_projection_refuses_n_above_the_oracle_limit(tmp_path, capsys, monkeypatch):
+    # a stored tridiagonal n = 65536 would otherwise ask for a 32 GiB array
+    path = tmp_path / "tri.mtx"
+    run_cli(capsys, "generate", "--family", "tridiagonal", "--n", "16", "--out", str(path))
+    monkeypatch.setattr(vnentropy.linalg, "DEFAULT_ORACLE_LIMIT", 8)
+    monkeypatch.setattr(SparseSymMatrix, "to_dense", lambda self: pytest.fail("made R dense"))
+    code, out, err = run_cli(
+        capsys, "estimate", str(path), "--method", "sketch", "--proj", "exact", "--rank", "2"
+    )
+    assert code == 2 and out == ""
+    assert "matrix size 16 exceeds the oracle limit 8" in err
+    rows = bench_rows(tmp_path, capsys, {
+        "matrix": {"path": str(path)}, "methods": ["sketch:exact_debug"], "seeds": [0], "rank": 2
+    })
+    assert [r["error"] for r in rows] == ["ValueError"]
 
 
 @pytest.mark.parametrize(

@@ -581,8 +581,8 @@ def test_round_trip_of_a_filled_matrix_gives_the_same_block(tmp_path):
 
 
 def test_reading_a_full_symmetric_file_fills_one_block(tmp_path):
-    # the file's n(n+1)/2 entries are scattered into the block; mirroring
-    # them into COO arrays and sorting those into a CSR peaked at 56.5 n^2
+    # the file's n(n+1)/2 entries are scattered into the block, which
+    # _adopt checks: 12 n^2 of parsed entries, 8 of indices and 8 of block
     n = 1024
     r = generate_haar_like_matrix(n, RngStream(1))
     path = tmp_path / "haar.mtx"
@@ -595,7 +595,7 @@ def test_reading_a_full_symmetric_file_fills_one_block(tmp_path):
         tracemalloc.stop()
     assert back.scipy_csr.format == "bsr"
     assert np.array_equal(back.dense_view(), r.dense_view())
-    assert peak <= 34 * n * n
+    assert peak <= 29 * n * n
 
 
 def test_reading_a_full_general_file_fills_one_block(tmp_path):
@@ -706,6 +706,9 @@ GEN = "%%MatrixMarket matrix coordinate real general\n"
         # duplicates
         (GEN + "2 2 3\n1 2 0.5\n2 1 0.5\n1 2 0.5\n", 5, "duplicate entry (1, 2)"),
         (GEN + "2 2 3\n1 2 0.5\n1 2 0.25\n2 1 0.5\n", 4, "duplicate entry (1, 2)"),
+        # a file that lists as many entries as a full one, with a repeat
+        (SYM + "2 2 3\n1 1 1.0\n2 1 0.5\n2 1 0.5\n", 5, "duplicate entry (2, 1)"),
+        (GEN + "2 2 4\n1 1 1.0\n1 2 0.5\n2 1 0.5\n1 2 0.5\n", 6, "duplicate entry (1, 2)"),
         # indices
         (SYM + "2 2 1\n0 1 1.0\n", 3, "index (0, 1) out of range for n=2"),
         (SYM + "2 2 1\n-1 1 1.0\n", 3, "index (-1, 1) out of range for n=2"),
@@ -732,6 +735,9 @@ GEN = "%%MatrixMarket matrix coordinate real general\n"
          "'general' file is not symmetric at entry (2, 1)"),
         (GEN + "3 3 5\n3 3 1.0\n3 1 0.5\n1 3 0.75\n2 1 0.25\n1 2 0.5\n", None,
          "'general' file is not symmetric at entry (3, 1)"),
+        # an explicit zero whose mirror is absent: equal values, unequal structure
+        (GEN + "3 3 3\n1 1 1.0\n2 1 0.0\n3 3 1.0\n", None,
+         "'general' file is not symmetric at entry (2, 1)"),
     ],
 )
 def test_parse_errors_carry_line_numbers(tmp_path, content, line, message):
@@ -741,6 +747,22 @@ def test_parse_errors_carry_line_numbers(tmp_path, content, line, message):
         read_matrix_market(path)
     where = path if line is None else f"{path}:{line}"
     assert str(excinfo.value) == f"{where}: {message}"
+
+
+def test_a_repeat_in_a_full_file_on_the_tile_pool_is_located(tmp_path):
+    # n = 2100 >= TILE_POOL_MIN_N, so _adopt finds the NaN hole on its pool
+    n = 2100
+    path = tmp_path / "m.mtx"
+    write_matrix_market(generate_low_rank_density(n, 10, "linear", RngStream(1))[0], path)
+    with open(path, "rb+") as fh:  # replace the last line by the one before it
+        fh.seek(-200, io.SEEK_END)
+        *_, before, last, _ = fh.read().split(b"\n")
+        fh.seek(-len(last) - 1, io.SEEK_END)
+        fh.truncate()
+        fh.write(before + b"\n")
+    with pytest.raises(MatrixMarketError) as excinfo:
+        read_matrix_market(path)
+    assert str(excinfo.value) == f"{path}:2206052: duplicate entry ({n}, {n - 1})"
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from vnentropy import (
     generate_tridiagonal_poisson,
     sketch_entropy,
 )
+from vnentropy import linalg
 from vnentropy.rng import rademacher_vector, uniform_indices
 from vnentropy.linalg import thin_singular_values
 from vnentropy.sketch import SKETCH_CLAMP, _hadamard_signs
@@ -219,3 +220,33 @@ def test_full_rank_input_with_exact_debug():
     r, model = generate_linear_plus_uniform(24, 4, RngStream(71))
     out = sketch_entropy(r, 24, ProjectionSpec("exact_debug", 1, RngStream(0)))
     assert np.max(np.abs(out.probs_tilde - model)) < 1e-8
+
+
+@pytest.mark.parametrize("store", ["block", "csr"])
+def test_sketch_gram_matrices_are_exactly_symmetric(store):
+    # thin_singular_values hands b.T @ b to eigvalsh unsymmetrized: numpy
+    # computes it through syrk, which fills both triangles alike
+    if store == "block":
+        r, _ = generate_low_rank_density(512, 10, "linear", RngStream(81))
+    else:
+        r, _ = generate_tridiagonal_poisson(512)
+    sketches = [
+        apply_gaussian(r, 400, RngStream(1)),
+        apply_srht(r, 400, RngStream(2)),
+        apply_countsketch(r, 400, RngStream(3)),
+    ]
+    for b in sketches:
+        for order in (np.ascontiguousarray, np.asfortranarray):
+            gram = order(b).T @ order(b)
+            assert np.array_equal(gram, gram.T)
+
+
+def test_exact_projection_refuses_n_above_the_oracle_limit(monkeypatch):
+    r, _ = generate_low_rank_density(9, 2, "linear", RngStream(91))
+    spec = ProjectionSpec("exact_debug", 1, RngStream(0))
+    monkeypatch.setattr(linalg, "DEFAULT_ORACLE_LIMIT", 9)
+    assert sketch_entropy(r, 2, spec).s == 9
+    monkeypatch.setattr(linalg, "DEFAULT_ORACLE_LIMIT", 8)
+    monkeypatch.setattr(SparseSymMatrix, "to_dense", lambda self: pytest.fail("made r dense"))
+    with pytest.raises(ValueError, match="exceeds the oracle limit 8"):
+        sketch_entropy(r, 2, spec)
