@@ -449,7 +449,7 @@ def _load_grid(path) -> dict:
     for key in ("m_values", "s_values"):
         values = grid.get(key)
         if key in readers and not (isinstance(values, list) and values and all(map(_is_count, values))):
-            raise UsageError(f"method {readers[key]!r} needs {key}, a nonempty list of integers >= 1")
+            raise UsageError(f"method {readers[key]!r} needs {key}, a nonempty list of integers >= 1, got {values!r}")
     grid.setdefault("u_modes", ["six"])
     if not isinstance(grid["u_modes"], list) or not grid["u_modes"]:
         raise UsageError(f"grid field 'u_modes' must be a nonempty list, got {grid['u_modes']!r}")
@@ -457,7 +457,7 @@ def _load_grid(path) -> dict:
         (text, _parse_grid_entry(parse_u_mode, text, "u-mode")) for text in grid["u_modes"]
     ]
     if "rank" in readers and not _is_count(grid.get("rank")):
-        raise UsageError(f"method {readers['rank']!r} needs an integer rank >= 1")
+        raise UsageError(f"method {readers['rank']!r} needs an integer rank >= 1, got {grid.get('rank')!r}")
     return grid
 
 

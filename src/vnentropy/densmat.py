@@ -507,38 +507,37 @@ def _locate_fault(path, size_line, nrows, count, symmetry, reason) -> NoReturn:
     files, symmetry at the first offending entry in file order.
     ``reason`` is the error if none of these fire.
     """
-    entries: dict[int, float] = {}  # (i - 1) * nrows + j - 1 -> value
-    lineno = size_line
+    entries: dict[tuple[int, int], float] = {}
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(itertools.islice(fh, size_line, None), start=size_line + 1):
-            if not line.strip():
-                continue
-            if len(entries) == count:
-                _fail(path, lineno, f"more than the declared {count} entries")
-            parts = line.split()
-            if len(parts) != 3 or "_" in line:
-                _fail(path, lineno, f"malformed entry {line.strip()!r}")
-            try:
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                _fail(path, lineno, f"malformed entry {line.strip()!r}")
-            if not (1 <= i <= nrows and 1 <= j <= nrows):
-                _fail(path, lineno, f"index ({i}, {j}) out of range for n={nrows}")
-            if not np.isfinite(v):
-                _fail(path, lineno, f"non-finite value {parts[2]!r}")
-            if symmetry == "symmetric" and i < j:
-                _fail(path, lineno, f"upper-triangle entry ({i}, {j}) in a symmetric file")
-            key = (i - 1) * nrows + j - 1
-            if key in entries:
-                _fail(path, lineno, f"duplicate entry ({i}, {j})")
-            entries[key] = v
-    if len(entries) != count:  # lineno is now the last line
-        _fail(path, lineno, f"declared {count} entries but found {len(entries)}")
+        data_lines = list(itertools.islice(fh, size_line, None))
+    last_line = size_line + len(data_lines)
+    for lineno, line in enumerate(data_lines, start=size_line + 1):
+        if not line.strip():
+            continue
+        if len(entries) == count:
+            _fail(path, lineno, f"more than the declared {count} entries")
+        parts = line.split()
+        if len(parts) != 3 or "_" in line:
+            _fail(path, lineno, f"malformed entry {line.strip()!r}")
+        try:
+            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            _fail(path, lineno, f"malformed entry {line.strip()!r}")
+        if not (1 <= i <= nrows and 1 <= j <= nrows):
+            _fail(path, lineno, f"index ({i}, {j}) out of range for n={nrows}")
+        if not np.isfinite(v):
+            _fail(path, lineno, f"non-finite value {parts[2]!r}")
+        if symmetry == "symmetric" and i < j:
+            _fail(path, lineno, f"upper-triangle entry ({i}, {j}) in a symmetric file")
+        if (i, j) in entries:
+            _fail(path, lineno, f"duplicate entry ({i}, {j})")
+        entries[(i, j)] = v
+    if len(entries) != count:
+        _fail(path, last_line, f"declared {count} entries but found {len(entries)}")
     if symmetry == "general":
-        for key, v in entries.items():
-            i, j = divmod(key, nrows)
-            if entries.get(j * nrows + i) != v:
+        for (i, j), v in entries.items():
+            if entries.get((j, i)) != v:
                 raise MatrixMarketError(
-                    f"{path}: 'general' file is not symmetric at entry ({i + 1}, {j + 1})"
+                    f"{path}: 'general' file is not symmetric at entry ({i}, {j})"
                 )
     raise MatrixMarketError(f"{path}: {reason}")

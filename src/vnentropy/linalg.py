@@ -83,6 +83,12 @@ def entropy_from_probs(probs: np.ndarray, clamp: float) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
+def check_oracle_size(n: int) -> None:
+    """Refuse a dense n x n eigenproblem above ``DEFAULT_ORACLE_LIMIT``."""
+    if n > DEFAULT_ORACLE_LIMIT:
+        raise ValueError(f"matrix size {n} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
+
+
 def exact_entropy(R: SparseSymMatrix) -> tuple[float, np.ndarray]:
     """Exact entropy from the dense eigenvalues, and the spectrum, descending;
     the oracle for all tests.  It refuses n above ``DEFAULT_ORACLE_LIMIT``
@@ -94,8 +100,7 @@ def exact_entropy(R: SparseSymMatrix) -> tuple[float, np.ndarray]:
     ``[-1e-10 * n, 0]`` are treated as zero; anything more negative means
     the input is not positive semidefinite.
     """
-    if R.n > DEFAULT_ORACLE_LIMIT:
-        raise ValueError(f"matrix size {R.n} exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
+    check_oracle_size(R.n)
     a = R.dense_view()
     if a is None:
         a = R.scipy_csr.toarray()

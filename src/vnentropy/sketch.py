@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import linalg
 from .densmat import SparseSymMatrix
-from .linalg import entropy_from_probs, thin_singular_values
+from .linalg import check_oracle_size, entropy_from_probs, thin_singular_values
 from .rng import (
     RngStream,
     gaussian_vector,
@@ -164,8 +163,6 @@ def sketch_entropy(R: SparseSymMatrix, k: int, spec: ProjectionSpec) -> SketchSp
     """
     if not 1 <= k <= R.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={R.n}")
-    if spec.kind == "exact_debug" and R.n > linalg.DEFAULT_ORACLE_LIMIT:
-        raise ValueError(f"matrix size {R.n} exceeds the oracle limit {linalg.DEFAULT_ORACLE_LIMIT}")
     if spec.kind == "gaussian":
         sketch = apply_gaussian(R, spec.s, spec.stream)
     elif spec.kind == "srht":
@@ -173,6 +170,7 @@ def sketch_entropy(R: SparseSymMatrix, k: int, spec: ProjectionSpec) -> SketchSp
     elif spec.kind == "countsketch":
         sketch = apply_countsketch(R, spec.s, spec.stream)
     else:  # exact_debug: Pi = I_n
+        check_oracle_size(R.n)
         sketch = R.to_dense()
     probs = thin_singular_values(sketch, min(k, min(sketch.shape)))
     return SketchSpectrum(

@@ -749,9 +749,12 @@ def test_parse_errors_carry_line_numbers(tmp_path, content, line, message):
     assert str(excinfo.value) == f"{where}: {message}"
 
 
-def test_a_repeat_in_a_full_file_on_the_tile_pool_is_located(tmp_path):
-    # n = 2100 >= TILE_POOL_MIN_N, so _adopt finds the NaN hole on its pool
-    n = 2100
+def test_a_repeat_in_a_full_file_on_the_tile_pool_is_located(tmp_path, monkeypatch):
+    # with the pool threshold lifted, _adopt finds the NaN hole the repeat
+    # leaves on its pool; n=300 gives a partial last tile row and column
+    monkeypatch.setattr(densmat, "TILE_POOL_MIN_N", 0)
+    monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: 3)
+    n = 300
     path = tmp_path / "m.mtx"
     write_matrix_market(generate_low_rank_density(n, 10, "linear", RngStream(1))[0], path)
     with open(path, "rb+") as fh:  # replace the last line by the one before it
@@ -762,7 +765,8 @@ def test_a_repeat_in_a_full_file_on_the_tile_pool_is_located(tmp_path):
         fh.write(before + b"\n")
     with pytest.raises(MatrixMarketError) as excinfo:
         read_matrix_market(path)
-    assert str(excinfo.value) == f"{path}:2206052: duplicate entry ({n}, {n - 1})"
+    # two header lines, then the n(n+1)/2 entries
+    assert str(excinfo.value) == f"{path}:45152: duplicate entry ({n}, {n - 1})"
 
 
 @pytest.mark.parametrize(
