@@ -288,7 +288,6 @@ def run_method(
     spectrum ``probs`` (``exact`` with the spectrum it computes): one record
     per degree of a series run, ascending, else one.  The one place that
     dispatches on the method, for ``estimate`` and ``bench`` alike."""
-    t0 = time.perf_counter()
     if spec.method in SERIES:
         run = taylor_entropy if spec.method == "taylor" else chebyshev_entropy
         rec = run(matrix, spec.cfg, probs)
@@ -316,8 +315,7 @@ def run_method(
             "seed": spec.seed,
             "probs": [float(p) for p in out.probs_tilde],
         }
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return [run_record(estimate, wall_ms, probs, warnings, fields)]
+    return [run_record(estimate, probs, warnings, fields)]
 
 
 def _run_spec(n: int, method: str, seed: int, **settings) -> RunSpec:
@@ -369,7 +367,9 @@ def cmd_estimate(args) -> int:
     with sink as out:
         if args.compute_exact and probs is None and args.method != "exact":
             _, probs = linalg.exact_entropy(matrix)
+        t0 = time.perf_counter()
         (rec,) = run_method(matrix, probs, spec)
+        wall_ms = (time.perf_counter() - t0) * 1e3
 
         if not math.isfinite(rec.estimate):
             raise ValueError(f"estimate is not finite: {rec.estimate!r}")
@@ -377,7 +377,7 @@ def cmd_estimate(args) -> int:
         record = {"method": fields.pop("method"), "n": matrix.n, "nnz": matrix.nnz, **fields}
         record["estimate"] = rec.estimate
         if not args.no_timings:
-            record["wall_ms"] = rec.wall_ms
+            record["wall_ms"] = wall_ms
         if rec.exact is not None:
             record["exact"] = rec.exact
             if rec.rel_err is not None:
@@ -410,7 +410,8 @@ def _load_grid(path) -> dict:
     """Read a bench grid and validate it before any cell runs: a JSON
     object in which every field besides ``matrix``, ``methods``, ``seeds``
     and ``repetitions`` is read by a method of the grid (``GRID_METHODS``),
-    and each list field a method reads is nonempty.
+    each list field a method reads is nonempty and ``delta`` is a JSON
+    number.
 
     Seeds become ints in parse_seed's range, each ``u_modes`` entry becomes
     a ``(text, (mode, value))`` pair and each ``methods`` entry a
@@ -450,6 +451,9 @@ def _load_grid(path) -> dict:
         values = grid.get(key)
         if key in readers and not (isinstance(values, list) and values and all(map(_is_count, values))):
             raise UsageError(f"method {readers[key]!r} needs {key}, a nonempty list of integers >= 1, got {values!r}")
+    delta = grid.get("delta", 0.1)
+    if isinstance(delta, bool) or not isinstance(delta, (int, float)):
+        raise UsageError(f"method {readers['delta']!r} needs delta, a JSON number, got {delta!r}")
     grid.setdefault("u_modes", ["six"])
     if not isinstance(grid["u_modes"], list) or not grid["u_modes"]:
         raise UsageError(f"grid field 'u_modes' must be a nonempty list, got {grid['u_modes']!r}")

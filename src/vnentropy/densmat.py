@@ -14,6 +14,7 @@ generator's spectrum comes from the exact oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -48,35 +49,47 @@ class MatrixMarketError(ValueError):
 
 @dataclass(frozen=True)
 class SparseSymMatrix:
-    """Symmetric real matrix, stored as one scipy sparse matrix.
+    """Symmetric real matrix, stored in exactly one of two fields.
 
-    ``scipy_csr`` holds one of two formats:
-
-    * a filled matrix, with all n^2 entries stored (:meth:`from_dense`, the
-      haar, lowrank and linuniform generators, and a Matrix Market file
-      that lists every entry), is a BSR matrix of one n x n block, the
-      row-major dense array itself: 8 n^2 bytes and no column indices.
-      ``matvec``, ``matmat``, ``shifted`` and ``to_dense`` work on that
-      block through numpy/BLAS (``matmat`` in row bands from n = 2048 up
-      while the BLAS runs one thread, on a thread pool when called from
-      the main thread);
-    * any other matrix is a canonical CSR: both triangles are stored
-      explicitly, column indices are sorted within each row and none
-      repeats.  It runs on scipy's CSR kernels, even when it stores n^2
-      entries.
+    * ``block``: a filled matrix, with all n^2 entries stored
+      (:meth:`from_dense`, the haar, lowrank and linuniform generators, and
+      a Matrix Market file that lists every entry), is one C-ordered
+      float64 n x n array, read-only: 8 n^2 bytes and no column indices.
+      ``matvec``, ``matmat``, ``shifted`` and ``to_dense`` work on it
+      through numpy/BLAS (``matmat`` in row bands from n = 2048 up while
+      the BLAS runs one thread, on a thread pool when called from the main
+      thread);
+    * ``csr``: any other matrix is a canonical CSR: both triangles are
+      stored explicitly, column indices are sorted within each row and
+      none repeats.  It runs on scipy's CSR kernels, even when it stores
+      n^2 entries.
 
     Instances are immutable and safe for concurrent read-only use.
     """
 
-    scipy_csr: sp.csr_matrix | sp.bsr_matrix
+    csr: sp.csr_matrix | None = None
+    block: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if (self.csr is None) == (self.block is None):
+            raise ValueError("a matrix stores exactly one of csr and block")
 
     @property
     def n(self) -> int:
-        return self.scipy_csr.shape[0]
+        return (self.csr if self.block is None else self.block).shape[0]
 
     @property
     def nnz(self) -> int:
-        return int(self.scipy_csr.nnz)
+        return int(self.csr.nnz if self.block is None else self.block.size)
+
+    @property
+    def scipy_csr(self) -> sp.csr_matrix | sp.bsr_matrix:
+        """The stored matrix as one scipy matrix, for the benchmark harness
+        only: the CSR itself, or a BSR of one n x n block that views the
+        block."""
+        if self.block is None:
+            return self.csr
+        return sp.bsr_matrix((self.block[None], [0], [0, 1]), shape=(self.n, self.n))
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SparseSymMatrix":
@@ -93,8 +106,8 @@ class SparseSymMatrix:
 
     @classmethod
     def _adopt(cls, a: np.ndarray, symmetrize: bool = False) -> "SparseSymMatrix":
-        """Wrap a C-ordered float64 array as the block of a filled matrix,
-        without copying it; the caller must not write to it afterwards.
+        """Hold a C-ordered float64 array as the block of a filled matrix,
+        without copying it, and make it read-only.
 
         One pass over the tile pairs (I, J), J <= I, checks each pair for
         exact symmetry and finiteness while it is in cache; with
@@ -138,21 +151,12 @@ class SparseSymMatrix:
             if not np.array_equal(a, a.T):  # NaN is unequal to itself
                 raise ValueError("matrix is not exactly symmetric")
             raise ValueError("matrix contains non-finite entries")
-        return cls(_one_block(a))
-
-    def dense_view(self) -> np.ndarray | None:
-        """The block of a filled matrix, as a read-only view; None for one
-        stored in CSR form.  Nothing is copied."""
-        if self.scipy_csr.format != "bsr":
-            return None
-        view = self.scipy_csr.data[0]
-        view.flags.writeable = False
-        return view
+        a.flags.writeable = False
+        return cls(block=a)
 
     def to_dense(self) -> np.ndarray:
         """The dense matrix; read-only when it is the block of a filled matrix."""
-        view = self.dense_view()
-        return self.scipy_csr.toarray() if view is None else view
+        return self.csr.toarray() if self.block is None else self.block
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Product with a vector of shape (n,), O(nnz)."""
@@ -161,8 +165,7 @@ class SparseSymMatrix:
             raise ValueError(
                 f"dimension mismatch: matrix is {self.n}x{self.n}, vector has shape {x.shape}"
             )
-        view = self.dense_view()
-        return self.scipy_csr @ x if view is None else view @ x
+        return self.csr @ x if self.block is None else self.block @ x
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
         """Product with a dense matrix of shape (n, s), O(nnz * s).
@@ -184,12 +187,11 @@ class SparseSymMatrix:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.n:
             raise ValueError(f"shape mismatch: matrix is {self.n}x{self.n}, got {x.shape}")
-        view = self.dense_view()
-        if view is None:
-            return self.scipy_csr @ x
+        if self.block is None:
+            return self.csr @ x
         if x.shape[1] == 1:
-            return _banded_product(view, np.repeat(x, 2, axis=1))[:, :1]
-        return _banded_product(view, x)
+            return _banded_product(self.block, np.repeat(x, 2, axis=1))[:, :1]
+        return _banded_product(self.block, x)
 
     def shifted(self, scale: float, shift: float) -> "SparseSymMatrix":
         """The matrix scale * self + shift * I.
@@ -198,12 +200,12 @@ class SparseSymMatrix:
         entry is stored gives one that shares its index arrays and owns
         only a new data array; any other CSR gives a one-off CSR sum.
         """
-        view = self.dense_view()
-        if view is not None:
-            a = view * scale
+        if self.block is not None:
+            a = self.block * scale
             a.reshape(-1)[:: self.n + 1] += shift
-            return SparseSymMatrix(_one_block(a))
-        csr = self.scipy_csr
+            a.flags.writeable = False
+            return SparseSymMatrix(block=a)
+        csr = self.csr
         rows = np.repeat(np.arange(self.n), np.diff(csr.indptr))
         diag = np.flatnonzero(rows == csr.indices)
         del rows
@@ -218,7 +220,7 @@ class SparseSymMatrix:
         )
 
     def trace(self) -> float:
-        return float(self.scipy_csr.diagonal().sum())
+        return float((self.csr if self.block is None else self.block).diagonal().sum())
 
     def validate_density(self) -> None:
         """Check the unit-trace requirement (on demand, not at build time)."""
@@ -235,13 +237,6 @@ def validate_spectrum(probs: np.ndarray) -> None:
         raise ValueError(f"probabilities sum to {probs.sum():.12g}, not 1")
     if np.any(np.diff(probs) > 0):
         raise ValueError("probabilities must be sorted descending")
-
-
-def _one_block(a: np.ndarray) -> sp.bsr_matrix:
-    """A C-ordered n x n float64 array as a BSR matrix of one block, the
-    array itself."""
-    n = a.shape[0]
-    return sp.bsr_matrix((a[None], [0], [0, 1]), shape=(n, n))
 
 
 def _banded_product(view: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -358,16 +353,16 @@ def _lower_bands(R: SparseSymMatrix):
     """R's lower-triangle entries in row order, in bands of whole rows of
     about ``_WRITE_BAND`` stored entries: each band's 0-based rows, columns
     and values."""
-    n, view = R.n, R.dense_view()
-    if view is not None:  # every row of a block stores n entries
+    n, block = R.n, R.block
+    if block is not None:  # every row of a block stores n entries
         step = max(1, _WRITE_BAND // n)
         for start in range(0, n, step):
             stop = min(start + step, n)
             lower = np.arange(n) <= np.arange(start, stop)[:, None]
             rows, cols = np.nonzero(lower)
-            yield rows + start, cols, view[start:stop][lower]
+            yield rows + start, cols, block[start:stop][lower]
         return
-    csr = R.scipy_csr
+    csr = R.csr
     indptr = csr.indptr
     start = 0
     while start < n:
@@ -505,38 +500,41 @@ def _locate_fault(path, size_line, nrows, count, symmetry, reason) -> NoReturn:
     malformed), index range, finiteness, lower triangle for ``symmetric``
     files, no duplicate; then the total count; then, for ``general``
     files, symmetry at the first offending entry in file order.
-    ``reason`` is the error if none of these fire.
+    ``reason`` is the error if none of these fire.  The lines stream from
+    the file, and entry (i, j) is kept under the one key i * (n + 1) + j.
     """
-    entries: dict[tuple[int, int], float] = {}
+    entries: dict[int, float] = {}
+    width = nrows + 1
+    lineno = size_line  # the last line read, once the loop ends
     with open(path, "r", encoding="ascii") as fh:
-        data_lines = list(itertools.islice(fh, size_line, None))
-    last_line = size_line + len(data_lines)
-    for lineno, line in enumerate(data_lines, start=size_line + 1):
-        if not line.strip():
-            continue
-        if len(entries) == count:
-            _fail(path, lineno, f"more than the declared {count} entries")
-        parts = line.split()
-        if len(parts) != 3 or "_" in line:
-            _fail(path, lineno, f"malformed entry {line.strip()!r}")
-        try:
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            _fail(path, lineno, f"malformed entry {line.strip()!r}")
-        if not (1 <= i <= nrows and 1 <= j <= nrows):
-            _fail(path, lineno, f"index ({i}, {j}) out of range for n={nrows}")
-        if not np.isfinite(v):
-            _fail(path, lineno, f"non-finite value {parts[2]!r}")
-        if symmetry == "symmetric" and i < j:
-            _fail(path, lineno, f"upper-triangle entry ({i}, {j}) in a symmetric file")
-        if (i, j) in entries:
-            _fail(path, lineno, f"duplicate entry ({i}, {j})")
-        entries[(i, j)] = v
+        for lineno, line in enumerate(itertools.islice(fh, size_line, None), start=size_line + 1):
+            if not line.strip():
+                continue
+            if len(entries) == count:
+                _fail(path, lineno, f"more than the declared {count} entries")
+            parts = line.split()
+            if len(parts) != 3 or "_" in line:
+                _fail(path, lineno, f"malformed entry {line.strip()!r}")
+            try:
+                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError:
+                _fail(path, lineno, f"malformed entry {line.strip()!r}")
+            if not (1 <= i <= nrows and 1 <= j <= nrows):
+                _fail(path, lineno, f"index ({i}, {j}) out of range for n={nrows}")
+            if not math.isfinite(v):
+                _fail(path, lineno, f"non-finite value {parts[2]!r}")
+            if symmetry == "symmetric" and i < j:
+                _fail(path, lineno, f"upper-triangle entry ({i}, {j}) in a symmetric file")
+            key = i * width + j
+            if key in entries:
+                _fail(path, lineno, f"duplicate entry ({i}, {j})")
+            entries[key] = v
     if len(entries) != count:
-        _fail(path, last_line, f"declared {count} entries but found {len(entries)}")
+        _fail(path, lineno, f"declared {count} entries but found {len(entries)}")
     if symmetry == "general":
-        for (i, j), v in entries.items():
-            if entries.get((j, i)) != v:
+        for key, v in entries.items():
+            i, j = divmod(key, width)
+            if entries.get(j * width + i) != v:
                 raise MatrixMarketError(
                     f"{path}: 'general' file is not symmetric at entry ({i}, {j})"
                 )

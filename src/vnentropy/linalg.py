@@ -101,9 +101,9 @@ def exact_entropy(R: SparseSymMatrix) -> tuple[float, np.ndarray]:
     the input is not positive semidefinite.
     """
     check_oracle_size(R.n)
-    a = R.dense_view()
+    a = R.block
     if a is None:
-        a = R.scipy_csr.toarray()
+        a = R.csr.toarray()
         if np.max(np.abs(a - a.T)) > SYMMETRY_TOL * max(np.max(np.abs(a)), 1e-300):
             raise ValueError("matrix is not symmetric within tolerance")
     w = np.linalg.eigvalsh(a)

@@ -4,7 +4,6 @@ the Taylor and Chebyshev estimators share."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -120,13 +119,11 @@ def relative_error(estimate: float, exact: float) -> float:
 class RunRecord:
     """What one estimator run produced.  ``exact`` and ``rel_err`` are None
     when no spectrum is known, ``rel_err`` alone for a pure state.
-    ``wall_ms`` is the time of the whole run, ``fields`` holds the method's
-    own outputs in the order ``estimate`` prints them.  A series run's
-    ``estimates`` maps every degree it read to its partial sum; ``estimate``
-    and ``rel_err`` belong to the largest."""
+    ``fields`` holds the method's own outputs in the order ``estimate``
+    prints them.  A series run's ``estimates`` maps every degree it read to
+    its partial sum; ``estimate`` and ``rel_err`` belong to the largest."""
 
     estimate: float
-    wall_ms: float
     exact: float | None
     rel_err: float | None
     warnings: tuple[str, ...]
@@ -136,7 +133,6 @@ class RunRecord:
 
 def run_record(
     estimate: float,
-    wall_ms: float,
     probs: np.ndarray | None,
     warnings: list[str],
     fields: dict,
@@ -152,7 +148,7 @@ def run_record(
             rel_err = relative_error(estimate, exact)
         else:
             warnings = [*warnings, "exact entropy is zero (pure state); rel_err omitted"]
-    return RunRecord(estimate, wall_ms, exact, rel_err, tuple(warnings), fields, estimates or {})
+    return RunRecord(estimate, exact, rel_err, tuple(warnings), fields, estimates or {})
 
 
 def power_estimate(R: SparseSymMatrix, seed: int, delta: float) -> PowerEstimate:
@@ -208,7 +204,6 @@ def polynomial_entropy(
     child stream 1 of ``cfg.seed``.  Either way the series' shifted operator is built once,
     from the eigenvalues or from R.
     """
-    t0 = time.perf_counter()
     u, _ = resolve_u(R, cfg)
     degrees = cfg.degrees() if cfg.m_override is not None else [default_m(u, cfg.ell, cfg.epsilon)]
     poly = series(u, degrees[-1])
@@ -247,11 +242,10 @@ def polynomial_entropy(
         )
     estimates = {m: poly.offset + float(t) for m, t in zip(degrees, per_degree)}
 
-    wall_ms = (time.perf_counter() - t0) * 1e3
     warnings = list(extra_warnings)
     if cfg.u_mode == "raw":
         warnings.append("u_mode 'raw' is heuristic: u >= p1 is not guaranteed")
     warnings += check_assumptions(model, u=u, ell=cfg.ell)
     m = degrees[-1]
     fields = {"method": method, "m": m, "s": s_used, "u": u, "seed": cfg.seed}
-    return run_record(estimates[m], wall_ms, model, warnings, fields, estimates)
+    return run_record(estimates[m], model, warnings, fields, estimates)

@@ -122,14 +122,13 @@ def apply_countsketch(R: SparseSymMatrix, s: int, stream: RngStream) -> np.ndarr
         raise ValueError("s must be at least 1")
     cols = uniform_indices(stream.child(0), s, R.n)
     signs = rademacher_vector(stream.child(1), R.n)
-    view = R.dense_view()
-    if view is not None:
+    if R.block is not None:
         pi_t = sp.csr_matrix((signs, (cols, np.arange(R.n))), shape=(s, R.n))
-        return (pi_t @ view).T
+        return (pi_t @ R.block).T
     pi = sp.csc_matrix(
         (signs, (np.arange(R.n), cols)), shape=(R.n, s), dtype=np.float64
     )
-    return (R.scipy_csr @ pi).toarray()
+    return (R.csr @ pi).toarray()
 
 
 def default_s_sketch(kind: str, n: int, k: int, epsilon: float) -> int:

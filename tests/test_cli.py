@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -425,6 +426,23 @@ def test_estimate_record_keys_in_order(tmp_path, capsys, method, case):
     assert list(json.loads(out)) == expected
 
 
+def test_estimate_times_its_whole_run(tmp_path, capsys, monkeypatch):
+    # wall_ms is estimate's own clock around run_method, placed after estimate
+    path = tmp_path / "r.mtx"
+    run_cli(capsys, "generate", "--family", "tridiagonal", "--n", "8", "--out", str(path))
+    run_method = cli.run_method
+
+    def slow(*args):
+        time.sleep(0.05)
+        return run_method(*args)
+
+    monkeypatch.setattr(cli, "run_method", slow)
+    code, out, _ = run_cli(capsys, "estimate", str(path), *LAYOUT_FLAGS["taylor"])
+    record = json.loads(out)
+    assert code == 0 and list(record)[list(record).index("estimate") + 1] == "wall_ms"
+    assert record["wall_ms"] >= 50.0
+
+
 def test_compute_exact_uses_the_sidecar_without_the_oracle(tmp_path, capsys, monkeypatch):
     out_path = tmp_path / "tri.mtx"
     run_cli(capsys, "generate", "--family", "tridiagonal", "--n", "16", "--out", str(out_path))
@@ -762,6 +780,9 @@ BAD_GRIDS = {
         {"s_values": [0]},
         "method 'taylor' needs s_values, a nonempty list of integers >= 1, got [0]",
     ),
+    "string-delta": ({"delta": "0.5"}, "method 'taylor' needs delta, a JSON number, got '0.5'"),
+    "boolean-delta": ({"delta": True}, "method 'taylor' needs delta, a JSON number, got True"),
+    "delta-above-one": ({"delta": 1.5}, "grid cell: delta must lie in (0, 1), got 1.5"),
     "epsilon-above-one": ({"epsilon": 2}, "no bench cell reads the grid field 'epsilon'"),
     "epsilon-in-range": ({"epsilon": 0.5}, "no bench cell reads the grid field 'epsilon'"),
     "unknown-field": ({"note": "no cell reads it"}, "no bench cell reads the grid field 'note'"),

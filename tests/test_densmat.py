@@ -65,16 +65,15 @@ def test_from_dense_holds_one_copy_of_the_values():
     tracemalloc.start()
     try:
         r = SparseSymMatrix.from_dense(dense)
-        r.scipy_csr
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 9 * n * n
 
 
-def test_every_constructor_yields_a_one_block_bsr_or_canonical_csr(tmp_path):
-    # a filled matrix is a BSR of one n x n block, which dense_view shares;
-    # the CSR kernels need sorted, duplicate-free rows
+def test_every_constructor_yields_a_read_only_block_or_canonical_csr(tmp_path):
+    # a filled matrix is one n x n block and no CSR; the CSR kernels need
+    # sorted, duplicate-free rows
     g = gaussian_vector(RngStream(2), 36).reshape(6, 6)
     filled = SparseSymMatrix.from_dense(g + g.T)
     tri, _ = generate_tridiagonal_poisson(6)
@@ -101,14 +100,11 @@ def test_every_constructor_yields_a_one_block_bsr_or_canonical_csr(tmp_path):
         "shifted filled": filled.shifted(2.0, -1.0),
     }
     for name, r in blocks.items():
-        bsr, view = r.scipy_csr, r.dense_view()
-        assert bsr.format == "bsr" and bsr.blocksize == (r.n, r.n), name
-        assert bsr.data.shape == (1, r.n, r.n), name
-        assert bsr.indices.tolist() == [0] and bsr.indptr.tolist() == [0, 1], name
-        assert r.nnz == r.n * r.n, name
-        assert view is not None and not view.flags.writeable, name
-        assert np.shares_memory(view, bsr.data), name
-        assert np.array_equal(r.to_dense(), bsr.toarray()), name
+        block = r.block
+        assert r.csr is None and r.nnz == r.n * r.n, name
+        assert block.shape == (r.n, r.n) and block.dtype == np.float64, name
+        assert block.flags.c_contiguous and not block.flags.writeable, name
+        assert r.to_dense() is block, name
     csrs = {
         "tridiagonal": tri,
         "read symmetric": read_matrix_market(sym),
@@ -118,23 +114,44 @@ def test_every_constructor_yields_a_one_block_bsr_or_canonical_csr(tmp_path):
         "n^2 entries by hand": by_hand,
     }
     for name, r in csrs.items():
-        csr = r.scipy_csr
+        csr = r.csr
         # a fresh wrapper recomputes the flag instead of trusting a cached one
         fresh = sp.csr_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape)
         assert csr.format == "csr" and fresh.has_canonical_format, name
-        assert r.dense_view() is None, name
+        assert r.block is None, name
 
 
-def test_filled_matrix_is_its_own_dense_view():
+def test_a_matrix_stores_exactly_one_of_csr_and_block():
+    tri, _ = generate_tridiagonal_poisson(3)
+    with pytest.raises(ValueError, match="exactly one of csr and block"):
+        SparseSymMatrix()
+    with pytest.raises(ValueError, match="exactly one of csr and block"):
+        SparseSymMatrix(csr=tri.csr, block=tri.to_dense())
+
+
+def test_adopted_block_is_read_only_and_from_dense_leaves_its_input_writable():
     g = gaussian_vector(RngStream(3), 25).reshape(5, 5)
     dense = g + g.T
     r = SparseSymMatrix.from_dense(dense)
-    view = r.dense_view()
-    assert np.array_equal(view, dense) and not view.flags.writeable
-    assert np.shares_memory(view, r.scipy_csr.data)
-    assert np.shares_memory(r.to_dense(), r.scipy_csr.data)
+    assert np.array_equal(r.block, dense) and not np.shares_memory(r.block, dense)
+    with pytest.raises(ValueError, match="read-only"):
+        r.block[0, 0] = 1.0
+    dense[0, 0] = 1.0  # the caller's array stays writable
+    assert r.block[0, 0] == g[0, 0] * 2.0
+
+
+def test_scipy_csr_is_the_csr_or_a_bsr_view_of_the_block():
+    # the benchmark harness reads scipy_csr and counts its data, indices
+    # and indptr bytes
     tri, _ = generate_tridiagonal_poisson(5)
-    assert tri.dense_view() is None
+    assert tri.scipy_csr is tri.csr
+    for n in (1, 7):
+        r = SparseSymMatrix.from_dense(np.eye(n) / n)
+        bsr = r.scipy_csr
+        assert bsr.format == "bsr" and bsr.shape == (n, n)
+        assert np.shares_memory(bsr.data[0], r.block)
+        assert np.array_equal(bsr.toarray(), r.block)
+        assert bsr.data.nbytes + bsr.indices.nbytes + bsr.indptr.nbytes == 8 * n * n + 12
 
 
 def test_filled_matmat_does_not_depend_on_block_width():
@@ -180,7 +197,7 @@ def test_filled_products_run_in_fixed_bands_from_n_2048(monkeypatch):
         x = np.random.default_rng(1).standard_normal((n, 3))
         with one_blas_thread():
             out, bands = _bands(monkeypatch, r, x)
-            assert np.array_equal(out, r.dense_view() @ x), n
+            assert np.array_equal(out, r.block @ x), n
         assert bands == (None if edges is None else list(zip(edges, edges[1:]))), n
 
 
@@ -205,7 +222,7 @@ def test_banded_bits_do_not_depend_on_workers_or_calling_thread(monkeypatch):
     r = _filled(n)
     x = np.random.default_rng(2).standard_normal((n, 129))
     with one_blas_thread():
-        reference = r.dense_view() @ x
+        reference = r.block @ x
         for workers in (1, 2, 3):
             monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: workers)
             assert np.array_equal(r.matmat(x), reference), workers
@@ -317,13 +334,13 @@ def _bits_on_any_cpus(monkeypatch, build):
     bits = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: cpus)
-        bits.append(build().scipy_csr.data.tobytes())
+        bits.append(build().block.tobytes())
     caller = {}
     worker = threading.Thread(target=lambda: caller.setdefault("r", build()))
     worker.start()
     worker.join(timeout=120)
     assert not worker.is_alive()
-    return bits + [caller["r"].scipy_csr.data.tobytes()]
+    return bits + [caller["r"].block.tobytes()]
 
 
 def _first_result(fn):
@@ -373,7 +390,7 @@ def test_from_dense_does_not_alias_its_argument():
     r = SparseSymMatrix.from_dense(dense)
     dense[...] = np.nan
     assert np.array_equal(r.to_dense(), kept)
-    assert not np.shares_memory(r.scipy_csr.data, dense)
+    assert not np.shares_memory(r.block, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +420,7 @@ def test_haar_like_density_entropy_near_log_n():
 def test_haar_generation_is_deterministic():
     a = generate_haar_like_matrix(16, RngStream(3))
     b = generate_haar_like_matrix(16, RngStream(3))
-    assert np.array_equal(a.scipy_csr.data, b.scipy_csr.data)
+    assert np.array_equal(a.block, b.block)
 
 
 @pytest.mark.parametrize("n", [5, 300, 2100])
@@ -414,7 +431,7 @@ def test_haar_block_has_the_bits_of_the_symmetrized_scaled_product(monkeypatch, 
     r = generate_haar_like_matrix(n, RngStream(n))
     g = gaussian_vector(RngStream(n), n * n).reshape(n, n)
     w = g @ g.T
-    assert r.dense_view().tobytes() == (((w + w.T) / 2.0) / np.trace(w)).tobytes()
+    assert r.block.tobytes() == (((w + w.T) / 2.0) / np.trace(w)).tobytes()
 
 
 def test_tridiagonal_poisson_small_values():
@@ -429,7 +446,7 @@ def test_tridiagonal_poisson_small_values():
 def test_tridiagonal_spectrum_matches_eigensolver():
     for n in (8, 32):
         r, model = generate_tridiagonal_poisson(n)
-        csr = r.scipy_csr
+        csr = r.csr
         assert abs(csr - csr.T).max() == 0
         assert csr.has_sorted_indices
         w = np.linalg.eigvalsh(r.to_dense())
@@ -501,11 +518,8 @@ def test_generated_matrix_has_the_bits_of_the_symmetrized_copy(family, n):
         r, probs = generate_low_rank_density(n, k, family, RngStream(n))
         q = householder_qr(gaussian_vector(RngStream(n), n * k).reshape(n, k))
     d = (q * probs) @ q.T
-    expected = SparseSymMatrix.from_dense((d + d.T) / 2.0).scipy_csr
-    assert r.dense_view() is not None
-    for name in ("data", "indices", "indptr"):
-        a, b = getattr(r.scipy_csr, name), getattr(expected, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    expected = SparseSymMatrix.from_dense((d + d.T) / 2.0).block
+    assert r.block.dtype == expected.dtype and r.block.tobytes() == expected.tobytes()
 
 
 def test_low_rank_generation_holds_one_dense_array():
@@ -557,9 +571,12 @@ def test_round_trip_preserves_everything(tmp_path):
         write_matrix_market(r, path)
         back = read_matrix_market(path)
         assert back.n == r.n
-        assert np.array_equal(back.scipy_csr.indptr, r.scipy_csr.indptr)
-        assert np.array_equal(back.scipy_csr.indices, r.scipy_csr.indices)
-        assert np.array_equal(back.scipy_csr.data, r.scipy_csr.data)
+        if r.block is not None:
+            assert np.array_equal(back.block, r.block)
+            continue
+        assert np.array_equal(back.csr.indptr, r.csr.indptr)
+        assert np.array_equal(back.csr.indices, r.csr.indices)
+        assert np.array_equal(back.csr.data, r.csr.data)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 17, 2**31, 2**48 + 5])
@@ -568,7 +585,7 @@ def test_round_trip_random_dense(seed, tmp_path):
     r = SparseSymMatrix.from_dense((g + g.T) / 2)
     path = tmp_path / "m.mtx"
     write_matrix_market(r, path)
-    assert np.array_equal(read_matrix_market(path).scipy_csr.data, r.scipy_csr.data)
+    assert np.array_equal(read_matrix_market(path).block, r.block)
 
 
 def test_round_trip_of_a_filled_matrix_gives_the_same_block(tmp_path):
@@ -576,8 +593,7 @@ def test_round_trip_of_a_filled_matrix_gives_the_same_block(tmp_path):
     path = tmp_path / "m.mtx"
     write_matrix_market(r, path)
     back = read_matrix_market(path)
-    assert back.scipy_csr.format == "bsr"
-    assert back.dense_view().tobytes() == r.dense_view().tobytes()
+    assert back.block.tobytes() == r.block.tobytes()
 
 
 def test_reading_a_full_symmetric_file_fills_one_block(tmp_path):
@@ -593,8 +609,7 @@ def test_reading_a_full_symmetric_file_fills_one_block(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert back.scipy_csr.format == "bsr"
-    assert np.array_equal(back.dense_view(), r.dense_view())
+    assert np.array_equal(back.block, r.block)
     assert peak <= 29 * n * n
 
 
@@ -605,8 +620,7 @@ def test_reading_a_full_general_file_fills_one_block(tmp_path):
     path = tmp_path / "m.mtx"
     path.write_text(GEN + "7 7 49\n" + "".join(lines))
     r = read_matrix_market(path)
-    assert r.scipy_csr.format == "bsr"
-    assert r.dense_view().tobytes() == d.tobytes()
+    assert r.block.tobytes() == d.tobytes()
 
 
 @pytest.mark.parametrize("missing", [(4, 1), (3, 3)], ids=["off-diagonal", "diagonal"])
@@ -620,9 +634,9 @@ def test_a_symmetric_file_missing_one_entry_reads_as_csr(tmp_path, missing):
     rows, cols = zip(*{(a, b) for i, j in kept for a, b in ((i, j), (j, i))})
     expected = sp.csr_matrix((d[rows, cols], (rows, cols)), shape=(n, n))
     r = read_matrix_market(path)
-    assert r.dense_view() is None
+    assert r.block is None
     for name in ("data", "indices", "indptr"):
-        a, b = getattr(r.scipy_csr, name), getattr(expected, name)
+        a, b = getattr(r.csr, name), getattr(expected, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
@@ -815,14 +829,19 @@ def test_blank_lines_and_tabs_among_the_data_are_accepted(tmp_path):
 
 def reference_matrix_market(R: SparseSymMatrix) -> bytes:
     """The writer's format, one formatted line per lower-triangle entry."""
-    csr = R.scipy_csr.tocsr()
-    rows = np.repeat(np.arange(R.n), np.diff(csr.indptr))
-    mask = rows >= csr.indices
+    if R.block is not None:
+        rows, cols = np.tril_indices(R.n)
+        values = R.block[rows, cols]
+    else:
+        csr = R.csr
+        rows = np.repeat(np.arange(R.n), np.diff(csr.indptr))
+        mask = rows >= csr.indices
+        rows, cols, values = rows[mask], csr.indices[mask], csr.data[mask]
     out = [
         "%%MatrixMarket matrix coordinate real symmetric\n",
-        f"{R.n} {R.n} {int(mask.sum())}\n",
+        f"{R.n} {R.n} {rows.size}\n",
     ]
-    for i, j, v in zip(rows[mask], csr.indices[mask], csr.data[mask]):
+    for i, j, v in zip(rows, cols, values):
         out.append(f"{i + 1} {j + 1} {v:.17g}\n")
     return "".join(out).encode("ascii")
 
@@ -888,7 +907,7 @@ def test_writer_holds_one_band_at_a_time(tmp_path, monkeypatch, n):
     # past the counting pass over all bands and a dozen or more bands written
     x = np.random.default_rng(n).random(n)
     r = SparseSymMatrix.from_dense(np.add.outer(x, x))
-    assert r.dense_view() is not None
+    assert r.block is not None
     room = [2**20]
 
     class SmallDisk(io.TextIOWrapper):
@@ -947,9 +966,12 @@ def test_matrix_market_round_trip_is_bitwise(tmp_path_factory, r, band):
             m.setattr(densmat, "_WRITE_BAND", band)
         write_matrix_market(r, path)
     assert path.read_bytes() == reference_matrix_market(r)
-    back = read_matrix_market(path).scipy_csr.tocsr()
+    back = read_matrix_market(path)
+    if back.block is not None:  # a file that lists every entry fills a block
+        assert back.block.tobytes() == r.to_dense().tobytes()
+        return
     for name in ("data", "indices", "indptr"):
-        a, b = getattr(back, name), getattr(r.scipy_csr, name)
+        a, b = getattr(back.csr, name), getattr(r.csr, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 

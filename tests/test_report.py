@@ -157,16 +157,16 @@ def test_shifted_operator_shares_the_index_arrays():
     r, _ = generate_tridiagonal_poisson(8)
     y = r.shifted(-2.0, 1.0)
     np.testing.assert_array_equal(y.to_dense(), -2.0 * r.to_dense() + np.eye(8))
-    assert np.shares_memory(y.scipy_csr.indices, r.scipy_csr.indices)
-    assert np.shares_memory(y.scipy_csr.indptr, r.scipy_csr.indptr)
-    assert not np.shares_memory(y.scipy_csr.data, r.scipy_csr.data)
+    assert np.shares_memory(y.csr.indices, r.csr.indices)
+    assert np.shares_memory(y.csr.indptr, r.csr.indptr)
+    assert not np.shares_memory(y.csr.data, r.csr.data)
 
 
 def test_shifted_filled_matrix_shifts_its_diagonal_in_place():
     r, _ = rotated_density([0.5, 0.3, 0.15, 0.05], RngStream(7))
     y = r.shifted(4.0 / 0.7, -2.0)
     np.testing.assert_array_equal(y.to_dense(), 4.0 / 0.7 * r.to_dense() - 2.0 * np.eye(4))
-    assert not np.shares_memory(y.scipy_csr.data, r.scipy_csr.data)
+    assert not np.shares_memory(y.block, r.block)
 
 
 def test_shifted_operator_without_a_stored_diagonal_entry():

@@ -127,12 +127,13 @@ def test_countsketch_of_a_filled_matrix_is_bitwise_the_csr_sketch():
     # (Pi^T R)^T sums each entry over the same coordinates in the same
     # order as the CSR product R Pi, and R is exactly symmetric
     r, _ = generate_low_rank_density(1024, 10, "linear", RngStream(4))
-    assert r.dense_view() is not None
+    csr = scipy.sparse.csr_matrix(r.block)
+    assert csr.nnz == r.n * r.n
     s, stream = 256, RngStream(9)
     cols = uniform_indices(stream.child(0), s, r.n)
     signs = rademacher_vector(stream.child(1), r.n)
     pi = scipy.sparse.csc_matrix((signs, (np.arange(r.n), cols)), shape=(r.n, s))
-    probs = thin_singular_values((r.scipy_csr.tocsr() @ pi).toarray(), 10)
+    probs = thin_singular_values((csr @ pi).toarray(), 10)
     got = sketch_entropy(r, 10, ProjectionSpec("countsketch", s, stream))
     assert np.array_equal(got.probs_tilde, probs)
     assert got.entropy_tilde == entropy_from_probs(probs, SKETCH_CLAMP)
