@@ -44,6 +44,7 @@ from .densmat import (
     generate_low_rank_density,
     generate_tridiagonal_poisson,
     read_matrix_market,
+    remove_matrix_market,
     validate_spectrum,
     write_matrix_market,
 )
@@ -240,6 +241,8 @@ def cmd_generate(args) -> int:
     written = []
 
     def write() -> None:
+        # an older file's sidecar would pass for the spectrum of a matrix that has none
+        sidecar_path(args.out).unlink(missing_ok=True)
         write_matrix_market(matrix, args.out)
         written.append(True)
 
@@ -250,7 +253,7 @@ def cmd_generate(args) -> int:
         probs = alongside(spectrum, write)
     except BaseException:
         if written:  # the spectrum failed: leave no matrix without its sidecar
-            Path(args.out).unlink()
+            remove_matrix_market(args.out)
         raise
     if probs is not None:
         write_spectrum(probs, sidecar_path(args.out))

@@ -13,9 +13,14 @@ generator's spectrum comes from the exact oracle.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import hashlib
 import itertools
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
@@ -376,6 +381,11 @@ def _lower_bands(R: SparseSymMatrix):
         start = end
 
 
+def _head(n: int, count: int) -> str:
+    """The writer's header and size lines."""
+    return f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {count}\n"
+
+
 def write_matrix_market(R: SparseSymMatrix, path) -> None:
     """Serialize the lower triangle with 17 significant digits.
 
@@ -383,18 +393,123 @@ def write_matrix_market(R: SparseSymMatrix, path) -> None:
     size line; a second formats each band's entries in one ``%`` call, the
     bytes of one ``"{} {} {:.17g}\\n".format`` line per entry.  No
     n^2- or nnz-length temporary is made.
+
+    Any older companion ``<path>.block`` is removed first.  Once the text
+    of a filled matrix is complete, the SHA-256 of its bytes and the block
+    go into a new companion, which :func:`read_matrix_market` reads in
+    place of the text while the text keeps that digest.  A block holding a
+    zero whose mirror differs from it in sign gets none, since the parse
+    would mirror the lower triangle's zero.
     """
+    _drop_companion(path)
     count = sum(rows.size for rows, _, _ in _lower_bands(R))
+    digest = hashlib.sha256()
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        fh.write(f"{R.n} {R.n} {count}\n")
+
+        def put(text: str) -> None:
+            fh.write(text)
+            digest.update(text.encode("ascii"))
+
+        put(_head(R.n, count))
         for rows, cols, values in _lower_bands(R):
             k = rows.size
             fields = [0] * (3 * k)
             fields[0::3] = (rows + 1).tolist()
             fields[1::3] = (cols + 1).tolist()
             fields[2::3] = values.tolist()
-            fh.write(("%d %d %.17g\n" * k) % tuple(fields))
+            put(("%d %d %.17g\n" * k) % tuple(fields))
+    if R.block is not None and _mirrored(R.block):
+        _write_companion(path, digest.digest(), R.block)
+
+
+def remove_matrix_market(path) -> None:
+    """Delete the file at ``path`` and its companion, if any."""
+    Path(path).unlink()
+    _drop_companion(path)
+
+
+# ---------------------------------------------------------------------------
+# The companion of a filled matrix's text: <path>.block holds the SHA-256 of
+# the text's bytes, then the block, as two np.save records.  The text stays
+# the only authority: the companion is read only while the text has its
+# digest, and any fault in it leaves the text to the parse.
+# ---------------------------------------------------------------------------
+
+# bytes of text hashed at a time when a companion is checked
+_HASH_CHUNK = 2**20
+
+
+def _companion(path) -> Path:
+    return Path(str(path) + ".block")
+
+
+def _drop_companion(path) -> None:
+    with contextlib.suppress(OSError):  # one left behind no longer matches its text
+        _companion(path).unlink(missing_ok=True)
+
+
+def _mirrored(a: np.ndarray) -> bool:
+    """Whether a's upper triangle holds the bits of its lower one, tile pair
+    by tile pair; :meth:`SparseSymMatrix._adopt` lets a zero and its mirror
+    differ in sign."""
+    bits = a.view(np.uint64)
+    starts = range(0, a.shape[0], _TILE)
+    return all(
+        np.array_equal(bits[i : i + _TILE, j : j + _TILE], bits[j : j + _TILE, i : i + _TILE].T)
+        for i in starts
+        for j in starts
+        if j <= i
+    )
+
+
+def _write_companion(path, digest: bytes, block: np.ndarray) -> None:
+    """Write the companion of the text at ``path`` to a temporary file, the
+    block straight from memory (``np.save`` calls ``tofile`` on a real
+    file), and move it into place whole.  An OSError leaves the text
+    without one."""
+    companion = _companion(path)
+    partial = Path(str(companion) + ".tmp")
+    with contextlib.suppress(OSError):
+        try:
+            with open(partial, "wb") as fh:
+                np.save(fh, np.frombuffer(digest, dtype=np.uint8))
+                np.save(fh, block)
+            os.replace(partial, companion)
+        finally:
+            partial.unlink(missing_ok=True)
+
+
+def _cached_matrix(path) -> SparseSymMatrix | None:
+    """The filled matrix in the companion of the text at ``path``, or None
+    when there is none to trust.
+
+    The companion is trusted when the SHA-256 of the text, read in
+    ``_HASH_CHUNK`` pieces, equals the one it records, its block is a
+    C-ordered float64 array of the n the text's first lines declare, and
+    :meth:`SparseSymMatrix._adopt` finds the block exactly symmetric and
+    finite.  A missing, stale, truncated or malformed companion, and a
+    pickled one (``allow_pickle=False``), give None; so does a block too
+    large to allocate.  Nothing is written.
+    """
+    digest = hashlib.sha256()
+    try:
+        with open(_companion(path), "rb") as cache, open(path, "rb") as text:
+            recorded = np.load(cache, allow_pickle=False)
+            head = text.read(128)  # holds the writer's two first lines
+            digest.update(head)
+            for chunk in iter(functools.partial(text.read, _HASH_CHUNK), b""):
+                digest.update(chunk)
+            if recorded.tobytes() != digest.digest():
+                return None
+            a = np.load(cache, allow_pickle=False)
+        if a.dtype != np.float64 or a.ndim != 2 or not a.flags.c_contiguous:
+            return None
+        n = a.shape[0]
+        if not head.startswith(_head(n, n * (n + 1) // 2).encode("ascii")):
+            return None
+        return SparseSymMatrix._adopt(a)
+    except (OSError, ValueError, EOFError, MemoryError):
+        return None
 
 
 # one data line of a coordinate real file: 1-based row, column, value
@@ -419,7 +534,14 @@ def read_matrix_market(path) -> SparseSymMatrix:
     free of repeats; any other becomes a canonical CSR, which must keep
     every entry and equal its transpose.  Only a file that fails is read
     again, line by line, by :func:`_locate_fault`.
+
+    A file whose companion ``<path>.block`` (see :func:`write_matrix_market`)
+    still matches it is not parsed: its block is read from the companion
+    (:func:`_cached_matrix`), with the bits the parse would give.
     """
+    cached = _cached_matrix(path)
+    if cached is not None:
+        return cached
     with open(path, "r", encoding="ascii") as fh:
         first = fh.readline()
         if not first:

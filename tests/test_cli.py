@@ -124,6 +124,45 @@ def test_generate_oracle_failure_leaves_no_files(tmp_path, capsys, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_generate_removes_the_sidecar_of_the_file_it_replaces(tmp_path, capsys, monkeypatch):
+    # above the oracle limit a haar matrix has no known spectrum, so the
+    # lowrank file's sidecar would be reported as its exact entropy
+    out = tmp_path / "m.mtx"
+    run_cli(capsys, "generate", "--family", "lowrank", "--n", "20", "--k", "3", "--out", str(out))
+    assert cli.sidecar_path(out).exists()
+    monkeypatch.setattr(vnentropy.linalg, "DEFAULT_ORACLE_LIMIT", 10)
+    code, _, _ = run_cli(capsys, "generate", "--family", "haar", "--n", "20", "--out", str(out))
+    assert code == 0 and not cli.sidecar_path(out).exists()
+    code, record, _ = run_cli(
+        capsys, "estimate", str(out), "--method", "taylor", "--m", "20", "--s", "50", "--no-timings"
+    )
+    assert code == 0
+    assert "exact" not in json.loads(record) and "rel_err" not in json.loads(record)
+
+
+def test_output_does_not_depend_on_the_companion(tmp_path, capsys):
+    out = tmp_path / "m.mtx"
+    run_cli(capsys, "generate", "--family", "haar", "--n", "40", "--out", str(out))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "matrix": {"path": str(out)},
+        "methods": ["exact", "taylor", "chebyshev_nte", "sketch:gaussian"],
+        "m_values": [5, 10], "s_values": [8], "rank": 4, "seeds": [0, 1],
+    }))
+    series = ("--m", "10", "--s", "16")
+    assert densmat._companion(out).is_file()
+    runs = []
+    for _ in range(2):
+        outputs = [
+            run_cli(capsys, "estimate", str(out), "--method", method, *extra, "--no-timings")
+            for method, *extra in (("exact",), ("taylor", *series), ("chebyshev", *series))
+        ]
+        outputs.append(run_cli(capsys, "bench", str(grid), "--no-timings"))
+        runs.append(outputs)
+        densmat._companion(out).unlink(missing_ok=True)
+    assert runs[0] == runs[1] and all(code == 0 for code, _, _ in runs[0])
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_generate_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, cpus):
     monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: cpus)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import threading
@@ -81,6 +82,9 @@ def test_every_constructor_yields_a_read_only_block_or_canonical_csr(tmp_path):
     write_matrix_market(tri, sym)
     full_sym = tmp_path / "full-sym.mtx"
     write_matrix_market(filled, full_sym)
+    cached = tmp_path / "cached.mtx"
+    write_matrix_market(filled, cached)
+    densmat._companion(full_sym).unlink()  # parse this one
     general = tmp_path / "general.mtx"
     general.write_text(GEN + "3 3 5\n3 1 0.5\n2 2 1.0\n1 3 0.5\n3 3 0.25\n1 1 2.0\n")
     full_general = tmp_path / "full-general.mtx"
@@ -96,6 +100,7 @@ def test_every_constructor_yields_a_read_only_block_or_canonical_csr(tmp_path):
         "lowrank": generate_low_rank_density(5, 2, "linear", RngStream(1))[0],
         "linuniform": generate_linear_plus_uniform(5, 2, RngStream(1))[0],
         "read full symmetric": read_matrix_market(full_sym),
+        "read from its companion": read_matrix_market(cached),
         "read full general": read_matrix_market(full_general),
         "shifted filled": filled.shifted(2.0, -1.0),
     }
@@ -569,6 +574,7 @@ def test_round_trip_preserves_everything(tmp_path):
         r = build()
         path = tmp_path / "m.mtx"
         write_matrix_market(r, path)
+        densmat._companion(path).unlink(missing_ok=True)
         back = read_matrix_market(path)
         assert back.n == r.n
         if r.block is not None:
@@ -585,6 +591,7 @@ def test_round_trip_random_dense(seed, tmp_path):
     r = SparseSymMatrix.from_dense((g + g.T) / 2)
     path = tmp_path / "m.mtx"
     write_matrix_market(r, path)
+    densmat._companion(path).unlink()
     assert np.array_equal(read_matrix_market(path).block, r.block)
 
 
@@ -592,6 +599,7 @@ def test_round_trip_of_a_filled_matrix_gives_the_same_block(tmp_path):
     r = generate_haar_like_matrix(300, RngStream(4))
     path = tmp_path / "m.mtx"
     write_matrix_market(r, path)
+    densmat._companion(path).unlink()
     back = read_matrix_market(path)
     assert back.block.tobytes() == r.block.tobytes()
 
@@ -603,6 +611,7 @@ def test_reading_a_full_symmetric_file_fills_one_block(tmp_path):
     r = generate_haar_like_matrix(n, RngStream(1))
     path = tmp_path / "haar.mtx"
     write_matrix_market(r, path)
+    densmat._companion(path).unlink()
     tracemalloc.start()
     try:
         back = read_matrix_market(path)
@@ -929,6 +938,211 @@ def test_writer_holds_one_band_at_a_time(tmp_path, monkeypatch, n):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# The companion block written beside a filled matrix's text
+# ---------------------------------------------------------------------------
+
+
+def _parsed(path) -> SparseSymMatrix:
+    """The matrix the text at ``path`` parses to: a copy with no companion."""
+    alone = path.with_name("alone.mtx")
+    alone.write_bytes(path.read_bytes())
+    return read_matrix_market(alone)
+
+
+def _no_parse(*args, **kwargs):
+    raise AssertionError("the text was parsed")
+
+
+def _signed_zeros_and_subnormals() -> SparseSymMatrix:
+    d = _symmetric(6)
+    d[0, 0] = -0.0
+    d[3, 1] = d[1, 3] = -0.0
+    d[4, 2] = d[2, 4] = 5e-324
+    d[5, 5] = 2.5e-308
+    return SparseSymMatrix.from_dense(d)
+
+
+CACHED_CASES = {
+    "haar5": lambda: generate_haar_like_matrix(5, RngStream(1)),
+    "haar300": lambda: generate_haar_like_matrix(300, RngStream(4)),
+    # from n = 2048 up _adopt checks the read block on its tile pool
+    "haar2100": lambda: generate_haar_like_matrix(2100, RngStream(2)),
+    "lowrank": lambda: generate_low_rank_density(300, 10, "exponential", RngStream(3))[0],
+    "linuniform": lambda: generate_linear_plus_uniform(300, 10, RngStream(3))[0],
+    "signed-zeros-and-subnormals": _signed_zeros_and_subnormals,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CACHED_CASES))
+def test_a_read_from_the_companion_has_the_parsed_bits(tmp_path, case):
+    r = CACHED_CASES[case]()
+    path = tmp_path / "m.mtx"
+    write_matrix_market(r, path)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np, "loadtxt", _no_parse)
+        cached = read_matrix_market(path)
+    assert not cached.block.flags.writeable
+    assert cached.block.tobytes() == r.block.tobytes()
+    assert cached.block.tobytes() == _parsed(path).block.tobytes()
+
+
+def test_a_read_from_the_companion_holds_one_block(tmp_path):
+    # the parse's 29 n^2 (test_reading_a_full_symmetric_file_fills_one_block)
+    # becomes 8 n^2 of block plus tile temporaries; the text is hashed in
+    # 1 MiB pieces before the block is read
+    n = 1024
+    r = generate_haar_like_matrix(n, RngStream(1))
+    path = tmp_path / "haar.mtx"
+    write_matrix_market(r, path)
+    tracemalloc.start()
+    try:
+        back = read_matrix_market(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.block.tobytes() == r.block.tobytes()
+    assert peak <= 9 * n * n
+
+
+_UNPICKLED = []
+
+
+def _unpickle_hook():
+    _UNPICKLED.append(True)
+    return 0.0
+
+
+class _Unpickled:
+    def __reduce__(self):
+        return _unpickle_hook, ()
+
+
+def _companion_of(path, *records) -> None:
+    """Replace the companion of the text at ``path`` by these np.save records."""
+    with open(densmat._companion(path), "wb") as fh:
+        for record in records:
+            np.save(fh, record)
+
+
+def _digest(path) -> np.ndarray:
+    return np.frombuffer(hashlib.sha256(path.read_bytes()).digest(), dtype=np.uint8)
+
+
+def _truncate(path, keep):
+    companion = densmat._companion(path)
+    with open(companion, "rb+") as fh:
+        fh.truncate(keep(companion.stat().st_size))
+
+
+def _edit_a_value(path, block):
+    # one digit of the first data line, entry (1, 1), changes; the text stays valid
+    lines = path.read_text().splitlines(keepends=True)
+    i, j, value = lines[2].split()
+    assert (i, j) == ("1", "1") and value[2] != "9"
+    lines[2] = f"1 1 {value[:2]}{int(value[2]) + 1}{value[3:]}\n"
+    path.write_text("".join(lines))
+
+
+def _changed(block, index, value):
+    a = block.copy()
+    a[index] = value
+    return a
+
+
+def _replace_by_a_directory(path, block):
+    companion = densmat._companion(path)
+    companion.unlink()
+    companion.mkdir()
+
+
+UNTRUSTED_COMPANIONS = {
+    "none": lambda path, block: densmat._companion(path).unlink(),
+    "a-directory": _replace_by_a_directory,
+    "empty": lambda path, block: _truncate(path, lambda size: 0),
+    "truncated": lambda path, block: _truncate(path, lambda size: size - 8),
+    "stale-after-an-edited-value": _edit_a_value,
+    "wrong-digest": lambda path, block: _companion_of(path, np.zeros(32, np.uint8), block),
+    "float32": lambda path, block: _companion_of(path, _digest(path), block.astype(np.float32)),
+    "fortran-ordered": lambda path, block: _companion_of(
+        path, _digest(path), np.asfortranarray(block)
+    ),
+    "flat": lambda path, block: _companion_of(path, _digest(path), block.ravel()),
+    "not-square": lambda path, block: _companion_of(path, _digest(path), block[:, :-1].copy()),
+    "another-n": lambda path, block: _companion_of(path, _digest(path), block[:-1, :-1].copy()),
+    "asymmetric": lambda path, block: _companion_of(
+        path, _digest(path), _changed(block, (0, 1), 1.0)
+    ),
+    "nan": lambda path, block: _companion_of(path, _digest(path), _changed(block, (2, 2), np.nan)),
+    "pickled-objects": lambda path, block: _companion_of(
+        path, _digest(path), np.array([_Unpickled()], dtype=object)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNTRUSTED_COMPANIONS))
+def test_a_companion_that_cannot_be_trusted_leaves_the_text_to_the_parse(tmp_path, case):
+    r = generate_haar_like_matrix(5, RngStream(1))
+    path = tmp_path / "m.mtx"
+    write_matrix_market(r, path)
+    UNTRUSTED_COMPANIONS[case](path, r.block)
+    parses = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        parses.append(True)
+        return loadtxt(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np, "loadtxt", counted)
+        back = read_matrix_market(path)
+    assert parses == [True]
+    assert back.block.tobytes() == _parsed(path).block.tobytes()
+    assert (back.block.tobytes() == r.block.tobytes()) == (case != "stale-after-an-edited-value")
+    assert _UNPICKLED == []
+
+
+def test_an_edited_text_with_a_companion_reports_its_fault(tmp_path):
+    path = tmp_path / "m.mtx"
+    write_matrix_market(generate_haar_like_matrix(5, RngStream(1)), path)
+    # one digit: the last line, entry (5, 5), becomes (6, 5)
+    text = path.read_text()
+    last = text.rindex("\n", 0, -1) + 1
+    path.write_text(text[:last] + "6" + text[last + 1 :])
+    with pytest.raises(MatrixMarketError) as excinfo:
+        read_matrix_market(path)
+    # two header lines, then the 15 entries
+    assert str(excinfo.value) == f"{path}:17: index (6, 5) out of range for n=5"
+
+
+def test_only_a_block_that_its_text_mirrors_gets_a_companion(tmp_path):
+    path = tmp_path / "m.mtx"
+    write_matrix_market(generate_haar_like_matrix(5, RngStream(1)), path)
+    assert densmat._companion(path).is_file()
+    # a CSR written over it, even one that lists every entry, removes it
+    for csr in (generate_tridiagonal_poisson(5)[0], SparseSymMatrix(sp.csr_matrix(np.eye(5) / 5))):
+        write_matrix_market(csr, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.mtx"]
+    # the text holds the lower triangle's +0.0, which the parse mirrors
+    d = np.eye(3) / 3
+    d[0, 1] = -0.0
+    write_matrix_market(SparseSymMatrix.from_dense(d), path)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.mtx"]
+    assert not np.signbit(read_matrix_market(path).block[0, 1])
+
+
+def test_a_companion_that_cannot_be_written_leaves_the_text_alone(tmp_path):
+    # the companion's path is a directory, so moving it into place fails
+    r = generate_haar_like_matrix(5, RngStream(1))
+    path = tmp_path / "m.mtx"
+    densmat._companion(path).mkdir()
+    write_matrix_market(r, path)
+    assert path.read_bytes() == reference_matrix_market(r)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.mtx", "m.mtx.block"]
+    assert list(densmat._companion(path).iterdir()) == []
+    assert read_matrix_market(path).block.tobytes() == r.block.tobytes()
 
 
 @st.composite
