@@ -428,14 +428,11 @@ def remove_matrix_market(path) -> None:
     _drop_companion(path)
 
 
-# ---------------------------------------------------------------------------
-# The companion of a filled matrix's text: <path>.block holds the SHA-256 of
+# The companion of a filled matrix's text, <path>.block, holds the SHA-256 of
 # the text's bytes, then the block, as two np.save records.  The text stays
 # the only authority: the companion is read only while the text has its
-# digest, and any fault in it leaves the text to the parse.
-# ---------------------------------------------------------------------------
-
-# bytes of text hashed at a time when a companion is checked
+# digest, and any fault in it leaves the text to the parse.  The text is
+# hashed _HASH_CHUNK bytes at a time.
 _HASH_CHUNK = 2**20
 
 
@@ -481,16 +478,12 @@ def _write_companion(path, digest: bytes, block: np.ndarray) -> None:
 
 def _cached_matrix(path) -> SparseSymMatrix | None:
     """The filled matrix in the companion of the text at ``path``, or None
-    when there is none to trust.
-
-    The companion is trusted when the SHA-256 of the text, read in
-    ``_HASH_CHUNK`` pieces, equals the one it records, its block is a
-    C-ordered float64 array of the n the text's first lines declare, and
-    :meth:`SparseSymMatrix._adopt` finds the block exactly symmetric and
-    finite.  A missing, stale, truncated or malformed companion, and a
-    pickled one (``allow_pickle=False``), give None; so does a block too
-    large to allocate.  Nothing is written.
-    """
+    when there is none to trust: the text, hashed in ``_HASH_CHUNK``
+    pieces, must have the SHA-256 the companion records, and the block
+    must be a C-ordered float64 array of the n the text declares, which
+    :meth:`SparseSymMatrix._adopt` finds exactly symmetric and finite.
+    Any fault of the companion (missing, stale, truncated, malformed,
+    pickled, or too large to allocate) gives None."""
     digest = hashlib.sha256()
     try:
         with open(_companion(path), "rb") as cache, open(path, "rb") as text:

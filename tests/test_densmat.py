@@ -1052,6 +1052,15 @@ def _changed(block, index, value):
     return a
 
 
+def _too_large_to_allocate(path, block):
+    # a header of 8 TiB of values and no data: np.load fails to allocate, or
+    # to read, without touching the memory
+    with open(densmat._companion(path), "wb") as fh:
+        np.save(fh, _digest(path))
+        header = {"descr": "<f8", "fortran_order": False, "shape": (2**20, 2**20)}
+        np.lib.format.write_array_header_1_0(fh, header)
+
+
 def _replace_by_a_directory(path, block):
     companion = densmat._companion(path)
     companion.unlink()
@@ -1076,6 +1085,7 @@ UNTRUSTED_COMPANIONS = {
         path, _digest(path), _changed(block, (0, 1), 1.0)
     ),
     "nan": lambda path, block: _companion_of(path, _digest(path), _changed(block, (2, 2), np.nan)),
+    "too-large": _too_large_to_allocate,
     "pickled-objects": lambda path, block: _companion_of(
         path, _digest(path), np.array([_Unpickled()], dtype=object)
     ),
