@@ -1128,18 +1128,21 @@ def test_an_edited_text_with_a_companion_reports_its_fault(tmp_path):
 
 
 def test_only_a_block_that_its_text_mirrors_gets_a_companion(tmp_path):
-    path = tmp_path / "m.mtx"
-    write_matrix_market(generate_haar_like_matrix(5, RngStream(1)), path)
-    assert densmat._companion(path).is_file()
-    # a CSR written over it, even one that lists every entry, removes it
-    for csr in (generate_tridiagonal_poisson(5)[0], SparseSymMatrix(sp.csr_matrix(np.eye(5) / 5))):
-        write_matrix_market(csr, path)
-        assert [p.name for p in tmp_path.iterdir()] == ["m.mtx"]
-    # the text holds the lower triangle's +0.0, which the parse mirrors
+    # the text of the last one holds the lower triangle's +0.0, which the
+    # parse mirrors over the block's -0.0
     d = np.eye(3) / 3
     d[0, 1] = -0.0
-    write_matrix_market(SparseSymMatrix.from_dense(d), path)
-    assert [p.name for p in tmp_path.iterdir()] == ["m.mtx"]
+    others = {
+        "tridiagonal": generate_tridiagonal_poisson(5)[0],
+        "n^2 entries by hand": SparseSymMatrix(sp.csr_matrix(_symmetric(5))),
+        "zeros of either sign": SparseSymMatrix.from_dense(d),
+    }
+    path = tmp_path / "m.mtx"
+    for name, r in others.items():
+        write_matrix_market(generate_haar_like_matrix(5, RngStream(1)), path)
+        assert densmat._companion(path).is_file()
+        write_matrix_market(r, path)  # removes the haar file's companion
+        assert [p.name for p in tmp_path.iterdir()] == ["m.mtx"], name
     assert not np.signbit(read_matrix_market(path).block[0, 1])
 
 
