@@ -72,15 +72,15 @@ FAMILIES = tuple(FAMILY_FIELDS)
 DECAYS = ("exponential", "linear")
 METHODS = ("exact", "taylor", "chebyshev", "sketch")
 SERIES = ("taylor", "chebyshev")
-# the estimate flags each method reads, by argparse dest; every method reads
-# --seed, --out, --no-timings and --compute-exact
+# the estimate flags each method reads, by argparse dest (exact computes the
+# spectrum anyway); every method reads --seed, --out and --no-timings
 SERIES_FLAGS = ("eps", "delta", "ell", "m", "s", "u_mode", "nte")
 METHOD_FLAGS = {
     "exact": (),
-    **{name: SERIES_FLAGS for name in SERIES},
-    "sketch": ("proj", "rank", "s", "eps"),
+    **{name: (*SERIES_FLAGS, "compute_exact") for name in SERIES},
+    "sketch": ("proj", "rank", "s", "eps", "compute_exact"),
     # the exact projection keeps every column, so it has no width to set
-    "sketch --proj exact": ("proj", "rank"),
+    "sketch --proj exact": ("proj", "rank", "compute_exact"),
 }
 # bench grid method name -> (method, projection kind, nte, the grid fields
 # it reads); every method reads matrix, methods, seeds and repetitions
@@ -354,10 +354,17 @@ def _run_spec(n: int, method: str, seed: int, **settings) -> RunSpec:
 
 
 def cmd_estimate(args) -> int:
-    flags = (*SERIES_FLAGS, "proj", "rank")
+    flags = (*SERIES_FLAGS, "proj", "rank", "compute_exact")
     settings = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
     method = "sketch --proj exact" if (args.method, args.proj) == ("sketch", "exact") else args.method
-    unread = ["--" + f.replace("_", "-") for f in settings if f not in METHOD_FLAGS[method]]
+    # --eps sizes m and s (a sketch's s), --delta s and the power method
+    # behind u; neither is read once other flags fix all it sizes
+    fixed_s = "s" in settings or "nte" in settings
+    idle = {
+        "eps": fixed_s and (method == "sketch" or "m" in settings),
+        "delta": fixed_s and settings.get("u_mode", ("six",))[0] == "manual",
+    }
+    unread = ["--" + f.replace("_", "-") for f in settings if f not in METHOD_FLAGS[method] or idle.get(f)]
     if unread:
         raise UsageError(f"the {method} method does not read {' '.join(unread)}")
     matrix, probs = load_matrix(args.matrix)
@@ -368,7 +375,7 @@ def cmd_estimate(args) -> int:
     # opened before the run, so an unwritable path costs no estimate
     sink = open(args.out, "a", encoding="ascii") if args.out else nullcontext(sys.stdout)
     with sink as out:
-        if args.compute_exact and probs is None and args.method != "exact":
+        if args.compute_exact and probs is None:
             _, probs = linalg.exact_entropy(matrix)
         t0 = time.perf_counter()
         (rec,) = run_method(matrix, probs, spec)
@@ -708,7 +715,7 @@ def build_parser() -> _Parser:
     est.add_argument("--rank", type=int)
     est.add_argument("--seed", type=parse_seed, default=0)
     est.add_argument("--no-timings", action="store_true")
-    est.add_argument("--compute-exact", action="store_true")
+    est.add_argument("--compute-exact", action="store_true", default=None)
     est.add_argument("--out", default=None)
     est.set_defaults(func=cmd_estimate)
 

@@ -102,10 +102,10 @@ class SparseSymMatrix:
 
         Keeping explicit zeros stores all n^2 entries, so products run
         through BLAS on a view of the values.  The copy is checked for
-        exact symmetry and finiteness in one pass over its tile pairs (see
+        exact symmetry and finiteness in one pass over its tile pairs,
+        which gives each zero the sign of its lower mirror (see
         :meth:`_adopt`).  Writing to the caller's array later leaves the
-        matrix unchanged.  The three dense generators hand their own array
-        to :meth:`_adopt` instead.
+        matrix unchanged.  The dense generators hand it their own arrays.
         """
         return cls._adopt(np.array(dense, dtype=np.float64, order="C", ndmin=1))
 
@@ -118,7 +118,11 @@ class SparseSymMatrix:
         exact symmetry and finiteness while it is in cache; with
         ``symmetrize`` it first writes (a[I,J] + a[J,I].T) / 2 and its
         transpose into the pair, the bits of (a + a.T) / 2 since addition
-        commutes.  From n = ``TILE_POOL_MIN_N`` up, the pairs run in
+        commutes.  Without, a pair that passes gets its lower triangle's
+        bits in its upper one, where only a zero's sign can change.  So the
+        block is bitwise equal to its transpose, and reads back from the
+        lower triangle that :func:`write_matrix_market` writes.
+        From n = ``TILE_POOL_MIN_N`` up, the pairs run in
         ``_PAIR_TASKS`` task lists through
         :func:`~vnentropy.threads.fan_out`, so on a pool when called from
         the main thread.  Each pair belongs to one task and every operation
@@ -142,6 +146,9 @@ class SparseSymMatrix:
                 # x - y is exactly 0 just when x == y, both finite
                 with np.errstate(invalid="ignore", over="ignore"):
                     ok = ok and not (a[i, j] - a[j, i].T).any()
+                if ok and not symmetrize:  # only a zero's sign can differ
+                    t = a[i, j]
+                    a[j, i] = t.T if i != j else np.where(np.tri(len(t), dtype=bool), t, t.T)
             return ok
 
         starts = range(0, n, _TILE)
@@ -397,9 +404,7 @@ def write_matrix_market(R: SparseSymMatrix, path) -> None:
     Any older companion ``<path>.block`` is removed first.  Once the text
     of a filled matrix is complete, the SHA-256 of its bytes and the block
     go into a new companion, which :func:`read_matrix_market` reads in
-    place of the text while the text keeps that digest.  A block holding a
-    zero whose mirror differs from it in sign gets none, since the parse
-    would mirror the lower triangle's zero.
+    place of the text while the text keeps that digest.
     """
     _drop_companion(path)
     count = sum(rows.size for rows, _, _ in _lower_bands(R))
@@ -418,7 +423,7 @@ def write_matrix_market(R: SparseSymMatrix, path) -> None:
             fields[1::3] = (cols + 1).tolist()
             fields[2::3] = values.tolist()
             put(("%d %d %.17g\n" * k) % tuple(fields))
-    if R.block is not None and _mirrored(R.block):
+    if R.block is not None:
         _write_companion(path, digest.digest(), R.block)
 
 
@@ -443,20 +448,6 @@ def _companion(path) -> Path:
 def _drop_companion(path) -> None:
     with contextlib.suppress(OSError):  # one left behind no longer matches its text
         _companion(path).unlink(missing_ok=True)
-
-
-def _mirrored(a: np.ndarray) -> bool:
-    """Whether a's upper triangle holds the bits of its lower one, tile pair
-    by tile pair; :meth:`SparseSymMatrix._adopt` lets a zero and its mirror
-    differ in sign."""
-    bits = a.view(np.uint64)
-    starts = range(0, a.shape[0], _TILE)
-    return all(
-        np.array_equal(bits[i : i + _TILE, j : j + _TILE], bits[j : j + _TILE, i : i + _TILE].T)
-        for i in starts
-        for j in starts
-        if j <= i
-    )
 
 
 def _write_companion(path, digest: bytes, block: np.ndarray) -> None:

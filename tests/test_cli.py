@@ -257,7 +257,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 BAD_ESTIMATE_FLAGS = {
     "taylor-zero-m": ("--method", "taylor", "--m", "0", "--s", "4"),
     "taylor-negative-s": ("--method", "taylor", "--m", "3", "--s", "-2"),
-    "taylor-eps-above-one": ("--method", "taylor", "--m", "3", "--s", "4", "--eps", "2"),
+    "taylor-eps-above-one": ("--method", "taylor", "--ell", "0.1", "--eps", "2"),
     "taylor-nte-with-s": ("--method", "taylor", "--m", "3", "--nte", "--s", "5"),
     "chebyshev-zero-ell": ("--method", "chebyshev", "--ell", "0"),
     "sketch-zero-rank": ("--method", "sketch", "--proj", "gaussian", "--rank", "0", "--s", "4"),
@@ -330,6 +330,36 @@ UNREAD_ESTIMATE_FLAGS = {
         ("--method", "sketch", "--proj", "exact", "--rank", "3", "--s", "7", "--eps", "0.5"),
         "the sketch --proj exact method does not read --eps --s",
     ),
+    # the test adds --compute-exact, which exact refuses: it computes the spectrum anyway
+    "exact-compute-exact": (("--method", "exact"), "the exact method does not read --compute-exact"),
+    # --eps sizes m and s, --delta s and the power method behind u; nothing is
+    # left to size once flags fix each of those
+    "taylor-eps-with-m-and-s": (
+        ("--method", "taylor", "--m", "3", "--s", "4", "--eps", "0.5"),
+        "the taylor method does not read --eps\n",
+    ),
+    "chebyshev-eps-with-m-and-nte": (
+        ("--method", "chebyshev", "--m", "3", "--nte", "--eps", "0.5"),
+        "the chebyshev method does not read --eps\n",
+    ),
+    "sketch-eps-with-s": (
+        ("--method", "sketch", "--proj", "gaussian", "--rank", "2", "--s", "4", "--eps", "0.5"),
+        "the sketch method does not read --eps\n",
+    ),
+    "taylor-delta-with-manual-u-and-s": (
+        ("--method", "taylor", "--ell", "0.1", "--s", "4", "--u-mode", "manual:0.5",
+         "--eps", "0.5", "--delta", "0.2"),
+        "the taylor method does not read --delta\n",  # --eps still sizes m
+    ),
+    "chebyshev-delta-with-manual-u-and-nte": (
+        ("--method", "chebyshev", "--m", "3", "--nte", "--u-mode", "manual:0.5", "--delta", "0.2"),
+        "the chebyshev method does not read --delta\n",
+    ),
+    "taylor-eps-and-delta-with-m-manual-u-and-s": (
+        ("--method", "taylor", "--m", "3", "--s", "4", "--u-mode", "manual:0.5",
+         "--eps", "0.5", "--delta", "0.2"),
+        "the taylor method does not read --eps --delta\n",
+    ),
 }
 
 
@@ -346,10 +376,11 @@ def test_estimate_refuses_flags_its_method_does_not_read_before_reading(tmp_path
 @pytest.mark.parametrize(
     "flags",
     [
-        ("--method", "exact", "--compute-exact", "--seed", "3"),
-        ("--method", "sketch", "--proj", "gaussian", "--rank", "2", "--s", "4", "--eps", "0.5"),
-        ("--method", "chebyshev", "--eps", "0.5", "--delta", "0.2", "--ell", "0.1", "--m", "3",
-         "--s", "4", "--u-mode", "raw"),
+        ("--method", "exact", "--seed", "3"),
+        # --eps sizes the sketch's s; --eps m and s, and --delta s, of the series
+        ("--method", "sketch", "--proj", "gaussian", "--rank", "2", "--eps", "0.5"),
+        ("--method", "chebyshev", "--eps", "0.5", "--delta", "0.2", "--ell", "0.1",
+         "--u-mode", "manual:0.5"),
         ("--method", "taylor", "--m", "3", "--s", "0", "--nte", "--compute-exact"),
     ],
     ids=lambda flags: flags[1],
@@ -413,15 +444,14 @@ def test_readme_generate_and_estimate_examples_run(tmp_path, capsys, monkeypatch
 def test_pure_state_record_carries_one_warning(tmp_path, capsys):
     path = tmp_path / "pure.mtx"
     write_matrix_market(SparseSymMatrix.from_dense(np.diag([1.0, 0.0, 0.0, 0.0])), path)
+    # exact computes the spectrum anyway, so it refuses --compute-exact
     for flags in (
         ("--method", "exact"),
-        ("--method", "taylor", "--m", "3", "--s", "4"),
-        ("--method", "chebyshev", "--m", "3", "--nte"),
-        ("--method", "sketch", "--proj", "countsketch", "--rank", "1", "--s", "4"),
+        ("--method", "taylor", "--m", "3", "--s", "4", "--compute-exact"),
+        ("--method", "chebyshev", "--m", "3", "--nte", "--compute-exact"),
+        ("--method", "sketch", "--proj", "countsketch", "--rank", "1", "--s", "4", "--compute-exact"),
     ):
-        code, out, _ = run_cli(
-            capsys, "estimate", str(path), *flags, "--compute-exact", "--no-timings"
-        )
+        code, out, _ = run_cli(capsys, "estimate", str(path), *flags, "--no-timings")
         record = json.loads(out)
         assert code == 0
         assert sum("pure state" in w for w in record["warnings"]) == 1, flags

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import diagonal_matrix
 from vnentropy import (
@@ -73,8 +73,8 @@ def test_from_dense_holds_one_copy_of_the_values():
 
 
 def test_every_constructor_yields_a_read_only_block_or_canonical_csr(tmp_path):
-    # a filled matrix is one n x n block and no CSR; the CSR kernels need
-    # sorted, duplicate-free rows
+    # a filled matrix is one n x n block, bitwise equal to its transpose,
+    # and no CSR; the CSR kernels need sorted, duplicate-free rows
     g = gaussian_vector(RngStream(2), 36).reshape(6, 6)
     filled = SparseSymMatrix.from_dense(g + g.T)
     tri, _ = generate_tridiagonal_poisson(6)
@@ -110,6 +110,7 @@ def test_every_constructor_yields_a_read_only_block_or_canonical_csr(tmp_path):
         assert block.shape == (r.n, r.n) and block.dtype == np.float64, name
         assert block.flags.c_contiguous and not block.flags.writeable, name
         assert r.to_dense() is block, name
+        assert np.array_equal(block.view(np.uint64), block.T.view(np.uint64)), name
     csrs = {
         "tridiagonal": tri,
         "read symmetric": read_matrix_market(sym),
@@ -1128,22 +1129,99 @@ def test_an_edited_text_with_a_companion_reports_its_fault(tmp_path):
 
 
 def test_only_a_block_that_its_text_mirrors_gets_a_companion(tmp_path):
-    # the text of the last one holds the lower triangle's +0.0, which the
-    # parse mirrors over the block's -0.0
-    d = np.eye(3) / 3
-    d[0, 1] = -0.0
-    others = {
+    # every block does: _adopt gives a zero the sign of its lower entry, the
+    # one the text keeps, so a block built with zeros of either sign gets a
+    # companion too; a CSR gets none, and removes the one it writes over
+    path = tmp_path / "m.mtx"
+    csrs = {
         "tridiagonal": generate_tridiagonal_poisson(5)[0],
         "n^2 entries by hand": SparseSymMatrix(sp.csr_matrix(_symmetric(5))),
-        "zeros of either sign": SparseSymMatrix.from_dense(d),
     }
-    path = tmp_path / "m.mtx"
-    for name, r in others.items():
+    for name, r in csrs.items():
         write_matrix_market(generate_haar_like_matrix(5, RngStream(1)), path)
         assert densmat._companion(path).is_file()
-        write_matrix_market(r, path)  # removes the haar file's companion
+        write_matrix_market(r, path)
         assert [p.name for p in tmp_path.iterdir()] == ["m.mtx"], name
-    assert not np.signbit(read_matrix_market(path).block[0, 1])
+    d = np.eye(3) / 3
+    d[0, 1] = -0.0
+    r = SparseSymMatrix.from_dense(d)
+    write_matrix_market(r, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.mtx", "m.mtx.block"]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np, "loadtxt", _no_parse)
+        back = read_matrix_market(path)
+    assert back.block.tobytes() == r.block.tobytes()
+    assert not np.signbit(back.block[0, 1])
+
+
+# a zero whose mirror has the other sign, at the lower entry (i, j) of n x n:
+# inside a diagonal tile, across an off-diagonal tile pair, and in the last,
+# partial tile (tiles of 96 leave 8 rows at n = 200)
+SIGNED_ZERO_PLACES = {
+    "diagonal-tile": (3, (1, 0)),
+    "tile-pair": (200, (150, 3)),
+    "partial-tile": (200, (199, 194)),
+}
+
+
+def _zero_pair(n, place, lower):
+    """_symmetric(n) with the zero ``lower`` at the lower entry ``place``
+    and the zero of the other sign at its mirror."""
+    d = _symmetric(n)
+    i, j = place
+    d[i, j], d[j, i] = lower, -lower
+    return d
+
+
+def _general_file(tmp_path, n, place, lower):
+    d = _zero_pair(n, place, lower)
+    lines = [f"{i + 1} {j + 1} {d[i, j]:.17g}\n" for i in range(n) for j in range(n)]
+    path = tmp_path / "general.mtx"
+    path.write_text(GEN + f"{n} {n} {n * n}\n" + "".join(lines))
+    return read_matrix_market(path)
+
+
+def _crafted_companion(tmp_path, n, place, lower):
+    # the text holds the lower zero; the companion, with the digest of that
+    # text, holds the block with the zero of the other sign above it
+    d = _zero_pair(n, place, lower)
+    text = d.copy()
+    text[place[::-1]] = lower
+    path = tmp_path / "crafted.mtx"
+    write_matrix_market(SparseSymMatrix.from_dense(text), path)
+    _companion_of(path, _digest(path), d)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np, "loadtxt", _no_parse)
+        return read_matrix_market(path)
+
+
+SIGNED_ZERO_SOURCES = {
+    "from-dense": lambda tmp_path, *zero: SparseSymMatrix.from_dense(_zero_pair(*zero)),
+    "general-file": _general_file,
+    "crafted-companion": _crafted_companion,
+}
+
+
+@pytest.mark.parametrize("lower", [-0.0, 0.0], ids=["lower-negative", "lower-positive"])
+@pytest.mark.parametrize("place", sorted(SIGNED_ZERO_PLACES))
+@pytest.mark.parametrize("source", sorted(SIGNED_ZERO_SOURCES))
+def test_a_zero_and_its_mirror_take_the_sign_of_the_lower_one(tmp_path, source, place, lower):
+    n, (i, j) = SIGNED_ZERO_PLACES[place]
+    r = SIGNED_ZERO_SOURCES[source](tmp_path, n, (i, j), lower)
+    b = r.block
+    bits = b.view(np.uint64)
+    assert np.array_equal(bits, bits.T)
+    expected = _zero_pair(n, (i, j), lower)
+    expected[j, i] = lower
+    assert b.tobytes() == expected.tobytes()
+    path = tmp_path / "m.mtx"
+    write_matrix_market(r, path)
+    assert densmat._companion(path).is_file()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np, "loadtxt", _no_parse)
+        cached = read_matrix_market(path)
+    assert cached.block.tobytes() == b.tobytes()
+    assert _parsed(path).block.tobytes() == b.tobytes()
 
 
 def test_a_companion_that_cannot_be_written_leaves_the_text_alone(tmp_path):
@@ -1183,7 +1261,16 @@ def sparse_symmetric(draw):
     return SparseSymMatrix(csr)
 
 
+def _stored_entries(csr) -> np.ndarray:
+    """A CSR's stored entries in a dense array, each with its sign; scipy's
+    toarray adds them into +0.0, which turns -0.0 into +0.0."""
+    a = np.zeros(csr.shape)
+    a[np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr)), csr.indices] = csr.data
+    return a
+
+
 @given(sparse_symmetric(), st.sampled_from([1, 2, 7, None]))
+@example(SparseSymMatrix(sp.csr_matrix(([-0.0], [0], [0, 1]), shape=(1, 1))), None)
 @settings(max_examples=200, deadline=None)
 def test_matrix_market_round_trip_is_bitwise(tmp_path_factory, r, band):
     # band: the writer's band size in entries, or None for its own
@@ -1195,7 +1282,7 @@ def test_matrix_market_round_trip_is_bitwise(tmp_path_factory, r, band):
     assert path.read_bytes() == reference_matrix_market(r)
     back = read_matrix_market(path)
     if back.block is not None:  # a file that lists every entry fills a block
-        assert back.block.tobytes() == r.to_dense().tobytes()
+        assert back.block.tobytes() == _stored_entries(r.csr).tobytes()
         return
     for name in ("data", "indices", "indptr"):
         a, b = getattr(back.csr, name), getattr(r.csr, name)
