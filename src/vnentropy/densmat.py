@@ -57,7 +57,7 @@ class SparseSymMatrix:
     """Symmetric real matrix, stored in exactly one of two fields.
 
     * ``block``: a filled matrix, with all n^2 entries stored
-      (:meth:`from_dense`, the haar, lowrank and linuniform generators, and
+      (``block=``, the haar, lowrank and linuniform generators, and
       a Matrix Market file that lists every entry), is one C-ordered
       float64 n x n array, read-only: 8 n^2 bytes and no column indices.
       ``matvec``, ``matmat``, ``shifted`` and ``to_dense`` work on it
@@ -69,7 +69,11 @@ class SparseSymMatrix:
       none repeats.  It runs on scipy's CSR kernels, even when it stores
       n^2 entries.
 
-    Instances are immutable and safe for concurrent read-only use.
+    The constructor is the one gate for a matrix from outside the library.
+    It stores a copy: a block through :meth:`_adopt`, a CSR made float64
+    and canonical, refused unless square, exactly symmetric and finite, its
+    upper entries then given their lower mirrors' bits.  Instances are
+    immutable and safe for concurrent read-only use.
     """
 
     csr: sp.csr_matrix | None = None
@@ -78,6 +82,30 @@ class SparseSymMatrix:
     def __post_init__(self) -> None:
         if (self.csr is None) == (self.block is None):
             raise ValueError("a matrix stores exactly one of csr and block")
+        if self.block is not None:
+            a = self._adopt(np.array(self.block, dtype=np.float64, order="C", ndmin=1))
+            object.__setattr__(self, "block", a.block)
+            return
+        csr = sp.csr_matrix(self.csr, dtype=np.float64, copy=True)
+        if csr.shape[0] != csr.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {csr.shape}")
+        csr.sum_duplicates()
+        t = csr.T.tocsr()
+        fields = ((csr.indptr, t.indptr), (csr.indices, t.indices), (csr.data, t.data))
+        if not all(np.array_equal(x, y) for x, y in fields):  # NaN is unequal to itself
+            raise ValueError("matrix is not exactly symmetric")
+        if not np.isfinite(csr.data).all():
+            raise ValueError("matrix contains non-finite entries")
+        upper = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr)) < csr.indices
+        np.copyto(csr.data, t.data, where=upper)
+        object.__setattr__(self, "csr", csr)
+
+    @classmethod
+    def _unchecked(cls, csr=None, block=None) -> "SparseSymMatrix":
+        """Hold storage that the library checked or derived itself, past the gate."""
+        r = object.__new__(cls)
+        r.__dict__.update(csr=csr, block=block)
+        return r
 
     @property
     def n(self) -> int:
@@ -97,22 +125,9 @@ class SparseSymMatrix:
         return sp.bsr_matrix((self.block[None], [0], [0, 1]), shape=(self.n, self.n))
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SparseSymMatrix":
-        """Store a copy of a dense symmetric matrix with every entry explicit.
-
-        Keeping explicit zeros stores all n^2 entries, so products run
-        through BLAS on a view of the values.  The copy is checked for
-        exact symmetry and finiteness in one pass over its tile pairs,
-        which gives each zero the sign of its lower mirror (see
-        :meth:`_adopt`).  Writing to the caller's array later leaves the
-        matrix unchanged.  The dense generators hand it their own arrays.
-        """
-        return cls._adopt(np.array(dense, dtype=np.float64, order="C", ndmin=1))
-
-    @classmethod
     def _adopt(cls, a: np.ndarray, symmetrize: bool = False) -> "SparseSymMatrix":
-        """Hold a C-ordered float64 array as the block of a filled matrix,
-        without copying it, and make it read-only.
+        """Check a C-ordered float64 array and hold it, uncopied and made
+        read-only, as the block of a filled matrix, past the gate.
 
         One pass over the tile pairs (I, J), J <= I, checks each pair for
         exact symmetry and finiteness while it is in cache; with
@@ -164,7 +179,7 @@ class SparseSymMatrix:
                 raise ValueError("matrix is not exactly symmetric")
             raise ValueError("matrix contains non-finite entries")
         a.flags.writeable = False
-        return cls(block=a)
+        return cls._unchecked(block=a)
 
     def to_dense(self) -> np.ndarray:
         """The dense matrix; read-only when it is the block of a filled matrix."""
@@ -216,18 +231,15 @@ class SparseSymMatrix:
             a = self.block * scale
             a.reshape(-1)[:: self.n + 1] += shift
             a.flags.writeable = False
-            return SparseSymMatrix(block=a)
+            return SparseSymMatrix._unchecked(block=a)
         csr = self.csr
-        rows = np.repeat(np.arange(self.n), np.diff(csr.indptr))
-        diag = np.flatnonzero(rows == csr.indices)
-        del rows
+        diag = np.flatnonzero(np.repeat(np.arange(self.n), np.diff(csr.indptr)) == csr.indices)
         if diag.size != self.n:
             a = (scale * csr + shift * sp.identity(self.n, format="csr")).tocsr()
-            a.sort_indices()
-            return SparseSymMatrix(a)
+            return SparseSymMatrix._unchecked(a)  # a sum of canonical CSRs is canonical
         data = csr.data * scale
         data[diag] += shift
-        return SparseSymMatrix(
+        return SparseSymMatrix._unchecked(
             sp.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape, copy=False)
         )
 
@@ -310,7 +322,7 @@ def generate_tridiagonal_poisson(n: int) -> tuple[SparseSymMatrix, np.ndarray]:
     off = np.full(n - 1, -1.0 * scale)
     a = sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr")
     a.sort_indices()
-    return SparseSymMatrix(a), poisson_spectrum(n)
+    return SparseSymMatrix._unchecked(a), poisson_spectrum(n)
 
 
 def low_rank_probs(k: int, decay: str) -> np.ndarray:
@@ -515,9 +527,9 @@ def read_matrix_market(path) -> SparseSymMatrix:
     arrays.  A file that lists every entry (n(n+1)/2 of a ``symmetric``
     one, n^2 of a ``general`` one) fills a NaN-filled block, which
     :meth:`SparseSymMatrix._adopt` proves exactly symmetric and finite, so
-    free of repeats; any other becomes a canonical CSR, which must keep
-    every entry and equal its transpose.  Only a file that fails is read
-    again, line by line, by :func:`_locate_fault`.
+    free of repeats; any other becomes a CSR, which must keep every entry
+    and pass the :class:`SparseSymMatrix` gate.  Only a file that fails is
+    read again, line by line, by :func:`_locate_fault`.
 
     A file whose companion ``<path>.block`` (see :func:`write_matrix_market`)
     still matches it is not parsed: its block is read from the companion
@@ -574,27 +586,23 @@ def read_matrix_market(path) -> SparseSymMatrix:
     bad = i.size != count or np.any((i < 0) | (i >= nrows) | (j < 0) | (j >= nrows))
     if bad or not np.all(np.isfinite(v)) or (symmetric and np.any(i < j)):
         _locate_fault(path, size_line, nrows, count, symmetry, "invalid entries")
-    if count == (nrows * (nrows + 1) // 2 if symmetric else nrows * nrows):
-        a = np.full((nrows, nrows), np.nan)
-        a[i, j] = v
-        if symmetric:
-            a[j, i] = v
-        try:
+    try:
+        if count == (nrows * (nrows + 1) // 2 if symmetric else nrows * nrows):
+            a = np.full((nrows, nrows), np.nan)
+            a[i, j] = v
+            if symmetric:
+                a[j, i] = v
             return SparseSymMatrix._adopt(a)
-        except ValueError as exc:
-            _locate_fault(path, size_line, nrows, count, symmetry, str(exc))
-    if symmetric:
-        lower = i != j
-        i, j, v = (np.concatenate((a, b[lower])) for a, b in ((i, j), (j, i), (v, v)))
-    # the COO-to-CSR conversion sums repeated entries and sorts each row's
-    # columns, so the arrays equal those built from (row, column)-sorted
-    # input, and a repeat leaves nnz short of the entry count
-    csr = sp.csr_matrix((v, (i, j)), shape=(nrows, nrows))
-    t = csr if symmetric else csr.T.tocsr()  # a 'symmetric' file was mirrored above
-    same = map(np.array_equal, (csr.indptr, csr.indices, csr.data), (t.indptr, t.indices, t.data))
-    if csr.nnz != v.size or not all(same):
-        _locate_fault(path, size_line, nrows, count, symmetry, "repeated or asymmetric entries")
-    return SparseSymMatrix(csr)
+        if symmetric:
+            lower = i != j
+            i, j, v = (np.concatenate((a, b[lower])) for a, b in ((i, j), (j, i), (v, v)))
+        # the COO-to-CSR conversion sums repeats, leaving nnz short of the count
+        csr = sp.csr_matrix((v, (i, j)), shape=(nrows, nrows))
+        if csr.nnz != v.size:
+            raise ValueError("repeated entries")
+        return SparseSymMatrix(csr)
+    except ValueError as exc:
+        _locate_fault(path, size_line, nrows, count, symmetry, str(exc))
 
 
 def _locate_fault(path, size_line, nrows, count, symmetry, reason) -> NoReturn:

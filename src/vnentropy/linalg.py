@@ -14,7 +14,6 @@ if TYPE_CHECKING:
     from .densmat import SparseSymMatrix
 
 DEFAULT_ORACLE_LIMIT = 4096
-SYMMETRY_TOL = 1e-10
 RANK_TOL = 1e-12
 ENTROPY_CLAMP = 1e-14
 
@@ -94,19 +93,12 @@ def exact_entropy(R: SparseSymMatrix) -> tuple[float, np.ndarray]:
     the oracle for all tests.  It refuses n above ``DEFAULT_ORACLE_LIMIT``
     rather than silently taking hours.
 
-    A filled matrix's block, proved exactly symmetric when it was built,
-    goes to the eigensolver as it is; a CSR matrix is made dense and must
-    be symmetric within ``1e-10 * max|R|``.  Eigenvalues in
-    ``[-1e-10 * n, 0]`` are treated as zero; anything more negative means
-    the input is not positive semidefinite.
+    A matrix is exactly symmetric once made, so it goes to the eigensolver,
+    dense, as it is.  Eigenvalues in ``[-1e-10 * n, 0]`` are treated as
+    zero; anything more negative means the input is not positive semidefinite.
     """
     check_oracle_size(R.n)
-    a = R.block
-    if a is None:
-        a = R.csr.toarray()
-        if np.max(np.abs(a - a.T)) > SYMMETRY_TOL * max(np.max(np.abs(a)), 1e-300):
-            raise ValueError("matrix is not symmetric within tolerance")
-    w = np.linalg.eigvalsh(a)
+    w = np.linalg.eigvalsh(R.to_dense())
     floor = -1e-10 * R.n
     if w[0] < floor:
         raise ValueError(f"eigenvalue {w[0]!r} below {floor!r}: not positive semidefinite")

@@ -11,8 +11,8 @@ def rotated_density(probs, stream: RngStream) -> tuple[SparseSymMatrix, np.ndarr
     q = householder_qr(gaussian_vector(stream, n * n).reshape(n, n))
     dense = (q * probs) @ q.T
     dense = (dense + dense.T) / 2.0
-    return SparseSymMatrix.from_dense(dense), probs
+    return SparseSymMatrix(block=dense), probs
 
 
 def diagonal_matrix(diag) -> SparseSymMatrix:
-    return SparseSymMatrix.from_dense(np.diag(np.asarray(diag, dtype=np.float64)))
+    return SparseSymMatrix(block=np.diag(np.asarray(diag, dtype=np.float64)))

@@ -214,7 +214,7 @@ def test_08_sketch_entropy_guarantee():
     n, eps = 256, 0.2
     q = householder_qr(gaussian_vector(RngStream(77), n * 2).reshape(n, 2))
     dense = 0.5 * np.outer(q[:, 0], q[:, 0]) + 0.5 * np.outer(q[:, 1], q[:, 1])
-    r = SparseSymMatrix.from_dense((dense + dense.T) / 2.0)
+    r = SparseSymMatrix(block=(dense + dense.T) / 2.0)
     bound = math.sqrt(eps) * math.log(2) + math.sqrt(1.5) * eps
     hits = sum(
         abs(

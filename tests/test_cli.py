@@ -28,7 +28,7 @@ def run_cli(capsys, *argv):
 
 def write_identity_density(tmp_path, n, name="id.mtx"):
     path = tmp_path / name
-    write_matrix_market(SparseSymMatrix.from_dense(np.eye(n) / n), path)
+    write_matrix_market(SparseSymMatrix(block=np.eye(n) / n), path)
     return path
 
 
@@ -443,7 +443,7 @@ def test_readme_generate_and_estimate_examples_run(tmp_path, capsys, monkeypatch
 
 def test_pure_state_record_carries_one_warning(tmp_path, capsys):
     path = tmp_path / "pure.mtx"
-    write_matrix_market(SparseSymMatrix.from_dense(np.diag([1.0, 0.0, 0.0, 0.0])), path)
+    write_matrix_market(SparseSymMatrix(block=np.diag([1.0, 0.0, 0.0, 0.0])), path)
     # exact computes the spectrum anyway, so it refuses --compute-exact
     for flags in (
         ("--method", "exact"),
@@ -477,7 +477,7 @@ LAYOUT_FIELDS = {
 def test_estimate_record_keys_in_order(tmp_path, capsys, method, case):
     path = tmp_path / "r.mtx"
     if case == "pure-sidecar":
-        write_matrix_market(SparseSymMatrix.from_dense(np.diag([1.0, 0.0, 0.0, 0.0])), path)
+        write_matrix_market(SparseSymMatrix(block=np.diag([1.0, 0.0, 0.0, 0.0])), path)
         cli.write_spectrum(np.array([1.0, 0.0, 0.0, 0.0]), cli.sidecar_path(path))
     else:
         run_cli(capsys, "generate", "--family", "tridiagonal", "--n", "8", "--out", str(path))
@@ -534,7 +534,7 @@ def test_numerical_failures_exit_two(tmp_path, capsys):
 
 def test_trace_off_one_exits_two(tmp_path, capsys):
     path = tmp_path / "trace2.mtx"
-    write_matrix_market(SparseSymMatrix.from_dense(np.eye(2)), path)
+    write_matrix_market(SparseSymMatrix(block=np.eye(2)), path)
     code, out, err = run_cli(capsys, "estimate", str(path), "--method", "exact")
     assert code == 2 and out == ""
     assert str(path) in err and "trace 2.0" in err

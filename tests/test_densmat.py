@@ -36,7 +36,7 @@ def test_matvec_identity():
 
 
 def test_matvec_zero_matrix():
-    r = SparseSymMatrix.from_dense(np.zeros((4, 4)))
+    r = SparseSymMatrix(block=np.zeros((4, 4)))
     assert np.array_equal(r.matvec(np.ones(4)), np.zeros(4))
 
 
@@ -51,21 +51,21 @@ def test_matvec_dimension_mismatch():
 def test_matvec_matches_dense_multiply(seed):
     g = gaussian_vector(RngStream(seed), 16 * 16).reshape(16, 16)
     dense = (g + g.T) / 2.0
-    r = SparseSymMatrix.from_dense(dense)
+    r = SparseSymMatrix(block=dense)
     x = gaussian_vector(RngStream(seed, 1), 16)
     expected = dense @ x
     scale = np.linalg.norm(expected)
     assert np.linalg.norm(r.matvec(x) - expected) <= 1e-12 * max(scale, 1e-30)
 
 
-def test_from_dense_holds_one_copy_of_the_values():
+def test_block_constructor_holds_one_copy_of_the_values():
     # 8 n^2 bytes of values, at the peak too (8.80 n^2 with the tile
     # temporaries); a column index array, or a second copy, adds 4 n^2 or more
     n = 512
     dense = np.eye(n) / n
     tracemalloc.start()
     try:
-        r = SparseSymMatrix.from_dense(dense)
+        r = SparseSymMatrix(block=dense)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -76,7 +76,7 @@ def test_every_constructor_yields_a_read_only_block_or_canonical_csr(tmp_path):
     # a filled matrix is one n x n block, bitwise equal to its transpose,
     # and no CSR; the CSR kernels need sorted, duplicate-free rows
     g = gaussian_vector(RngStream(2), 36).reshape(6, 6)
-    filled = SparseSymMatrix.from_dense(g + g.T)
+    filled = SparseSymMatrix(block=g + g.T)
     tri, _ = generate_tridiagonal_poisson(6)
     sym = tmp_path / "sym.mtx"
     write_matrix_market(tri, sym)
@@ -95,7 +95,7 @@ def test_every_constructor_yields_a_read_only_block_or_canonical_csr(tmp_path):
     # n^2 entries stored by hand stay a CSR
     by_hand = SparseSymMatrix(sp.csr_matrix(g + g.T))
     blocks = {
-        "from_dense": filled,
+        "constructor": filled,
         "haar": generate_haar_like_matrix(5, RngStream(1)),
         "lowrank": generate_low_rank_density(5, 2, "linear", RngStream(1))[0],
         "linuniform": generate_linear_plus_uniform(5, 2, RngStream(1))[0],
@@ -135,10 +135,10 @@ def test_a_matrix_stores_exactly_one_of_csr_and_block():
         SparseSymMatrix(csr=tri.csr, block=tri.to_dense())
 
 
-def test_adopted_block_is_read_only_and_from_dense_leaves_its_input_writable():
+def test_adopted_block_is_read_only_and_the_constructor_leaves_its_input_writable():
     g = gaussian_vector(RngStream(3), 25).reshape(5, 5)
     dense = g + g.T
-    r = SparseSymMatrix.from_dense(dense)
+    r = SparseSymMatrix(block=dense)
     assert np.array_equal(r.block, dense) and not np.shares_memory(r.block, dense)
     with pytest.raises(ValueError, match="read-only"):
         r.block[0, 0] = 1.0
@@ -152,7 +152,7 @@ def test_scipy_csr_is_the_csr_or_a_bsr_view_of_the_block():
     tri, _ = generate_tridiagonal_poisson(5)
     assert tri.scipy_csr is tri.csr
     for n in (1, 7):
-        r = SparseSymMatrix.from_dense(np.eye(n) / n)
+        r = SparseSymMatrix(block=np.eye(n) / n)
         bsr = r.scipy_csr
         assert bsr.format == "bsr" and bsr.shape == (n, n)
         assert np.shares_memory(bsr.data[0], r.block)
@@ -165,7 +165,7 @@ def test_filled_matmat_does_not_depend_on_block_width():
     # product goes through gemv unless matmat pads it
     n = 1024
     g = gaussian_vector(RngStream(4), n * n).reshape(n, n)
-    r = SparseSymMatrix.from_dense((g + g.T) / 2.0)
+    r = SparseSymMatrix(block=(g + g.T) / 2.0)
     x = gaussian_vector(RngStream(5), n * 129).reshape(n, 129)
     full = r.matmat(x)
     for w in range(1, 130):
@@ -174,7 +174,7 @@ def test_filled_matmat_does_not_depend_on_block_width():
 
 def _filled(n, seed=0):
     g = np.random.default_rng(seed).standard_normal((n, n))
-    return SparseSymMatrix.from_dense((g + g.T) / 2.0)
+    return SparseSymMatrix(block=(g + g.T) / 2.0)
 
 
 def _bands(monkeypatch, r, x):
@@ -302,7 +302,7 @@ def test_tiled_checks_refuse_like_the_plain_ones(monkeypatch, fault):
         if cpus is not None:
             monkeypatch.setattr(densmat, "TILE_POOL_MIN_N", 0)
             monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: cpus)
-        for build in (SparseSymMatrix.from_dense, SparseSymMatrix._adopt):
+        for build in (lambda a: SparseSymMatrix(block=a), SparseSymMatrix._adopt):
             with pytest.raises(ValueError) as excinfo:
                 build(a.copy())
             assert str(excinfo.value) == expected, cpus
@@ -331,7 +331,7 @@ def test_asymmetry_wins_whichever_task_finds_the_non_finite_entry(
     for cpus in (1, 2, 3):
         monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: cpus)
         with pytest.raises(ValueError, match="^matrix is not exactly symmetric$"):
-            SparseSymMatrix.from_dense(a)
+            SparseSymMatrix(block=a)
 
 
 def _bits_on_any_cpus(monkeypatch, build):
@@ -381,19 +381,19 @@ def test_generated_bits_do_not_depend_on_cpus_or_calling_thread(monkeypatch, fam
 
 
 @pytest.mark.parametrize("n", [300, 2100])
-def test_from_dense_bits_do_not_depend_on_cpus_or_calling_thread(monkeypatch, n):
+def test_block_constructor_bits_do_not_depend_on_cpus_or_calling_thread(monkeypatch, n):
     if n == 300:
         dense = generate_haar_like_matrix(n, RngStream(3)).to_dense()
     else:
         dense = _filled(n).to_dense()
-    bits = _bits_on_any_cpus(monkeypatch, lambda: SparseSymMatrix.from_dense(dense))
+    bits = _bits_on_any_cpus(monkeypatch, lambda: SparseSymMatrix(block=dense))
     assert bits == [dense.tobytes()] * 4
 
 
-def test_from_dense_does_not_alias_its_argument():
+def test_block_constructor_does_not_alias_its_argument():
     dense = _symmetric(300)
     kept = dense.copy()
-    r = SparseSymMatrix.from_dense(dense)
+    r = SparseSymMatrix(block=dense)
     dense[...] = np.nan
     assert np.array_equal(r.to_dense(), kept)
     assert not np.shares_memory(r.block, dense)
@@ -515,7 +515,7 @@ def test_linear_plus_uniform_full_rank():
 @pytest.mark.parametrize("family", ["linear", "exponential", "linuniform"])
 def test_generated_matrix_has_the_bits_of_the_symmetrized_copy(family, n):
     # the in-place tile-pair symmetrization against (d + d.T) / 2 of the
-    # same product, stored through from_dense
+    # same product, stored through the constructor
     k = min(n, 3)
     if family == "linuniform":
         r, probs = generate_linear_plus_uniform(n, k, RngStream(n))
@@ -524,7 +524,7 @@ def test_generated_matrix_has_the_bits_of_the_symmetrized_copy(family, n):
         r, probs = generate_low_rank_density(n, k, family, RngStream(n))
         q = householder_qr(gaussian_vector(RngStream(n), n * k).reshape(n, k))
     d = (q * probs) @ q.T
-    expected = SparseSymMatrix.from_dense((d + d.T) / 2.0).block
+    expected = SparseSymMatrix(block=(d + d.T) / 2.0).block
     assert r.block.dtype == expected.dtype and r.block.tobytes() == expected.tobytes()
 
 
@@ -589,7 +589,7 @@ def test_round_trip_preserves_everything(tmp_path):
 @pytest.mark.parametrize("seed", [0, 1, 17, 2**31, 2**48 + 5])
 def test_round_trip_random_dense(seed, tmp_path):
     g = gaussian_vector(RngStream(seed), 36).reshape(6, 6)
-    r = SparseSymMatrix.from_dense((g + g.T) / 2)
+    r = SparseSymMatrix(block=(g + g.T) / 2)
     path = tmp_path / "m.mtx"
     write_matrix_market(r, path)
     densmat._companion(path).unlink()
@@ -916,7 +916,7 @@ def test_writer_holds_one_band_at_a_time(tmp_path, monkeypatch, n):
     # about 18 us per entry, so the file here fills up after 1 MiB of text,
     # past the counting pass over all bands and a dozen or more bands written
     x = np.random.default_rng(n).random(n)
-    r = SparseSymMatrix.from_dense(np.add.outer(x, x))
+    r = SparseSymMatrix(block=np.add.outer(x, x))
     assert r.block is not None
     room = [2**20]
 
@@ -963,7 +963,7 @@ def _signed_zeros_and_subnormals() -> SparseSymMatrix:
     d[3, 1] = d[1, 3] = -0.0
     d[4, 2] = d[2, 4] = 5e-324
     d[5, 5] = 2.5e-308
-    return SparseSymMatrix.from_dense(d)
+    return SparseSymMatrix(block=d)
 
 
 CACHED_CASES = {
@@ -1144,7 +1144,7 @@ def test_only_a_block_that_its_text_mirrors_gets_a_companion(tmp_path):
         assert [p.name for p in tmp_path.iterdir()] == ["m.mtx"], name
     d = np.eye(3) / 3
     d[0, 1] = -0.0
-    r = SparseSymMatrix.from_dense(d)
+    r = SparseSymMatrix(block=d)
     write_matrix_market(r, path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.mtx", "m.mtx.block"]
     with pytest.MonkeyPatch.context() as m:
@@ -1188,7 +1188,7 @@ def _crafted_companion(tmp_path, n, place, lower):
     text = d.copy()
     text[place[::-1]] = lower
     path = tmp_path / "crafted.mtx"
-    write_matrix_market(SparseSymMatrix.from_dense(text), path)
+    write_matrix_market(SparseSymMatrix(block=text), path)
     _companion_of(path, _digest(path), d)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(np, "loadtxt", _no_parse)
@@ -1196,7 +1196,7 @@ def _crafted_companion(tmp_path, n, place, lower):
 
 
 SIGNED_ZERO_SOURCES = {
-    "from-dense": lambda tmp_path, *zero: SparseSymMatrix.from_dense(_zero_pair(*zero)),
+    "block-constructor": lambda tmp_path, *zero: SparseSymMatrix(block=_zero_pair(*zero)),
     "general-file": _general_file,
     "crafted-companion": _crafted_companion,
 }
@@ -1289,9 +1289,93 @@ def test_matrix_market_round_trip_is_bitwise(tmp_path_factory, r, band):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-def test_from_dense_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        SparseSymMatrix.from_dense(np.array([[1.0, 0.1], [0.2, 1.0]]))
+# a dense matrix the constructor refuses, and the refusal, the same for a
+# block and a CSR; NaN is unequal to itself
+GATE_REFUSALS = {
+    "asymmetric": ([[0.5, 0.4], [-0.4, 0.5]], "^matrix is not exactly symmetric$"),
+    "nan": ([[0.5, np.nan], [np.nan, 0.5]], "^matrix is not exactly symmetric$"),
+    "inf": ([[np.inf, 0.0], [0.0, 0.5]], "^matrix contains non-finite entries$"),
+    "non-square": (
+        [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]],
+        r"^expected a square matrix, got shape \(2, 3\)$",
+    ),
+}
+
+
+@pytest.mark.parametrize("store", ["block", "csr"])
+@pytest.mark.parametrize("case", sorted(GATE_REFUSALS))
+def test_the_constructor_refuses_what_is_not_square_exactly_symmetric_and_finite(store, case):
+    dense, message = GATE_REFUSALS[case]
+    a = np.array(dense)
+    with pytest.raises(ValueError, match=message):
+        SparseSymMatrix(block=a) if store == "block" else SparseSymMatrix(sp.csr_matrix(a))
+
+
+def test_the_constructor_sums_a_repeated_diagonal_entry():
+    # row 0 stores its diagonal entry twice and row 1 none: taken as they
+    # are, the three stored entries would pass for a full diagonal
+    raw = sp.csr_matrix(([0.25, 0.25, 0.5], [0, 0, 2], [0, 2, 2, 3]), shape=(3, 3))
+    r = SparseSymMatrix(raw)
+    assert r.csr.has_canonical_format and r.nnz == 2
+    assert np.array_equal(r.shifted(1.0, 1.0).to_dense(), raw.toarray() + np.eye(3))
+
+
+def test_the_library_builds_its_own_matrices_past_the_gate(tmp_path, monkeypatch):
+    # what the library checked or derived itself is not checked again
+    no_diagonal = SparseSymMatrix(sp.csr_matrix(([0.5, 0.5], [1, 0], [0, 1, 2]), shape=(2, 2)))
+
+    def gate(self):
+        raise AssertionError("checked twice")
+
+    monkeypatch.setattr(SparseSymMatrix, "__post_init__", gate)
+    tri, _ = generate_tridiagonal_poisson(6)
+    dense = [
+        generate_haar_like_matrix(5, RngStream(1)),
+        generate_low_rank_density(5, 2, "linear", RngStream(1))[0],
+        generate_linear_plus_uniform(5, 2, RngStream(1))[0],
+    ]
+    for r in (tri, no_diagonal, *dense):
+        assert np.array_equal(r.shifted(2.0, -1.0).to_dense(), 2.0 * r.to_dense() - np.eye(r.n))
+    path = tmp_path / "m.mtx"
+    write_matrix_market(dense[0], path)
+    monkeypatch.setattr(np, "loadtxt", _no_parse)
+    assert read_matrix_market(path).block.tobytes() == dense[0].block.tobytes()
+
+
+@st.composite
+def partial_general_file(draw):
+    """The size and data lines of a ``general`` file that lists both entries
+    of each stored pair (a zero perhaps with the other sign at its mirror)
+    but not all n^2 entries, in any order."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    lower = [(i, j) for i in range(n) for j in range(i + 1)]
+    kept = draw(st.lists(st.sampled_from(lower), unique=True, max_size=len(lower) - 1))
+    lines = []
+    for i, j in kept:
+        v = draw(st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, allow_infinity=False))
+        lines.append(f"{i + 1} {j + 1} {v!r}")
+        if i != j:
+            mirror = -v if v == 0.0 and draw(st.booleans()) else v
+            lines.append(f"{j + 1} {i + 1} {mirror!r}")
+    return n, draw(st.permutations(lines))
+
+
+def _csr_bits(csr):
+    return [a.tobytes() for a in (csr.indptr, csr.indices, csr.data)]
+
+
+@given(partial_general_file())
+@example((2, ["1 1 1.0", "1 2 0.0", "2 1 -0.0"]))
+@settings(max_examples=200, deadline=None)
+def test_a_partial_general_file_round_trips_bitwise(tmp_path_factory, file):
+    n, lines = file
+    folder = tmp_path_factory.mktemp("mm")
+    path = folder / "general.mtx"
+    path.write_text(GEN + f"{n} {n} {len(lines)}\n" + "".join(line + "\n" for line in lines))
+    first = read_matrix_market(path)
+    write_matrix_market(first, folder / "m.mtx")
+    back = read_matrix_market(folder / "m.mtx").csr
+    assert _csr_bits(back) == _csr_bits(back.T.tocsr()) == _csr_bits(first.csr)
 
 
 def test_validate_density_catches_bad_trace():

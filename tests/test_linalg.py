@@ -52,7 +52,7 @@ def test_qr_rejects_rank_deficiency():
 def test_exact_spectrum_of_a_diagonal_and_an_analytic_2x2(store):
     def build(dense):
         if store == "block":
-            return SparseSymMatrix.from_dense(dense)
+            return SparseSymMatrix(block=dense)
         return SparseSymMatrix(sp.csr_matrix(np.asarray(dense)))
 
     _, probs = exact_entropy(build(np.diag([0.5, 1 / 6, 1 / 3])))
@@ -61,16 +61,14 @@ def test_exact_spectrum_of_a_diagonal_and_an_analytic_2x2(store):
     assert np.allclose(probs, [0.75, 0.25], atol=1e-15)
 
 
-def test_exact_entropy_rejects_an_asymmetric_hand_built_csr_and_oversized(monkeypatch):
-    # only a CSR can be asymmetric: a block is checked exactly as it is built
-    asymmetric = sp.csr_matrix(np.array([[0.5, 1e-9], [0.0, 0.5]]))
-    with pytest.raises(ValueError, match="not symmetric within tolerance"):
-        exact_entropy(SparseSymMatrix(asymmetric))
-    # within 1e-10 * max|R| counts as symmetric
-    nearly = sp.csr_matrix(np.array([[0.5, 1e-11], [0.0, 0.5]]))
-    assert exact_entropy(SparseSymMatrix(nearly))[0] == pytest.approx(math.log(2))
+def test_an_asymmetric_csr_never_reaches_the_oracle_and_oversized_is_refused(monkeypatch):
+    # the constructor refuses any asymmetry, however small, so the oracle
+    # takes every matrix as exactly symmetric
+    for off in (1e-9, 1e-11):
+        with pytest.raises(ValueError, match="^matrix is not exactly symmetric$"):
+            SparseSymMatrix(sp.csr_matrix(np.array([[0.5, off], [0.0, 0.5]])))
     monkeypatch.setattr(linalg, "DEFAULT_ORACLE_LIMIT", 4)
-    for r in (generate_tridiagonal_poisson(5)[0], SparseSymMatrix.from_dense(np.eye(5) / 5)):
+    for r in (generate_tridiagonal_poisson(5)[0], SparseSymMatrix(block=np.eye(5) / 5)):
         with pytest.raises(ValueError, match="exceeds the oracle limit 4"):
             exact_entropy(r)
 
@@ -165,7 +163,7 @@ def test_exact_entropy_pure_state_is_zero():
     dense = np.outer(psi, psi)
     from vnentropy import SparseSymMatrix
 
-    h, _ = exact_entropy(SparseSymMatrix.from_dense((dense + dense.T) / 2))
+    h, _ = exact_entropy(SparseSymMatrix(block=(dense + dense.T) / 2))
     assert abs(h) < 1e-12
 
 

@@ -32,7 +32,7 @@ def test_power_on_rank_one_is_exact():
     dense = np.outer(psi, psi)
     from vnentropy import SparseSymMatrix
 
-    r = SparseSymMatrix.from_dense((dense + dense.T) / 2)
+    r = SparseSymMatrix(block=(dense + dense.T) / 2)
     est = power_method(r, 4, 3, RngStream(1))
     assert abs(est.p1_tilde - 1.0) < 1e-12
 

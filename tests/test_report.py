@@ -235,7 +235,7 @@ def test_estimates_are_invariant_under_permutation_similarity(case):
     probs, perm, seed, m = case
     r, _ = rotated_density(probs, RngStream(seed))
     dense = r.to_dense()
-    permuted = SparseSymMatrix.from_dense(dense[perm][:, perm])
+    permuted = SparseSymMatrix(block=dense[perm][:, perm])
     cfg = EstimatorConfig(u_mode="six", m_override=m, s_override=6, seed=seed)
 
     def unpermuted(draw):

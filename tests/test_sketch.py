@@ -59,7 +59,7 @@ def test_srht_builds_no_dense_copy_at_n_65536(monkeypatch):
 
 
 def test_gaussian_sketch_of_zero_matrix():
-    r = SparseSymMatrix.from_dense(np.zeros((5, 5)))
+    r = SparseSymMatrix(block=np.zeros((5, 5)))
     assert np.array_equal(apply_gaussian(r, 7, RngStream(0)), np.zeros((5, 7)))
 
 
@@ -99,7 +99,7 @@ def test_srht_pads_to_next_power_of_two():
 
 
 def test_srht_identity_frobenius_identity():
-    r = SparseSymMatrix.from_dense(np.eye(4))
+    r = SparseSymMatrix(block=np.eye(4))
     sketch = apply_srht(r, 2, RngStream(5))
     assert abs(np.sum(sketch**2) - 4.0) < 1e-10
 
@@ -111,7 +111,7 @@ def test_countsketch_structure():
 
 
 def test_countsketch_on_identity_reproduces_projection():
-    r = SparseSymMatrix.from_dense(np.eye(4))
+    r = SparseSymMatrix(block=np.eye(4))
     sketch = apply_countsketch(r, 4, RngStream(3))
     assert np.array_equal(sketch, countsketch_matrix(4, 4, RngStream(3)))
 
