@@ -10,7 +10,7 @@ its output does not depend on ``OPENBLAS_NUM_THREADS``; the previous count
 is restored on exit.  Of the BLAS work, only ``estimate``'s products
 with a filled matrix of n >= 2048 still use every CPU, through their
 row-band pool; the rest (smaller products, eigensolves, generation, and
-every product in a ``bench`` cell) runs on one core.
+every product in a ``bench`` run) runs on one core.
 
 Exit codes: 0 success (possibly with warnings), 1 usage error,
 2 numerical or I/O failure.
@@ -323,7 +323,7 @@ def run_method(
 
 def _run_spec(n: int, method: str, seed: int, **settings) -> RunSpec:
     """The run of ``method`` on an n x n matrix, for ``estimate`` and every
-    bench cell.  ``settings`` are estimate flag values by argparse dest; an
+    bench run.  ``settings`` are estimate flag values by argparse dest; an
     absent one takes the flag's default, and a method ignores those it
     does not read.  Out-of-range values raise ValueError."""
     get = settings.get
@@ -417,7 +417,7 @@ def _is_count(value) -> bool:
 
 
 def _load_grid(path) -> dict:
-    """Read a bench grid and validate it before any cell runs: a JSON
+    """Read a bench grid and validate it before any run starts: a JSON
     object in which every field besides ``matrix``, ``methods``, ``seeds``
     and ``repetitions`` is read by a method of the grid (``GRID_METHODS``),
     each list field a method reads is nonempty and ``delta`` is a JSON
@@ -426,7 +426,7 @@ def _load_grid(path) -> dict:
     Seeds become ints in parse_seed's range, each ``u_modes`` entry becomes
     a ``(text, (mode, value))`` pair and each ``methods`` entry a
     ``(name, (method, projection kind, nte, fields read))`` pair.
-    Repetition r of a cell runs seed + r * 2**32, so repeated grids need
+    Repetition r of a row runs seed + r * 2**32, so repeated grids need
     seeds below 2**32.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -507,42 +507,11 @@ def _grid_matrix(spec) -> tuple[SparseSymMatrix, np.ndarray | None]:
     return matrix, spectrum()
 
 
-def _bench_cells(grid, n: int, probs: np.ndarray | None) -> list[tuple[tuple, RunSpec]]:
-    """Every cell of a loaded grid as (row labels, run spec), in row order.
-
-    The labels are (method, m, s, u_mode, seed, rep) as the CSV prints them.
-    Out-of-range grid values raise ValueError or TypeError here, before any
-    cell runs.
-    """
-    ell = None
-    if probs is not None and probs[-1] > 0:
-        ell = float(probs[-1])
-    delta = float(grid.get("delta", 0.1))
-    cells = []
-    for name, (method, kind, nte, reads) in grid["methods"]:
-        ms, ss, us = (
-            grid[key] if key in reads else [default]
-            for key, default in (("m_values", None), ("s_values", None), ("u_modes", (None, None)))
-        )
-        cases = itertools.product(ms, ss, us, grid["seeds"], range(grid.get("repetitions", 1)))
-        for m, s, (u_text, u_mode), seed, rep in cases:
-            spec = _run_spec(
-                n, method, seed + (rep << 32), delta=delta, ell=ell, u_mode=u_mode,
-                m=m, s=0 if nte else s, nte=nte, proj=kind, rank=grid.get("rank"),
-            )
-            cells.append(((name, m, s, u_text, seed, rep), spec))
-    return cells
-
-
 _ORACLE = ("oracle",)
 
 
-def _power_key(cfg: EstimatorConfig) -> tuple:
-    return ("power", cfg.seed, cfg.delta)
-
-
 class _Unit(NamedTuple):
-    """One run of a sweep: ``rows[j]`` lists the cells its record j fills,
+    """One run of a sweep: ``rows[j]`` lists the rows its record j fills,
     ``needs`` the shared results it reads, in the order it reads them."""
 
     spec: RunSpec
@@ -550,43 +519,48 @@ class _Unit(NamedTuple):
     needs: list[tuple]
 
 
-def _needs(spec: RunSpec, probs: np.ndarray | None) -> list[tuple]:
-    """The shared results a run reads, in the order it reads them: the power
-    method of its seed and delta unless u is manual, then the oracle for an
-    exact run or an nte run without a known spectrum."""
-    if spec.method == "exact":
-        return [_ORACLE]
-    if spec.method not in SERIES:
-        return []
-    needs = [] if spec.cfg.u_mode == "manual" else [_power_key(spec.cfg)]
-    if spec.cfg.nte and probs is None:
-        needs.append(_ORACLE)
-    return needs
+def _bench_units(grid, n: int, probs: np.ndarray | None) -> tuple[list[tuple], list[_Unit]]:
+    """The rows of a loaded grid, in CSV order, and the runs that fill them.
 
-
-def _bench_units(cells, probs: np.ndarray | None) -> list[_Unit]:
-    """Group the cells into runs: series cells that differ only in m make
-    one run over all their m values, every other cell a run of its own."""
-    groups: dict = {}
-    for i, (labels, spec) in enumerate(cells):
-        groups.setdefault(labels[:1] + labels[2:] if spec.method in SERIES else i, []).append(i)
-    units = []
-    for members in groups.values():
-        by_m: dict = {}
-        for i in members:
-            cfg = cells[i][1].cfg
-            by_m.setdefault(cfg.m_override if cfg else None, []).append(i)
-        spec = cells[members[0]][1]
-        if spec.method in SERIES:
-            spec = replace(spec, cfg=replace(spec.cfg, m_override=tuple(sorted(by_m))))
-        units.append(_Unit(spec, [by_m[m] for m in sorted(by_m)], _needs(spec, probs)))
-    return units
+    A row's labels are (method, m, s, u_mode, seed, rep) as the CSV prints
+    them; m varies slowest within a method.  Each method makes one run per
+    (s, u-mode, seed, repetition), and a series run computes every distinct
+    m at once.  A run needs the power method of its seed and delta unless u
+    is manual, then the oracle if it is exact or an nte run without a known
+    spectrum.  Out-of-range grid values raise ValueError or TypeError here,
+    before any run starts.
+    """
+    ell = None
+    if probs is not None and probs[-1] > 0:
+        ell = float(probs[-1])
+    delta = float(grid.get("delta", 0.1))
+    labels, units = [], []
+    for name, (method, kind, nte, reads) in grid["methods"]:
+        ms, ss, us = (
+            grid[key] if key in reads else [default]
+            for key, default in (("m_values", None), ("s_values", None), ("u_modes", (None, None)))
+        )
+        cases = list(itertools.product(ss, us, grid["seeds"], range(grid.get("repetitions", 1))))
+        first = len(labels)
+        labels += [(name, m, s, u_text, seed, rep) for m in ms for s, (u_text, _), seed, rep in cases]
+        degrees = tuple(sorted(set(ms)))  # (None,) for a method that reads no m_values
+        for c, (s, (_, u_mode), seed, rep) in enumerate(cases):
+            spec = _run_spec(
+                n, method, seed + (rep << 32), delta=delta, ell=ell, u_mode=u_mode,
+                m=degrees, s=0 if nte else s, nte=nte, proj=kind, rank=grid.get("rank"),
+            )
+            needs = [("power", spec.seed, delta)] if method in SERIES and u_mode[0] != "manual" else []
+            if method == "exact" or nte and probs is None:
+                needs.append(_ORACLE)
+            rows = [[first + i * len(cases) + c for i, m in enumerate(ms) if m == d] for d in degrees]
+            units.append(_Unit(spec, rows, needs))
+    return labels, units
 
 
 def _attempt(fn, *args) -> tuple[object, float, str]:
     """One task of a sweep: fn(*args), its wall time in ms, and the type name
-    of the exception it raised ('' if none).  A failure lands on the rows of
-    the cells the task serves; the sweep continues."""
+    of the exception it raised ('' if none).  A failure lands on the rows
+    the task serves; the sweep continues."""
     t0 = time.perf_counter()
     try:
         value, error = fn(*args), ""
@@ -608,14 +582,14 @@ def _run_unit(unit: _Unit, matrix, probs, shared: dict) -> tuple[object, float, 
     for key in unit.needs:
         if shared[key][2]:
             return None, 0.0, shared[key][2]
-    values = {key: shared[key][0] for key in unit.needs}
-    spec, oracle = unit.spec, values.get(_ORACLE)
+    values = {key[0]: shared[key][0] for key in unit.needs}
+    spec, oracle = unit.spec, values.get("oracle")
     if spec.method == "exact":
         spec = replace(spec, oracle=oracle)
     elif spec.method in SERIES:
         cfg = replace(
             spec.cfg,
-            power=values.get(_power_key(spec.cfg)),
+            power=values.get("power"),
             spectrum=None if oracle is None else oracle[1],
         )
         spec = replace(spec, cfg=cfg)
@@ -623,12 +597,12 @@ def _run_unit(unit: _Unit, matrix, probs, shared: dict) -> tuple[object, float, 
 
 
 def cmd_bench(args) -> int:
-    """Run a grid's cells, sharing work between them, and write the CSV.
+    """Run a grid's runs, sharing work between them, and write its rows as CSV.
 
-    Each shared result and each unit runs once, on the pool, shared results
+    Each shared result and each run runs once, on the pool, shared results
     first; rows equal those of separate runs bitwise.  A row's ``wall_ms``
     is the time of the work it adds beyond the rows above it: the first row
-    a unit fills carries the unit's time plus that of every shared result
+    a run fills carries the run's time plus that of every shared result
     no earlier row read, later rows carry only what is new to them (often
     0).  The column therefore sums to the sweep's busy time.
     """
@@ -637,13 +611,12 @@ def cmd_bench(args) -> int:
     grid = _load_grid(args.grid)
     matrix, probs = _grid_matrix(grid["matrix"])
     try:
-        cells = _bench_cells(grid, matrix.n, probs)
+        labels, units = _bench_units(grid, matrix.n, probs)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"grid cell: {exc}") from exc
 
-    units = _bench_units(cells, probs)
     keys = list(dict.fromkeys(key for unit in units for key in unit.needs))
-    # opened before any cell runs, so an unwritable path costs no sweep
+    # opened before any run starts, so an unwritable path costs no sweep
     sink = open(args.out, "w", newline="", encoding="ascii") if args.out else nullcontext(sys.stdout)
     with sink as out:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
@@ -651,11 +624,11 @@ def cmd_bench(args) -> int:
             shared = dict(zip(keys, done))
             results = list(pool.map(lambda unit: _run_unit(unit, matrix, probs, shared), units))
 
-        rows: list = [None] * len(cells)
+        rows: list = [None] * len(labels)
         for u, (unit, (records, _, error)) in enumerate(zip(units, results)):
             for j, members in enumerate(unit.rows):
                 for i in members:
-                    rows[i] = (cells[i][0], records[j] if records else None, error, u)
+                    rows[i] = (labels[i], records[j] if records else None, error, u)
         cost = {key: ms for key, (_, ms, _) in shared.items()}
         cost.update({u: ms for u, (_, ms, _) in enumerate(results)})
 

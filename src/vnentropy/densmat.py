@@ -377,26 +377,21 @@ def _lower_bands(R: SparseSymMatrix):
     """R's lower-triangle entries in row order, in bands of whole rows of
     about ``_WRITE_BAND`` stored entries: each band's 0-based rows, columns
     and values."""
-    n, block = R.n, R.block
-    if block is not None:  # every row of a block stores n entries
-        step = max(1, _WRITE_BAND // n)
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            lower = np.arange(n) <= np.arange(start, stop)[:, None]
-            rows, cols = np.nonzero(lower)
-            yield rows + start, cols, block[start:stop][lower]
-        return
-    csr = R.csr
-    indptr = csr.indptr
+    n, block, csr = R.n, R.block, R.csr
+    # a block is walked as a CSR whose every row stores n entries
+    indptr = np.arange(0, n * n + 1, n) if block is not None else csr.indptr
     start = 0
     while start < n:
         end = int(np.searchsorted(indptr, int(indptr[start]) + _WRITE_BAND, side="right")) - 1
         end = max(end, start + 1)
-        entries = slice(indptr[start], indptr[end])
         rows = np.repeat(np.arange(start, end), np.diff(indptr[start : end + 1]))
-        cols = csr.indices[entries]
+        if block is not None:
+            cols, values = np.tile(np.arange(n), end - start), block[start:end].reshape(-1)
+        else:
+            entries = slice(indptr[start], indptr[end])
+            cols, values = csr.indices[entries], csr.data[entries]
         lower = rows >= cols
-        yield rows[lower], cols[lower], csr.data[entries][lower]
+        yield rows[lower], cols[lower], values[lower]
         start = end
 
 
@@ -527,9 +522,11 @@ def read_matrix_market(path) -> SparseSymMatrix:
     arrays.  A file that lists every entry (n(n+1)/2 of a ``symmetric``
     one, n^2 of a ``general`` one) fills a NaN-filled block, which
     :meth:`SparseSymMatrix._adopt` proves exactly symmetric and finite, so
-    free of repeats; any other becomes a CSR, which must keep every entry
-    and pass the :class:`SparseSymMatrix` gate.  Only a file that fails is
-    read again, line by line, by :func:`_locate_fault`.
+    free of repeats; any other becomes a CSR, which must keep every entry.
+    A ``general`` file's CSR must then pass the :class:`SparseSymMatrix`
+    gate; a ``symmetric`` one, checked and mirrored bit for bit already, is
+    held past it.  Only a file that fails is read again, line by line, by
+    :func:`_locate_fault`.
 
     A file whose companion ``<path>.block`` (see :func:`write_matrix_market`)
     still matches it is not parsed: its block is read from the companion
@@ -600,7 +597,8 @@ def read_matrix_market(path) -> SparseSymMatrix:
         csr = sp.csr_matrix((v, (i, j)), shape=(nrows, nrows))
         if csr.nnz != v.size:
             raise ValueError("repeated entries")
-        return SparseSymMatrix(csr)
+        # a symmetric file's entries were checked above and mirrored with their own bits
+        return SparseSymMatrix._unchecked(csr) if symmetric else SparseSymMatrix(csr)
     except ValueError as exc:
         _locate_fault(path, size_line, nrows, count, symmetry, str(exc))
 

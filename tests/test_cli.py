@@ -1160,12 +1160,13 @@ def test_estimate_and_bench_agree_on_one_cell(tmp_path, capsys):
 
 
 GRID_DIR = Path(__file__).resolve().parent.parent / "grids"
+# rows, runs
 GRID_CELLS = {
-    "error_vs_terms": 360,
-    "projection_sweep_exponential_k10": 60,
-    "projection_sweep_exponential_k50": 60,
-    "projection_sweep_linear_k10": 60,
-    "projection_sweep_linear_k50": 60,
+    "error_vs_terms": (360, 60),
+    "projection_sweep_exponential_k10": (60, 60),
+    "projection_sweep_exponential_k50": (60, 60),
+    "projection_sweep_linear_k10": (60, 60),
+    "projection_sweep_linear_k50": (60, 60),
 }
 
 
@@ -1173,7 +1174,8 @@ GRID_CELLS = {
 def test_checked_in_grids_build_every_cell(path):
     grid = cli._load_grid(path)
     matrix, model = cli._grid_matrix(grid["matrix"])
-    assert len(cli._bench_cells(grid, matrix.n, model)) == GRID_CELLS[path.stem]
+    labels, units = cli._bench_units(grid, matrix.n, model)
+    assert (len(labels), len(units)) == GRID_CELLS[path.stem]
 
 
 SHARING_GRID = {
@@ -1183,6 +1185,14 @@ SHARING_GRID = {
     "u_modes": ["six", "raw", "manual:0.7"],
     "seeds": [5],
     "repetitions": 2,
+}
+# repeats an m, an s, a u-mode and a seed, and lists the methods out of their usual order
+REPEATING_GRID = {
+    "methods": ["chebyshev_nte", "taylor", "exact", "chebyshev", "taylor_nte"],
+    "m_values": [4, 2, 4],
+    "s_values": [8, 8],
+    "u_modes": ["raw", "manual:0.7", "raw"],
+    "seeds": [5, 3, 5],
 }
 
 
@@ -1203,11 +1213,21 @@ def estimate_flags(row):
     return flags + (["--nte"] if method.endswith("_nte") else ["--s", row["s"]])
 
 
+@pytest.mark.parametrize(
+    "spec, n_rows",
+    [
+        # 2 repetitions of: exact, 3 m x 3 u x 2 s per series, 3 m x 3 u per nte
+        (SHARING_GRID, 2 * (1 + 2 * 18 + 2 * 9)),
+        # 3 seeds of: exact, 3 m x 3 u x 2 s per series, 3 m x 3 u per nte
+        (REPEATING_GRID, 3 * (1 + 2 * 18 + 2 * 9)),
+    ],
+    ids=["sharing", "repeating"],
+)
 @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "no-sidecar"])
-def test_bench_rows_equal_separate_estimate_runs(tmp_path, capsys, sidecar):
+def test_bench_rows_equal_separate_estimate_runs(tmp_path, capsys, sidecar, spec, n_rows):
     matrix = sharing_matrix(tmp_path, capsys, sidecar)
     grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"matrix": {"path": str(matrix)}, **SHARING_GRID}))
+    grid.write_text(json.dumps({"matrix": {"path": str(matrix)}, **spec}))
     outputs = []
     for threads in ("1", "4"):
         out_csv = tmp_path / f"out{threads}.csv"
@@ -1220,8 +1240,7 @@ def test_bench_rows_equal_separate_estimate_runs(tmp_path, capsys, sidecar):
     lines = [l for l in outputs[0].decode().splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
     rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
-    # 2 repetitions of: exact, 3 m x 3 u x 2 s per series, 3 m x 3 u per nte
-    assert len(rows) == 2 * (1 + 2 * 18 + 2 * 9)
+    assert len(rows) == n_rows
     for row in rows:
         seed = int(row["seed"]) + (int(row["rep"]) << 32)
         code, out, _ = run_cli(capsys, "estimate", str(matrix), *estimate_flags(row),
@@ -1251,9 +1270,10 @@ def test_bench_computes_each_shared_result_once(tmp_path, capsys, monkeypatch, s
     matrix = sharing_matrix(tmp_path, capsys, sidecar)
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"matrix": {"path": str(matrix)}, **SHARING_GRID, "seeds": [5, 6]}))
-    power, oracle = [], []
+    power, oracle, runs = [], [], []
     counting(monkeypatch, vnentropy.report, "power_method", power)
     counting(monkeypatch, vnentropy.linalg, "exact_entropy", oracle)
+    counting(monkeypatch, cli, "_run_spec", runs)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so a race would show
     try:
@@ -1265,6 +1285,8 @@ def test_bench_computes_each_shared_result_once(tmp_path, capsys, monkeypatch, s
     assert len(power) == 4  # seeds 5 and 6, repetitions 0 and 1
     assert len({(stream.seed, stream.stream_id) for *_, stream in power}) == 4
     assert len(oracle) == 1
+    # one per run, 2 seeds x 2 repetitions of: exact, 3 u x 2 s per series, 3 u per nte
+    assert len(runs) == 4 * (1 + 2 * 6 + 2 * 3)
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
@@ -1286,9 +1308,15 @@ def test_a_failed_shared_power_method_fails_exactly_the_rows_of_separate_cells(
     rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
 
     matrix_, model = cli.load_matrix(matrix)
-    cells = cli._bench_cells(cli._load_grid(grid), matrix_.n, model)
     expected = []
-    for _, cell_spec in cells:
+    for row in rows:
+        method, _, nte, _ = cli.GRID_METHODS[row["method"]]
+        settings = {"nte": nte}
+        if method != "exact":
+            u_mode = cli.parse_u_mode(row["u_mode"])
+            settings.update(m=int(row["m"]), s=0 if nte else int(row["s"]), u_mode=u_mode)
+        seed = int(row["seed"]) + (int(row["rep"]) << 32)
+        cell_spec = cli._run_spec(matrix_.n, method, seed, **settings)
         try:
             cli.run_method(matrix_, model, cell_spec)
             expected.append("")

@@ -1336,6 +1336,15 @@ def test_the_library_builds_its_own_matrices_past_the_gate(tmp_path, monkeypatch
     ]
     for r in (tri, no_diagonal, *dense):
         assert np.array_equal(r.shifted(2.0, -1.0).to_dense(), 2.0 * r.to_dense() - np.eye(r.n))
+    # the reader has checked a partial symmetric file's entries and mirrored
+    # them with their own bits; a general file's symmetry is the gate's to check
+    sym, general = tmp_path / "sym.mtx", tmp_path / "general.mtx"
+    write_matrix_market(tri, sym)
+    csr = read_matrix_market(sym).csr
+    assert _csr_bits(csr) == _csr_bits(tri.csr) and csr.has_canonical_format
+    general.write_text(GEN + "2 2 3\n1 1 1.0\n1 2 0.5\n2 1 0.5\n")
+    with pytest.raises(AssertionError, match="checked twice"):
+        read_matrix_market(general)
     path = tmp_path / "m.mtx"
     write_matrix_market(dense[0], path)
     monkeypatch.setattr(np, "loadtxt", _no_parse)
