@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -101,12 +102,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_seed(text: str) -> int:
+    """ASCII decimal or 0x-hex digits, as the Matrix Market reader takes
+    integers: no underscore, no other script's digits, no sign."""
     t = text.strip().lower()
-    try:
-        value = int(t, 16) if t.startswith("0x") else int(t, 10)
-    except ValueError:
+    digits = t.removeprefix("-")  # a negative seed is refused by its range
+    if not re.fullmatch(r"[0-9]+|0x[0-9a-f]+", digits):
         raise argparse.ArgumentTypeError(f"seed {text!r} is not decimal or 0x-hex")
-    if not 0 <= value < 2**64:
+    value = int(digits, 16) if digits.startswith("0x") else int(digits, 10)
+    if digits != t or value >= 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
     return value
 
@@ -145,10 +148,15 @@ def write_spectrum(probs: np.ndarray, path) -> None:
 
 
 def read_spectrum(path) -> np.ndarray:
+    """One probability per line; ``#`` starts a comment."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.readlines()
+    counts = [len(line.split("#", 1)[0].split()) for line in lines]
+    for number, count in enumerate(counts, 1):
+        if count > 1:
+            raise ValueError(f"line {number} holds {count} values, not one probability")
     # loadtxt would warn, then return an empty array
-    if not any(line.split("#", 1)[0].strip() for line in lines):
+    if not any(counts):
         raise ValueError("the file holds no probabilities")
     probs = np.loadtxt(lines, dtype=np.float64, ndmin=1)
     return np.sort(probs)[::-1].copy()
@@ -248,7 +256,8 @@ def cmd_generate(args) -> int:
 
     # the writer formats text under the GIL while the haar oracle's LAPACK
     # call releases it, so with two CPUs they overlap; the oracle keeps the
-    # calling thread, where its n x n temporaries reuse the build's memory
+    # calling thread, since with both on a pool (threads.fan_out) the
+    # haar-cli-sweep benchmark's peak_rss_mb rose from 93.2-93.8 to 105.1 MB
     try:
         probs = alongside(spectrum, write)
     except BaseException:
@@ -272,28 +281,29 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class RunSpec:
     """One estimator run: ``cfg`` for taylor and chebyshev, ``proj`` and
-    ``rank`` for sketch, nothing more for exact.  ``oracle`` hands an exact
-    run the result of ``linalg.exact_entropy`` when an earlier run on the
-    same matrix already has it."""
+    ``rank`` for sketch, nothing more for exact."""
 
     method: str
     seed: int
     cfg: EstimatorConfig | None = None
     proj: ProjectionSpec | None = None
     rank: int | None = None
-    oracle: tuple[float, np.ndarray] | None = None
 
 
 def run_method(
-    matrix: SparseSymMatrix, probs: np.ndarray | None, spec: RunSpec
+    matrix: SparseSymMatrix, probs: np.ndarray | None, spec: RunSpec, power=None, oracle=None
 ) -> list[RunRecord]:
     """Run one estimator and compare it with the exact entropy of the known
     spectrum ``probs`` (``exact`` with the spectrum it computes): one record
     per degree of a series run, ascending, else one.  The one place that
-    dispatches on the method, for ``estimate`` and ``bench`` alike."""
+    dispatches on the method, for ``estimate`` and ``bench`` alike.
+    ``power`` (``power_estimate`` of the run's seed and delta) and
+    ``oracle`` (``linalg.exact_entropy(matrix)``) hand it a sweep's shared
+    results; a run computes what it reads and is not handed."""
     if spec.method in SERIES:
         run = taylor_entropy if spec.method == "taylor" else chebyshev_entropy
-        rec = run(matrix, spec.cfg, probs)
+        cfg = replace(spec.cfg, power=power, spectrum=None if oracle is None else oracle[1])
+        rec = run(matrix, cfg, probs)
         return [
             replace(
                 rec,
@@ -304,12 +314,12 @@ def run_method(
             for m, estimate in sorted(rec.estimates.items())
         ]
     if spec.method == "exact":
-        estimate, probs = spec.oracle or linalg.exact_entropy(matrix)
+        estimate, probs = oracle or linalg.exact_entropy(matrix)
         warnings, fields = [], {"method": "exact", "seed": spec.seed}
     else:  # sketch
         out = sketch_entropy(matrix, spec.rank, spec.proj)
         estimate = out.entropy_tilde
-        warnings = check_assumptions(probs, k=spec.rank)
+        warnings = check_assumptions(probs, matrix.n, k=spec.rank)
         fields = {
             "method": "sketch",
             "s": out.s,
@@ -511,50 +521,49 @@ _ORACLE = ("oracle",)
 
 
 class _Unit(NamedTuple):
-    """One run of a sweep: ``rows[j]`` lists the rows its record j fills,
-    ``needs`` the shared results it reads, in the order it reads them."""
+    """One run of a sweep, and the shared results it reads, in the order
+    it reads them."""
 
     spec: RunSpec
-    rows: list[list[int]]
     needs: list[tuple]
 
 
 def _bench_units(grid, n: int, probs: np.ndarray | None) -> tuple[list[tuple], list[_Unit]]:
     """The rows of a loaded grid, in CSV order, and the runs that fill them.
 
-    A row's labels are (method, m, s, u_mode, seed, rep) as the CSV prints
-    them; m varies slowest within a method.  Each method makes one run per
-    (s, u-mode, seed, repetition), and a series run computes every distinct
-    m at once.  A run needs the power method of its seed and delta unless u
+    A row is (labels, run index, record index), its labels (method, m, s,
+    u_mode, seed, rep) as the CSV prints them; m varies slowest within a
+    method.  Each method makes one run per (s, u-mode, seed, repetition),
+    and a series run computes every distinct m at once, one record each,
+    ascending.  A run needs the power method of its seed and delta unless u
     is manual, then the oracle if it is exact or an nte run without a known
     spectrum.  Out-of-range grid values raise ValueError or TypeError here,
     before any run starts.
     """
-    ell = None
-    if probs is not None and probs[-1] > 0:
-        ell = float(probs[-1])
     delta = float(grid.get("delta", 0.1))
-    labels, units = [], []
+    rows, units = [], []
     for name, (method, kind, nte, reads) in grid["methods"]:
         ms, ss, us = (
             grid[key] if key in reads else [default]
             for key, default in (("m_values", None), ("s_values", None), ("u_modes", (None, None)))
         )
         cases = list(itertools.product(ss, us, grid["seeds"], range(grid.get("repetitions", 1))))
-        first = len(labels)
-        labels += [(name, m, s, u_text, seed, rep) for m in ms for s, (u_text, _), seed, rep in cases]
         degrees = tuple(sorted(set(ms)))  # (None,) for a method that reads no m_values
-        for c, (s, (_, u_mode), seed, rep) in enumerate(cases):
+        rows += [
+            ((name, m, s, u_text, seed, rep), len(units) + c, degrees.index(m))
+            for m in ms
+            for c, (s, (u_text, _), seed, rep) in enumerate(cases)
+        ]
+        for s, (_, u_mode), seed, rep in cases:
             spec = _run_spec(
-                n, method, seed + (rep << 32), delta=delta, ell=ell, u_mode=u_mode,
+                n, method, seed + (rep << 32), delta=delta, u_mode=u_mode,
                 m=degrees, s=0 if nte else s, nte=nte, proj=kind, rank=grid.get("rank"),
             )
             needs = [("power", spec.seed, delta)] if method in SERIES and u_mode[0] != "manual" else []
             if method == "exact" or nte and probs is None:
                 needs.append(_ORACLE)
-            rows = [[first + i * len(cases) + c for i, m in enumerate(ms) if m == d] for d in degrees]
-            units.append(_Unit(spec, rows, needs))
-    return labels, units
+            units.append(_Unit(spec, needs))
+    return rows, units
 
 
 def _attempt(fn, *args) -> tuple[object, float, str]:
@@ -583,17 +592,7 @@ def _run_unit(unit: _Unit, matrix, probs, shared: dict) -> tuple[object, float, 
         if shared[key][2]:
             return None, 0.0, shared[key][2]
     values = {key[0]: shared[key][0] for key in unit.needs}
-    spec, oracle = unit.spec, values.get("oracle")
-    if spec.method == "exact":
-        spec = replace(spec, oracle=oracle)
-    elif spec.method in SERIES:
-        cfg = replace(
-            spec.cfg,
-            power=values.get("power"),
-            spectrum=None if oracle is None else oracle[1],
-        )
-        spec = replace(spec, cfg=cfg)
-    return _attempt(run_method, matrix, probs, spec)
+    return _attempt(run_method, matrix, probs, unit.spec, values.get("power"), values.get("oracle"))
 
 
 def cmd_bench(args) -> int:
@@ -611,7 +610,7 @@ def cmd_bench(args) -> int:
     grid = _load_grid(args.grid)
     matrix, probs = _grid_matrix(grid["matrix"])
     try:
-        labels, units = _bench_units(grid, matrix.n, probs)
+        rows, units = _bench_units(grid, matrix.n, probs)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"grid cell: {exc}") from exc
 
@@ -623,12 +622,6 @@ def cmd_bench(args) -> int:
             done = pool.map(lambda key: _attempt(_compute_shared, key, matrix), keys)
             shared = dict(zip(keys, done))
             results = list(pool.map(lambda unit: _run_unit(unit, matrix, probs, shared), units))
-
-        rows: list = [None] * len(labels)
-        for u, (unit, (records, _, error)) in enumerate(zip(units, results)):
-            for j, members in enumerate(unit.rows):
-                for i in members:
-                    rows[i] = (labels[i], records[j] if records else None, error, u)
         cost = {key: ms for key, (_, ms, _) in shared.items()}
         cost.update({u: ms for u, (_, ms, _) in enumerate(results)})
 
@@ -636,19 +629,20 @@ def cmd_bench(args) -> int:
         writer.writerow(
             ["method", "m", "s", "u_mode", "seed", "rep", "estimate", "exact", "rel_err", "wall_ms", "error"]
         )
-        for labels, rec, error, u in rows:
+        summary: dict[tuple, list[float]] = {}
+        for labels, u, j in rows:
+            records, _, error = results[u]
+            rec = records[j] if records else None
             values = (rec.estimate, rec.exact, rec.rel_err) if rec else (None, None, None)
             wall = ""
             if rec and not args.no_timings:
                 wall = f"{sum(cost.pop(key, 0.0) for key in (u, *units[u].needs)):.3f}"
             writer.writerow([_fmt(v) for v in labels + values] + [wall, error])
-        out.write("# summary,method,m,s,u_mode,mean_rel_err,max_rel_err\n")
-        seen: dict[tuple, list[float]] = {}
-        for labels, rec, _, _ in rows:
-            errs = seen.setdefault(labels[:4], [])
+            errs = summary.setdefault(labels[:4], [])
             if rec and rec.rel_err is not None:
                 errs.append(rec.rel_err)
-        for key, errs in seen.items():
+        out.write("# summary,method,m,s,u_mode,mean_rel_err,max_rel_err\n")
+        for key, errs in summary.items():
             mean_err = _fmt(sum(errs) / len(errs)) if errs else ""
             max_err = _fmt(max(errs)) if errs else ""
             out.write(f"# summary,{','.join(_fmt(k) for k in key)},{mean_err},{max_err}\n")

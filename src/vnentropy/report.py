@@ -85,19 +85,21 @@ class EstimatorConfig:
 
 def check_assumptions(
     probs: np.ndarray | None,
+    n: int,
     u: float | None = None,
     ell: float | None = None,
     k: int | None = None,
 ) -> list[str]:
     """Warnings for the estimator parameters that a known spectrum
-    ``probs`` contradicts; none without a spectrum, or for a parameter not
-    given."""
+    ``probs`` of an n x n matrix contradicts; none without a spectrum, or
+    for a parameter not given.  A spectrum of fewer than n probabilities
+    lists the nonzero ones, so its smallest eigenvalue is 0."""
     if probs is None:
         return []
     out = []
     if u is not None and not u >= probs[0]:
         out.append("assumption violated: u is below the top probability p1")
-    if ell is not None and not ell <= probs[-1]:
+    if ell is not None and not ell <= (probs[-1] if probs.size == n else 0.0):
         out.append("assumption violated: ell exceeds the smallest probability")
     if k is not None and not int(np.sum(probs > RANK_CLAMP)) <= k:
         out.append("assumption violated: matrix rank exceeds the supplied k")
@@ -245,7 +247,7 @@ def polynomial_entropy(
     warnings = list(extra_warnings)
     if cfg.u_mode == "raw":
         warnings.append("u_mode 'raw' is heuristic: u >= p1 is not guaranteed")
-    warnings += check_assumptions(model, u=u, ell=cfg.ell)
+    warnings += check_assumptions(model, R.n, u=u, ell=cfg.ell)
     m = degrees[-1]
     fields = {"method": method, "m": m, "s": s_used, "u": u, "seed": cfg.seed}
     return run_record(estimates[m], model, warnings, fields, estimates)

@@ -55,7 +55,10 @@ def alongside(main: Callable[[], T], side: Callable[[], object]) -> T:
     with at least two CPUs available; otherwise ``main()`` runs, then
     ``side()``, so a ``main`` that raises leaves ``side`` unstarted.  Either
     way both have ended when this returns or raises, and an exception of
-    ``main`` wins over one of ``side``.
+    ``main`` wins over one of ``side``.  ``generate`` runs the haar oracle
+    as ``main``: run with the writer on a pool of two (:func:`fan_out`), it
+    raised the haar-cli-sweep benchmark's ``peak_rss_mb`` from 93.2-93.8 to
+    105.1 MB on a 2-vCPU machine.
     """
     if threading.current_thread() is not threading.main_thread() or available_cpus() < 2:
         result = main()

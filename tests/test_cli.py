@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -36,8 +37,14 @@ def test_parse_seed_accepts_decimal_and_hex():
     assert parse_seed("10") == 10
     assert parse_seed("0x10") == 16
     assert parse_seed("0X1f") == 31
-    with pytest.raises(Exception):
-        parse_seed("ten")
+    assert parse_seed(" 7\n") == 7
+    # only ASCII digits, as the Matrix Market reader reads integers
+    for bad in ("ten", "1_000", "0x_ff", "\u0661\u0662", "+5", "0x", "1.5"):
+        with pytest.raises(argparse.ArgumentTypeError, match="not decimal or 0x-hex"):
+            parse_seed(bad)
+    for bad in ("-1", "-0", str(2**64)):
+        with pytest.raises(argparse.ArgumentTypeError, match="64 unsigned bits"):
+            parse_seed(bad)
 
 
 def test_parse_u_mode():
@@ -226,16 +233,30 @@ def test_estimate_hex_and_decimal_seed_agree(tmp_path, capsys):
     assert out_hex == out_dec
 
 
-def test_estimate_warns_on_violated_ell(tmp_path, capsys):
-    out_path = tmp_path / "tri.mtx"
-    run_cli(capsys, "generate", "--family", "tridiagonal", "--n", "16", "--out", str(out_path))
-    code, out, _ = run_cli(
-        capsys, "estimate", str(out_path), "--method", "taylor",
-        "--ell", "0.5", "--m", "5", "--s", "4", "--no-timings",
-    )
-    assert code == 0  # warnings do not fail the run
-    record = json.loads(out)
-    assert any("ell" in w for w in record["warnings"])
+@pytest.mark.parametrize("method", ["taylor", "chebyshev"])
+@pytest.mark.parametrize(
+    "family, full",
+    [
+        (("tridiagonal", "--n", "16"), True),
+        # the sidecar lists the 10 nonzero probabilities; the other 246 eigenvalues are 0
+        (("lowrank", "--n", "256", "--k", "10", "--decay", "linear", "--seed", "1"), False),
+    ],
+    ids=["tridiagonal", "lowrank"],
+)
+def test_estimate_warns_on_violated_ell(tmp_path, capsys, method, family, full):
+    out_path = tmp_path / "m.mtx"
+    run_cli(capsys, "generate", "--family", *family, "--out", str(out_path))
+    smallest = float(np.loadtxt(cli.sidecar_path(out_path))[-1])
+    violated = "assumption violated: ell exceeds the smallest probability"
+    # ell at the smallest listed probability holds only when the list is the whole spectrum
+    for ell, warns in ((0.5, True), (smallest, not full)):
+        code, out, _ = run_cli(
+            capsys, "estimate", str(out_path), "--method", method,
+            "--ell", repr(ell), "--m", "5", "--s", "4", "--no-timings",
+        )
+        assert code == 0  # warnings do not fail the run
+        record = json.loads(out)
+        assert (violated in record["warnings"]) == warns, (ell, record["warnings"])
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):
@@ -552,8 +573,10 @@ def test_trace_off_one_exits_two(tmp_path, capsys):
         (lambda p: np.full(p.size + 1, 1.0 / (p.size + 1)), "17 probabilities for n=16"),
         (lambda p: np.full(p.size, np.nan), "sum to nan"),
         (lambda p: "0.5\nhalf\n", "could not convert"),
+        (lambda p: "0.25 0.25\n0.25 0.25\n", "line 1 holds 2 values"),
+        (lambda p: "0.5 0.5\n", "line 1 holds 2 values"),
     ],
-    ids=["sum-1.2", "n-plus-one-entries", "nan", "malformed"],
+    ids=["sum-1.2", "n-plus-one-entries", "nan", "malformed", "two-per-line", "one-line-of-two"],
 )
 def test_bad_spectrum_sidecar_exits_two_naming_it(tmp_path, capsys, rewrite, message):
     path = tmp_path / "tri.mtx"
@@ -1174,8 +1197,8 @@ GRID_CELLS = {
 def test_checked_in_grids_build_every_cell(path):
     grid = cli._load_grid(path)
     matrix, model = cli._grid_matrix(grid["matrix"])
-    labels, units = cli._bench_units(grid, matrix.n, model)
-    assert (len(labels), len(units)) == GRID_CELLS[path.stem]
+    rows, units = cli._bench_units(grid, matrix.n, model)
+    assert (len(rows), len(units)) == GRID_CELLS[path.stem]
 
 
 SHARING_GRID = {

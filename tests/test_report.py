@@ -32,26 +32,30 @@ def model_of(*probs):
 
 
 def test_all_assumptions_hold():
-    assert check_assumptions(model_of(0.5, 0.3, 0.2), u=1.0, ell=0.1, k=3) == []
+    assert check_assumptions(model_of(0.5, 0.3, 0.2), 3, u=1.0, ell=0.1, k=3) == []
 
 
 def test_ell_above_smallest_probability_fails():
-    warnings = check_assumptions(model_of(0.5, 0.3, 0.2), ell=0.25)
+    warnings = check_assumptions(model_of(0.5, 0.3, 0.2), 3, ell=0.25)
     assert warnings == ["assumption violated: ell exceeds the smallest probability"]
+    # fewer than n probabilities list the nonzero ones: the smallest eigenvalue is 0
+    assert check_assumptions(model_of(0.5, 0.3, 0.2), 4, ell=0.1) == warnings
+    assert check_assumptions(model_of(0.5, 0.3, 0.2), 3, ell=0.2) == []
+    assert check_assumptions(model_of(0.5, 0.3, 0.2), 4, u=0.5, k=3) == []
 
 
 def test_no_model_means_unknown():
-    assert check_assumptions(None, u=0.1, ell=0.9, k=1) == []
+    assert check_assumptions(None, 3, u=0.1, ell=0.9, k=1) == []
 
 
 def test_missing_parameters_stay_unknown():
-    assert check_assumptions(model_of(0.7, 0.3)) == []
+    assert check_assumptions(model_of(0.7, 0.3), 2) == []
 
 
 def test_rank_check_counts_live_probabilities():
     model = np.array([0.6, 0.4, 0.0, 0.0])
-    assert check_assumptions(model, k=2) == []
-    assert check_assumptions(model, k=1) == ["assumption violated: matrix rank exceeds the supplied k"]
+    assert check_assumptions(model, 4, k=2) == []
+    assert check_assumptions(model, 4, k=1) == ["assumption violated: matrix rank exceeds the supplied k"]
 
 
 def test_relative_error_examples():
