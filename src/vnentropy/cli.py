@@ -292,27 +292,18 @@ class RunSpec:
 
 def run_method(
     matrix: SparseSymMatrix, probs: np.ndarray | None, spec: RunSpec, power=None, oracle=None
-) -> list[RunRecord]:
-    """Run one estimator and compare it with the exact entropy of the known
-    spectrum ``probs`` (``exact`` with the spectrum it computes): one record
-    per degree of a series run, ascending, else one.  The one place that
-    dispatches on the method, for ``estimate`` and ``bench`` alike.
-    ``power`` (``power_estimate`` of the run's seed and delta) and
-    ``oracle`` (``linalg.exact_entropy(matrix)``) hand it a sweep's shared
-    results; a run computes what it reads and is not handed."""
+) -> RunRecord:
+    """Run one estimator and return its one record, compared with the exact
+    entropy of the known spectrum ``probs`` (``exact`` with the spectrum it
+    computes); a series run's record holds every degree in ``estimates``.
+    The one place that dispatches on the method, for ``estimate`` and
+    ``bench`` alike.  ``power`` (``power_estimate`` of the run's seed and
+    delta) and ``oracle`` (``linalg.exact_entropy(matrix)``) hand it a
+    sweep's shared results; a run computes what it reads and is not handed."""
     if spec.method in SERIES:
         run = taylor_entropy if spec.method == "taylor" else chebyshev_entropy
         cfg = replace(spec.cfg, power=power, spectrum=None if oracle is None else oracle[1])
-        rec = run(matrix, cfg, probs)
-        return [
-            replace(
-                rec,
-                estimate=estimate,
-                rel_err=None if rec.rel_err is None else relative_error(estimate, rec.exact),
-                fields={**rec.fields, "m": m},
-            )
-            for m, estimate in sorted(rec.estimates.items())
-        ]
+        return run(matrix, cfg, probs)
     if spec.method == "exact":
         estimate, probs = oracle or linalg.exact_entropy(matrix)
         warnings, fields = [], {"method": "exact", "seed": spec.seed}
@@ -328,7 +319,16 @@ def run_method(
             "seed": spec.seed,
             "probs": [float(p) for p in out.probs_tilde],
         }
-    return [run_record(estimate, probs, warnings, fields)]
+    return run_record(estimate, probs, warnings, fields)
+
+
+def _read(rec: RunRecord, m: int | None = None) -> tuple[float, float | None, float | None]:
+    """A record's estimate, exact value and relative error at degree m of a
+    series run (its own at m None); a non-finite estimate raises ValueError."""
+    estimate = rec.estimate if m is None else rec.estimates[m]
+    if not math.isfinite(estimate):
+        raise ValueError(f"estimate is not finite: {estimate!r}")
+    return estimate, rec.exact, None if rec.rel_err is None else relative_error(estimate, rec.exact)
 
 
 def _run_spec(n: int, method: str, seed: int, **settings) -> RunSpec:
@@ -388,22 +388,21 @@ def cmd_estimate(args) -> int:
         if args.compute_exact and probs is None:
             _, probs = linalg.exact_entropy(matrix)
         t0 = time.perf_counter()
-        (rec,) = run_method(matrix, probs, spec)
+        rec = run_method(matrix, probs, spec)
         wall_ms = (time.perf_counter() - t0) * 1e3
 
-        if not math.isfinite(rec.estimate):
-            raise ValueError(f"estimate is not finite: {rec.estimate!r}")
+        estimate, exact, rel_err = _read(rec)
         fields = dict(rec.fields)
         record = {"method": fields.pop("method"), "n": matrix.n, "nnz": matrix.nnz, **fields}
-        record["estimate"] = rec.estimate
+        record["estimate"] = estimate
         if not args.no_timings:
             record["wall_ms"] = wall_ms
-        if rec.exact is not None:
-            record["exact"] = rec.exact
-            if rec.rel_err is not None:
-                record["rel_err"] = rec.rel_err
+        if exact is not None:
+            record["exact"] = exact
+            if rel_err is not None:
+                record["rel_err"] = rel_err
             else:
-                record["abs_err"] = abs(rec.estimate - rec.exact)
+                record["abs_err"] = abs(estimate - exact)
         record["warnings"] = [*rec.warnings, *args.warnings]
         out.write(json.dumps(record) + "\n")
     return 0
@@ -531,11 +530,11 @@ class _Unit(NamedTuple):
 def _bench_units(grid, n: int, probs: np.ndarray | None) -> tuple[list[tuple], list[_Unit]]:
     """The rows of a loaded grid, in CSV order, and the runs that fill them.
 
-    A row is (labels, run index, record index), its labels (method, m, s,
-    u_mode, seed, rep) as the CSV prints them; m varies slowest within a
-    method.  Each method makes one run per (s, u-mode, seed, repetition),
-    and a series run computes every distinct m at once, one record each,
-    ascending.  A run needs the power method of its seed and delta unless u
+    A row is (labels, run index), its labels (method, m, s, u_mode, seed,
+    rep) as the CSV prints them; m varies slowest within a method.  Each
+    method makes one run per (s, u-mode, seed, repetition), and a series
+    run computes every distinct m at once, into the ``estimates`` of its
+    one record.  A run needs the power method of its seed and delta unless u
     is manual, then the oracle if it is exact or an nte run without a known
     spectrum.  Out-of-range grid values raise ValueError or TypeError here,
     before any run starts.
@@ -548,16 +547,15 @@ def _bench_units(grid, n: int, probs: np.ndarray | None) -> tuple[list[tuple], l
             for key, default in (("m_values", None), ("s_values", None), ("u_modes", (None, None)))
         )
         cases = list(itertools.product(ss, us, grid["seeds"], range(grid.get("repetitions", 1))))
-        degrees = tuple(sorted(set(ms)))  # (None,) for a method that reads no m_values
         rows += [
-            ((name, m, s, u_text, seed, rep), len(units) + c, degrees.index(m))
+            ((name, m, s, u_text, seed, rep), len(units) + c)
             for m in ms
             for c, (s, (u_text, _), seed, rep) in enumerate(cases)
         ]
         for s, (_, u_mode), seed, rep in cases:
             spec = _run_spec(
                 n, method, seed + (rep << 32), delta=delta, u_mode=u_mode,
-                m=degrees, s=0 if nte else s, nte=nte, proj=kind, rank=grid.get("rank"),
+                m=tuple(ms), s=0 if nte else s, nte=nte, proj=kind, rank=grid.get("rank"),
             )
             needs = [("power", spec.seed, delta)] if method in SERIES and u_mode[0] != "manual" else []
             if method == "exact" or nte and probs is None:
@@ -586,7 +584,7 @@ def _compute_shared(key: tuple, matrix: SparseSymMatrix):
 
 
 def _run_unit(unit: _Unit, matrix, probs, shared: dict) -> tuple[object, float, str]:
-    """The unit's records, handed the shared results it reads; a failed
+    """The unit's record, handed the shared results it reads; a failed
     shared result fails the unit with its error."""
     for key in unit.needs:
         if shared[key][2]:
@@ -599,11 +597,13 @@ def cmd_bench(args) -> int:
     """Run a grid's runs, sharing work between them, and write its rows as CSV.
 
     Each shared result and each run runs once, on the pool, shared results
-    first; rows equal those of separate runs bitwise.  A row's ``wall_ms``
-    is the time of the work it adds beyond the rows above it: the first row
-    a run fills carries the run's time plus that of every shared result
-    no earlier row read, later rows carry only what is new to them (often
-    0).  The column therefore sums to the sweep's busy time.
+    first.  A row reads its m from its run's one record (:func:`_read`), as
+    ``estimate`` prints it; a non-finite estimate fails the row.  A row's
+    ``wall_ms`` is the time of the work it adds beyond the rows above it:
+    the first row a run fills carries the run's time plus that of every
+    shared result no earlier row read, later rows carry only what is new
+    to them (often 0), failed rows nothing.  The column therefore sums to
+    the busy time of the tasks behind the filled rows.
     """
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
@@ -630,17 +630,19 @@ def cmd_bench(args) -> int:
             ["method", "m", "s", "u_mode", "seed", "rep", "estimate", "exact", "rel_err", "wall_ms", "error"]
         )
         summary: dict[tuple, list[float]] = {}
-        for labels, u, j in rows:
-            records, _, error = results[u]
-            rec = records[j] if records else None
-            values = (rec.estimate, rec.exact, rec.rel_err) if rec else (None, None, None)
+        for labels, u in rows:
+            rec, _, error = results[u]
+            try:
+                values = _read(rec, labels[1]) if rec else (None, None, None)
+            except ValueError:
+                values, rec, error = (None, None, None), None, "ValueError"
             wall = ""
             if rec and not args.no_timings:
                 wall = f"{sum(cost.pop(key, 0.0) for key in (u, *units[u].needs)):.3f}"
             writer.writerow([_fmt(v) for v in labels + values] + [wall, error])
             errs = summary.setdefault(labels[:4], [])
-            if rec and rec.rel_err is not None:
-                errs.append(rec.rel_err)
+            if values[2] is not None:
+                errs.append(values[2])
         out.write("# summary,method,m,s,u_mode,mean_rel_err,max_rel_err\n")
         for key, errs in summary.items():
             mean_err = _fmt(sum(errs) / len(errs)) if errs else ""

@@ -254,13 +254,12 @@ class SparseSymMatrix:
 
 
 def validate_spectrum(probs: np.ndarray) -> None:
-    """Refuse a spectrum that is not a descending probability vector."""
+    """Refuse a spectrum that is not a probability vector: a negative entry
+    or a sum off 1.  The order is not checked (the sidecar reader sorts)."""
     if np.any(probs < 0):
         raise ValueError("probabilities must be nonnegative")
     if not abs(probs.sum() - 1.0) <= TRACE_TOL:  # also refuses NaN
         raise ValueError(f"probabilities sum to {probs.sum():.12g}, not 1")
-    if np.any(np.diff(probs) > 0):
-        raise ValueError("probabilities must be sorted descending")
 
 
 def _banded_product(view: np.ndarray, x: np.ndarray) -> np.ndarray:

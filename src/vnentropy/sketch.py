@@ -113,22 +113,18 @@ def apply_countsketch(R: SparseSymMatrix, s: int, stream: RngStream) -> np.ndarr
     """Sketch with one random sign per coordinate, in O(nnz(R)).
 
     Row t of Pi holds a single +-1 in a uniformly chosen column; R Pi
-    scatters each stored column of R into one sketch column.  A filled R
-    is sketched as (Pi^T R)^T, a sparse product with its block: R is
-    exactly symmetric and each entry sums over the same coordinates in
-    the same order, so the sketch is bitwise the same.
+    scatters each stored column of R into one sketch column.  R is sketched
+    as (Pi^T R)^T, a sparse product with its block or its CSR: R is exactly
+    symmetric and each entry sums over the same coordinates in the same
+    order as R Pi would, so the sketch is bitwise the same.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
     cols = uniform_indices(stream.child(0), s, R.n)
     signs = rademacher_vector(stream.child(1), R.n)
-    if R.block is not None:
-        pi_t = sp.csr_matrix((signs, (cols, np.arange(R.n))), shape=(s, R.n))
-        return (pi_t @ R.block).T
-    pi = sp.csc_matrix(
-        (signs, (np.arange(R.n), cols)), shape=(R.n, s), dtype=np.float64
-    )
-    return (R.csr @ pi).toarray()
+    pi_t = sp.csr_matrix((signs, (cols, np.arange(R.n))), shape=(s, R.n))
+    product = pi_t @ (R.csr if R.block is None else R.block)
+    return (product.toarray() if sp.issparse(product) else product).T
 
 
 def default_s_sketch(kind: str, n: int, k: int, epsilon: float) -> int:

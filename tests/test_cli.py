@@ -280,6 +280,7 @@ BAD_ESTIMATE_FLAGS = {
     "taylor-negative-s": ("--method", "taylor", "--m", "3", "--s", "-2"),
     "taylor-eps-above-one": ("--method", "taylor", "--ell", "0.1", "--eps", "2"),
     "taylor-nte-with-s": ("--method", "taylor", "--m", "3", "--nte", "--s", "5"),
+    "taylor-m-without-s": ("--method", "taylor", "--m", "5"),
     "chebyshev-zero-ell": ("--method", "chebyshev", "--ell", "0"),
     "sketch-zero-rank": ("--method", "sketch", "--proj", "gaussian", "--rank", "0", "--s", "4"),
     "sketch-rank-above-n": ("--method", "sketch", "--proj", "countsketch", "--rank", "5", "--s", "4"),
@@ -575,8 +576,9 @@ def test_trace_off_one_exits_two(tmp_path, capsys):
         (lambda p: "0.5\nhalf\n", "could not convert"),
         (lambda p: "0.25 0.25\n0.25 0.25\n", "line 1 holds 2 values"),
         (lambda p: "0.5 0.5\n", "line 1 holds 2 values"),
+        (lambda p: "1.2\n-0.2\n", "probabilities must be nonnegative"),
     ],
-    ids=["sum-1.2", "n-plus-one-entries", "nan", "malformed", "two-per-line", "one-line-of-two"],
+    ids=["sum-1.2", "n-plus-one-entries", "nan", "malformed", "two-per-line", "one-line-of-two", "negative"],
 )
 def test_bad_spectrum_sidecar_exits_two_naming_it(tmp_path, capsys, rewrite, message):
     path = tmp_path / "tri.mtx"
@@ -723,6 +725,83 @@ def test_bench_records_cell_failures_and_continues(tmp_path, capsys):
     cells = [l.split(",") for l in lines[1:]]
     assert [(row[0], row[error_col]) for row in cells] == [("exact", "ValueError"), ("taylor", "")]
 
+
+
+def read_bench_csv(path):
+    """The data rows of a bench CSV as dicts, and its summary lines split on commas."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, l.split(","))) for l in lines[1:] if not l.startswith("#")]
+    return rows, [l.split(",") for l in lines if l.startswith("# summary,")][1:]
+
+
+# the suite makes warnings errors, so numpy's overflow on the m=2000 pass
+# would fail the whole run on its pool thread before a row could read it
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_estimate_fails_its_bench_row_as_estimate_refuses_it(tmp_path, capsys):
+    path = tmp_path / "tri.mtx"
+    run_cli(capsys, "generate", "--family", "tridiagonal", "--n", "64", "--out", str(path))
+    settings = ("--method", "chebyshev", "--s", "4", "--u-mode", "manual:0.0001", "--no-timings")
+    code, out, err = run_cli(capsys, "estimate", str(path), *settings, "--m", "2000")
+    assert code == 2 and out == "" and "estimate is not finite: nan" in err
+    code, out, _ = run_cli(capsys, "estimate", str(path), *settings, "--m", "10")
+    assert code == 0
+    record = json.loads(out)
+    assert math.isfinite(record["estimate"]) and record["estimate"] < -1e24
+
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "matrix": {"path": str(path)}, "methods": ["chebyshev"], "m_values": [10, 2000],
+        "s_values": [4], "u_modes": ["manual:0.0001"], "seeds": [0],
+    }))
+    out_csv = tmp_path / "out.csv"
+    code, _, _ = run_cli(capsys, "bench", str(grid), "--out", str(out_csv))  # with timings
+    assert code == 0
+    (finite, nan), summary = read_bench_csv(out_csv)
+    assert [float(finite[k]) for k in ("estimate", "exact", "rel_err")] == [
+        record["estimate"], record["exact"], record["rel_err"]
+    ]
+    assert finite["error"] == "" and float(finite["wall_ms"]) >= 0.0
+    assert (nan["m"], nan["error"]) == ("2000", "ValueError")
+    assert [nan[k] for k in ("estimate", "exact", "rel_err", "wall_ms")] == ["", "", "", ""]
+    assert [line[2] for line in summary] == ["10", "2000"]
+    assert [float(v) for v in summary[0][5:]] == [record["rel_err"]] * 2
+    assert summary[1][5:] == ["", ""]
+
+
+def test_bench_wall_ms_charges_each_task_to_the_first_row_that_reads_it(tmp_path, capsys, monkeypatch):
+    attempt, charged = cli._attempt, []
+
+    def fixed_cost(fn, *args):  # every task costs 1 ms
+        value, _, error = attempt(fn, *args)
+        charged.append(error)
+        return value, 1.0, error
+
+    monkeypatch.setattr(cli, "_attempt", fixed_cost)
+    # no spectrum is known at n=12 once the oracle limit is 8, so the shared
+    # oracle fails: every exact and nte run fails without a task of its own
+    monkeypatch.setattr(vnentropy.linalg, "DEFAULT_ORACLE_LIMIT", 8)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "matrix": {"family": "haar", "n": 12}, "methods": ["exact", "taylor", "taylor_nte"],
+        "m_values": [2, 4], "s_values": [3], "u_modes": ["six", "manual:0.5"], "seeds": [0, 1],
+    }))
+    out_csv = tmp_path / "out.csv"
+    code, _, _ = run_cli(capsys, "bench", str(grid), "--out", str(out_csv), "--threads", "2")
+    assert code == 0
+    rows, _ = read_bench_csv(out_csv)
+    # 3 shared results (the power method of seeds 0 and 1, the failed
+    # oracle) and the 4 taylor runs
+    assert sorted(charged) == [""] * 6 + ["ValueError"]
+    assert [(r["method"], r["error"], r["wall_ms"]) for r in rows] == [
+        *[("exact", "ValueError", "")] * 2,
+        # m=2: a six run's first row carries it and its seed's power method
+        *[("taylor", "", "2.000")] * 2, *[("taylor", "", "1.000")] * 2,
+        *[("taylor", "", "0.000")] * 4,  # m=4: the same runs, nothing new
+        *[("taylor_nte", "ValueError", "")] * 8,
+    ]
+    # every task that filled a row, once: all but the failed oracle
+    assert sum(float(r["wall_ms"] or 0) for r in rows) == charged.count("")
 
 def test_bench_repetitions_add_rows_with_fresh_streams(tmp_path, capsys):
     grid = tmp_path / "grid.json"
@@ -978,6 +1057,11 @@ BAD_GRIDS = {
     ),
     "matrix-list": ({"matrix": ["path"]}, "grid field 'matrix' must be an object, got ['path']"),
     "matrix-string": ({"matrix": "x.mtx"}, "grid field 'matrix' must be an object, got 'x.mtx'"),
+    "missing-matrix-file": (
+        {"matrix": {"path": "no/such/dir/x.mtx"}},
+        "matrix file 'no/such/dir/x.mtx' does not exist",
+    ),
+    "without-seeds": ({"seeds": None}, "grid is missing the 'seeds' field"),
 }
 
 

@@ -414,6 +414,7 @@ def test_haar_like_density_is_unit_trace_psd(n):
     _, model = exact_entropy(r)
     assert model.size == n
     validate_spectrum(model)
+    assert np.all(np.diff(model) <= 0)
 
 
 def test_haar_like_density_entropy_near_log_n():
@@ -483,6 +484,7 @@ def test_low_rank_density_has_rank_k():
     assert np.all(w[:-4] < 1e-10)
     assert abs(r.trace() - 1.0) < 1e-10
     validate_spectrum(model)
+    assert np.all(np.diff(model) <= 0)
 
 
 def test_low_rank_rejects_bad_k():

@@ -173,6 +173,7 @@ def test_exact_entropy_matches_closed_form_spectrum():
     assert abs(h - entropy_from_probs(model, 1e-14)) < 1e-10
     assert abs(h - 1.8204) < 1e-4
     validate_spectrum(oracle)
+    assert np.all(np.diff(oracle) <= 0)
 
 
 def test_exact_entropy_rejects_indefinite_and_oversized(monkeypatch):

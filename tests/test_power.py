@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from conftest import diagonal_matrix, rotated_density
-from vnentropy import EstimatorConfig, RngStream, default_power_params, power_method
+from vnentropy import EstimatorConfig, RngStream, SparseSymMatrix, default_power_params, power_method
 from vnentropy.power import u_from_p1
 from vnentropy.report import resolve_u
 from vnentropy.rng import gaussian_vector
@@ -66,6 +67,15 @@ def test_u_mode_mapping():
     assert u_from_p1(0.5, "six") == 1.0
     assert u_from_p1(0.01, "six") == pytest.approx(0.06)
     assert u_from_p1(0.5, "raw") == 0.5
+
+
+def test_power_on_a_zero_matrix_gives_zero_and_no_u():
+    # every trial's iterate collapses, so none contributes a quotient
+    r = SparseSymMatrix(csr=scipy.sparse.csr_matrix((5, 5)))
+    assert power_method(r, 2, 3, RngStream(0)).p1_tilde == 0.0
+    for mode in ("six", "raw"):
+        with pytest.raises(ValueError, match="nonpositive estimate"):
+            u_from_p1(0.0, mode)
 
 
 def manual_u(value):

@@ -133,7 +133,11 @@ def test_countsketch_of_a_filled_matrix_is_bitwise_the_csr_sketch():
     cols = uniform_indices(stream.child(0), s, r.n)
     signs = rademacher_vector(stream.child(1), r.n)
     pi = scipy.sparse.csc_matrix((signs, (np.arange(r.n), cols)), shape=(r.n, s))
-    probs = thin_singular_values((csr @ pi).toarray(), 10)
+    reference = (csr @ pi).toarray()
+    for stored in (r, SparseSymMatrix(csr=csr)):
+        sketch = apply_countsketch(stored, s, stream)
+        assert np.array_equal(sketch.view(np.int64), reference.view(np.int64))  # -0.0 too
+    probs = thin_singular_values(reference, 10)
     got = sketch_entropy(r, 10, ProjectionSpec("countsketch", s, stream))
     assert np.array_equal(got.probs_tilde, probs)
     assert got.entropy_tilde == entropy_from_probs(probs, SKETCH_CLAMP)
