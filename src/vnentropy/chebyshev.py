@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .densmat import SparseSymMatrix
+from .densmat import SparseSymMatrix, work_buffer
 from .report import EstimatorConfig, PolynomialSeries, RunRecord, polynomial_entropy
 from .rng import gaussian_vector
 
@@ -45,25 +45,31 @@ def cheb_coefficients(u: float, m: int) -> np.ndarray:
     return alphas
 
 
-def moments(apply: Callable[[np.ndarray], np.ndarray], G: np.ndarray, m: int) -> np.ndarray:
+def moments(
+    apply: Callable[[np.ndarray, np.ndarray], np.ndarray], G: np.ndarray, m: int
+) -> np.ndarray:
     """b x (m+1) array whose column k holds mu_k = g^T T_k(X) g, k = 0..m,
-    for each column g of the n x b block G; ``apply`` multiplies by 2X.
+    for each column g of the n x b block G; ``apply(x, out)`` returns 2X x,
+    written into ``out`` where it can (as ``matmat_into``).
 
     Runs T_1 = (2X G) / 2, T_{k+1} = 2X T_k - T_{k-1} up to T_{ceil(m/2)},
     one product each, and takes mu_{2k} = 2 |T_k|^2 - mu_0 and
-    mu_{2k+1} = 2 T_{k+1} . T_k - mu_1.  Column k does not depend on m.
+    mu_{2k+1} = 2 T_{k+1} . T_k - mu_1.  The products rotate through three
+    n x b buffers, G and two more, so G is overwritten.  Column k does not
+    depend on m.
     """
     forms = np.empty((G.shape[1], m + 1))
     forms[:, 0] = np.einsum("ij,ij->j", G, G)
-    t_prev, t = G, apply(G)
+    t_prev, t = G, apply(G, work_buffer(G.shape))
     t *= 0.5
     forms[:, 1] = np.einsum("ij,ij->j", G, t)
+    spare = work_buffer(G.shape)
     for k in range(1, m // 2 + 1):
         forms[:, 2 * k] = 2.0 * np.einsum("ij,ij->j", t, t) - forms[:, 0]
         if 2 * k < m:
-            z = apply(t)
+            z = apply(t, spare)
             z -= t_prev
-            t_prev, t = t, z
+            t_prev, t, spare = t, z, t_prev
             forms[:, 2 * k + 1] = 2.0 * np.einsum("ij,ij->j", t, t_prev) - forms[:, 1]
     return forms
 

@@ -299,27 +299,31 @@ def run_method(
     The one place that dispatches on the method, for ``estimate`` and
     ``bench`` alike.  ``power`` (``power_estimate`` of the run's seed and
     delta) and ``oracle`` (``linalg.exact_entropy(matrix)``) hand it a
-    sweep's shared results; a run computes what it reads and is not handed."""
-    if spec.method in SERIES:
-        run = taylor_entropy if spec.method == "taylor" else chebyshev_entropy
-        cfg = replace(spec.cfg, power=power, spectrum=None if oracle is None else oracle[1])
-        return run(matrix, cfg, probs)
-    if spec.method == "exact":
-        estimate, probs = oracle or linalg.exact_entropy(matrix)
-        warnings, fields = [], {"method": "exact", "seed": spec.seed}
-    else:  # sketch
-        out = sketch_entropy(matrix, spec.rank, spec.proj)
-        estimate = out.entropy_tilde
-        warnings = check_assumptions(probs, matrix.n, k=spec.rank)
-        fields = {
-            "method": "sketch",
-            "s": out.s,
-            "proj": out.kind,
-            "rank": spec.rank,
-            "seed": spec.seed,
-            "probs": [float(p) for p in out.probs_tilde],
-        }
-    return run_record(estimate, probs, warnings, fields)
+    sweep's shared results; a run computes what it reads and is not handed.
+    Floating-point faults raise no numpy warning: a non-finite estimate is
+    refused where a record is read (:func:`_read`), and that is its only
+    report."""
+    with np.errstate(all="ignore"):
+        if spec.method in SERIES:
+            run = taylor_entropy if spec.method == "taylor" else chebyshev_entropy
+            cfg = replace(spec.cfg, power=power, spectrum=None if oracle is None else oracle[1])
+            return run(matrix, cfg, probs)
+        if spec.method == "exact":
+            estimate, probs = oracle or linalg.exact_entropy(matrix)
+            warnings, fields = [], {"method": "exact", "seed": spec.seed}
+        else:  # sketch
+            out = sketch_entropy(matrix, spec.rank, spec.proj)
+            estimate = out.entropy_tilde
+            warnings = check_assumptions(probs, matrix.n, k=spec.rank)
+            fields = {
+                "method": "sketch",
+                "s": out.s,
+                "proj": out.kind,
+                "rank": spec.rank,
+                "seed": spec.seed,
+                "probs": [float(p) for p in out.probs_tilde],
+            }
+        return run_record(estimate, probs, warnings, fields)
 
 
 def _read(rec: RunRecord, m: int | None = None) -> tuple[float, float | None, float | None]:

@@ -1,11 +1,23 @@
 """Gaussian block probe driver shared by the Taylor and Chebyshev estimators.
 
 Probe i draws its Gaussian vector from ``stream.child(i)``.  The probes are
-stacked into n x b blocks, each block is handed to a caller-supplied kernel
+taken in n x b blocks, each block is handed to a caller-supplied kernel
 that returns one value per column (or one row of them per quantity), and
 each quantity's per-probe values are reduced from one contiguous array in
 fixed index order, so results are bitwise reproducible however the probes
 are scheduled and however many quantities one pass yields.
+
+Each block task makes its own block with
+:func:`~vnentropy.densmat.work_buffer` and fills it column by column:
+``draw(stream, n, out=column)`` writes one probe straight into its column
+(``rng.gaussian_vector`` in pieces of ``DRAW_CHUNK`` words, with the bits
+of one whole draw).  The kernel then owns the block.  The series kernels'
+``moments`` rotate their products through it and one more buffer of its
+shape (Taylor) or two (Chebyshev), each product written in place by
+``SparseSymMatrix.matmat_into``, and drop them all when they return.  So a
+task holds two or three n x b arrays, the per-column values aside; a
+one-column block of a filled matrix also holds the n x 2 padded product
+that ``matmat_into`` makes for it.  Tasks share no buffer.
 
 A block holds about ``BLOCK_ENTRIES`` entries (8 MiB): ``PROBE_CHUNK``
 columns up to n = 8192, fewer beyond.  The widths depend on n and s only,
@@ -17,8 +29,9 @@ product, the reductions and the draws release the GIL.  Smaller matrices
 keep their blocks serial: on a tiny one each draw is mostly Python
 overhead that holds the GIL, and a filled one from n = 2048 up spreads
 each product's row bands over the CPUs instead, or leaves them to a
-multithreaded BLAS (see ``SparseSymMatrix.matmat``); the two pools never
-nest.  Each worker holds about five blocks at a time.
+multithreaded BLAS (see ``SparseSymMatrix.matmat_into``); the two pools
+never nest.  Each worker runs one task at a time, so it holds two or three
+blocks' worth of buffers.
 """
 
 from __future__ import annotations
@@ -28,6 +41,7 @@ from typing import Callable
 
 import numpy as np
 
+from .densmat import work_buffer
 from .rng import RngStream, gaussian_vector
 from .threads import fan_out
 
@@ -72,21 +86,26 @@ def probe_average(
     s: int,
     stream: RngStream,
     kernel: Callable[[np.ndarray], np.ndarray],
-    draw: Callable[[RngStream, int], np.ndarray] = gaussian_vector,
+    draw: Callable[..., np.ndarray] = gaussian_vector,
 ) -> float | np.ndarray:
     """Mean of kernel(G) over s Gaussian probes: for a kernel returning the
     quadratic forms g^T A g of the columns g of G, an unbiased estimate of
     trace(A).  A kernel may return a d x b array instead of b values, one
     row per matrix A; the result is then the d means.
 
-    ``draw(stream, n)`` generates one probe vector.  The kernel may be
-    called from several threads at once (see the module docstring).
+    ``draw(stream, n, out=column)`` writes one probe vector into a column
+    of the block.  The kernel owns the block it is handed and may
+    overwrite it; it may be called from several threads at once (see the
+    module docstring).
     """
     if s < 1:
         raise ValueError("s must be at least 1")
 
     def run(block: range) -> np.ndarray:
-        return kernel(np.column_stack([draw(stream.child(i), n) for i in block]))
+        G = work_buffer((n, len(block)))
+        for j, i in enumerate(block):
+            draw(stream.child(i), n, out=G[:, j])
+        return kernel(G)
 
     blocks = probe_blocks(n, s)
     if n * PROBE_CHUNK >= BLOCK_ENTRIES:

@@ -173,8 +173,9 @@ class PolynomialSeries(NamedTuple):
     """One polynomial estimator once u and m are fixed: the entropy estimate
     is offset + sum_k weights[k] trace(P_k(R)), and ``moments(apply, G)``
     returns the b x len(weights) forms g^T P_k(R) g of the columns g of G,
-    with ``apply`` multiplying by the operator scale * R + shift * I that
-    the series' recurrence runs on.  The last weight belongs to degree m;
+    with ``apply(x, out)`` multiplying by the operator scale * R + shift * I
+    that the series' recurrence runs on, into ``out`` where it can (as
+    ``SparseSymMatrix.matmat_into``).  The last weight belongs to degree m;
     neither the weights nor the forms of lower degrees depend on m."""
 
     moments: Callable[..., np.ndarray]
@@ -191,7 +192,7 @@ def polynomial_entropy(
     method: str,
     default_m: Callable[[float, float, float], int],
     series: Callable[[float, int], PolynomialSeries],
-    draw: Callable[[RngStream, int], np.ndarray],
+    draw: Callable[..., np.ndarray],
     extra_warnings: tuple[str, ...] = (),
 ) -> RunRecord:
     """Run a polynomial estimator and return its record.
@@ -213,7 +214,7 @@ def polynomial_entropy(
     last = len(poly.weights) - 1
     reads = {last - (degrees[-1] - m) for m in degrees}
 
-    def traces(apply: Callable[[np.ndarray], np.ndarray], G: np.ndarray) -> np.ndarray:
+    def traces(apply: Callable[..., np.ndarray], G: np.ndarray) -> np.ndarray:
         # sum_k weights[k] forms[:, k] in degree order, one row per degree
         # read; a BLAS product here would round differently for different
         # block widths
@@ -234,13 +235,15 @@ def polynomial_entropy(
         # a diagonal, and one all-ones probe: its form is the exact trace.
         spectrum = np.full((R.n, 1), poly.shift)
         spectrum[: probs.size, 0] = poly.scale * probs + poly.shift
-        per_degree = traces(lambda X: spectrum * X, np.ones((R.n, 1)))[:, 0]
+        per_degree = traces(
+            lambda x, out: np.multiply(spectrum, x, out=out), np.ones((R.n, 1))
+        )[:, 0]
         s_used = 0
     else:
         s_used = cfg.s_override if cfg.s_override else default_s(cfg.epsilon, cfg.delta)
         op = R.shifted(poly.scale, poly.shift)
         per_degree = probe_average(
-            R.n, s_used, RngStream(cfg.seed).child(1), lambda G: traces(op.matmat, G), draw
+            R.n, s_used, RngStream(cfg.seed).child(1), lambda G: traces(op.matmat_into, G), draw
         )
     estimates = {m: poly.offset + float(t) for m, t in zip(degrees, per_degree)}
 

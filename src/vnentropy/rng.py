@@ -26,6 +26,8 @@ import numpy as np
 from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
+# words per piece of a draw written into a given array
+DRAW_CHUNK = 2**13
 # splitmix64 finalizer constants
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -89,9 +91,29 @@ def uniform_doubles(stream: RngStream, n: int) -> np.ndarray:
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
-def gaussian_vector(stream: RngStream, n: int) -> np.ndarray:
-    """``n`` i.i.d. standard normal draws via the inverse-CDF transform."""
-    return ndtri(uniform_doubles(stream, n))
+def gaussian_vector(stream: RngStream, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``n`` i.i.d. standard normal draws via the inverse-CDF transform.
+
+    With ``out``, a float64 array of shape (n,) that may be strided (a
+    column of a probe block), the draws are written into it and it is
+    returned.  They go ``DRAW_CHUNK`` words at a time through small
+    contiguous temporaries; Philox continues one sequence across
+    ``random_raw`` calls and the transform is element-wise, so ``out``
+    gets the bits of the one-shot draw and the stream ends at the same
+    place.
+    """
+    if out is None:
+        return ndtri(uniform_doubles(stream, n))
+    if out.shape != (n,) or out.dtype != np.float64:
+        raise ValueError(
+            f"out must be a float64 array of shape ({n},), got {out.dtype} {out.shape}"
+        )
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    for start in range(0, n, DRAW_CHUNK):
+        part = out[start : start + DRAW_CHUNK]
+        ndtri(uniform_doubles(stream, part.size), out=part)
+    return out
 
 
 def rademacher_vector(stream: RngStream, n: int) -> np.ndarray:

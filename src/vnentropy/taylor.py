@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .densmat import SparseSymMatrix
+from .densmat import SparseSymMatrix, work_buffer
 from .report import EstimatorConfig, PolynomialSeries, RunRecord, polynomial_entropy
 from .rng import gaussian_vector
 
@@ -34,24 +34,26 @@ def default_m_taylor(u: float, ell: float, epsilon: float) -> int:
 
 
 def moments(
-    apply: Callable[[np.ndarray], np.ndarray], G: np.ndarray, u: float, m: int
+    apply: Callable[[np.ndarray, np.ndarray], np.ndarray], G: np.ndarray, u: float, m: int
 ) -> np.ndarray:
     """b x m array whose column k-1 holds g^T R Y^k g, Y = I - R/u, k = 1..m,
-    for each column g of the n x b block G; ``apply`` multiplies by Y.
+    for each column g of the n x b block G; ``apply(x, out)`` returns Y x,
+    written into ``out`` where it can (as ``matmat_into``).
 
     Takes nu_1..nu_{m+1}, nu_j = g^T Y^j g, from the powers Y^j G at
-    ceil((m+1)/2) products, and returns u (nu_k - nu_{k+1}).  Column k-1
-    does not depend on m.  When u bounds the spectrum every form is
-    nonnegative up to roundoff.
+    ceil((m+1)/2) products, and returns u (nu_k - nu_{k+1}).  The products
+    alternate between two n x b buffers, G and one more, so G is
+    overwritten.  Column k-1 does not depend on m.  When u bounds the
+    spectrum every form is nonnegative up to roundoff.
     """
     nu = np.empty((G.shape[1], m + 1))  # column i-1 holds nu_i
-    y = G  # Y^((i-1)/2) G
+    y, spare = G, work_buffer(G.shape)  # y is Y^((i-1)/2) G
     for i in range(1, m + 2, 2):
-        y_next = apply(y)
+        y_next = apply(y, spare)
         nu[:, i - 1] = np.einsum("ij,ij->j", y, y_next)
         if i <= m:
             nu[:, i] = np.einsum("ij,ij->j", y_next, y_next)
-        y = y_next
+        y, spare = y_next, y
     return u * (nu[:, :-1] - nu[:, 1:])
 
 

@@ -13,6 +13,7 @@ independent of ``OPENBLAS_NUM_THREADS`` and leaves the CPUs to the pools.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import os
@@ -39,13 +40,16 @@ def fan_out(fn: Callable, tasks: list) -> list:
     available CPU, at most one per task; anywhere else, for instance on a
     worker of such a pool, one after another, so pools never nest.  A
     task's exception is re-raised, and tasks not yet started are dropped.
+    Each pooled task runs in a copy of the caller's context, so a numpy
+    ``errstate`` around the call holds on the workers too.
     """
     on_main = threading.current_thread() is threading.main_thread()
     workers = min(len(tasks), available_cpus()) if on_main else 1
     if workers <= 1:
         return [fn(task) for task in tasks]
+    contexts = [contextvars.copy_context() for _ in tasks]
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(lambda context, task: context.run(fn, task), contexts, tasks))
 
 
 def alongside(main: Callable[[], T], side: Callable[[], object]) -> T:

@@ -93,7 +93,7 @@ def test_02_clenshaw_identities():
         m = 1 + (seed % 12)
         coeffs = cheb_coefficients(0.8, m)
         g = gaussian_vector(RngStream(seed, 555), 4)
-        forms = chebyshev.moments(x2.matmat, g[:, None], m)[0]
+        forms = chebyshev.moments(x2.matmat_into, g[:, None].copy(), m)[0]
         matrix_form = float(sum(a * f for a, f in zip(coeffs, forms)))
         cosine = sum(a * np.cos(w * np.arccos(y)) for w, a in enumerate(coeffs))
         scalar_form = float(np.sum(g**2 * cosine))
@@ -117,7 +117,9 @@ def test_03_taylor_series_oracle():
         for epsilon in (0.5, 0.1):
             m = default_m_taylor(1.0, 1.0 / n, epsilon)
             y = 1.0 - probs
-            forms = taylor.moments(lambda x: y[:, None] * x, np.ones((n, 1)), 1.0, m)[0]
+            forms = taylor.moments(
+                lambda x, out: np.multiply(y[:, None], x, out=out), np.ones((n, 1)), 1.0, m
+            )[0]
             partials = np.cumsum(forms / np.arange(1, m + 1))
             if np.any(np.diff(partials) < -1e-15):
                 report(3, "taylor series oracle", False, f"series not monotone at n={n}")

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vnentropy
+import vnentropy.hutchinson
 import vnentropy.linalg
 import vnentropy.report
 import vnentropy.threads
@@ -735,17 +736,17 @@ def read_bench_csv(path):
     return rows, [l.split(",") for l in lines if l.startswith("# summary,")][1:]
 
 
-# the suite makes warnings errors, so numpy's overflow on the m=2000 pass
-# would fail the whole run on its pool thread before a row could read it
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_non_finite_estimate_fails_its_bench_row_as_estimate_refuses_it(tmp_path, capsys):
+    # numpy's overflow and invalid warnings of the m=2000 pass, errors under
+    # this suite's filterwarnings, must not be raised at all: the refusal is
+    # the only report
     path = tmp_path / "tri.mtx"
     run_cli(capsys, "generate", "--family", "tridiagonal", "--n", "64", "--out", str(path))
     settings = ("--method", "chebyshev", "--s", "4", "--u-mode", "manual:0.0001", "--no-timings")
     code, out, err = run_cli(capsys, "estimate", str(path), *settings, "--m", "2000")
-    assert code == 2 and out == "" and "estimate is not finite: nan" in err
-    code, out, _ = run_cli(capsys, "estimate", str(path), *settings, "--m", "10")
-    assert code == 0
+    assert (code, out, err) == (2, "", "vnentropy: error: estimate is not finite: nan\n")
+    code, out, err = run_cli(capsys, "estimate", str(path), *settings, "--m", "10")
+    assert (code, err) == (0, "")
     record = json.loads(out)
     assert math.isfinite(record["estimate"]) and record["estimate"] < -1e24
 
@@ -755,8 +756,8 @@ def test_a_non_finite_estimate_fails_its_bench_row_as_estimate_refuses_it(tmp_pa
         "s_values": [4], "u_modes": ["manual:0.0001"], "seeds": [0],
     }))
     out_csv = tmp_path / "out.csv"
-    code, _, _ = run_cli(capsys, "bench", str(grid), "--out", str(out_csv))  # with timings
-    assert code == 0
+    code, _, err = run_cli(capsys, "bench", str(grid), "--out", str(out_csv))  # with timings
+    assert code == 0 and "RuntimeWarning" not in err
     (finite, nan), summary = read_bench_csv(out_csv)
     assert [float(finite[k]) for k in ("estimate", "exact", "rel_err")] == [
         record["estimate"], record["exact"], record["rel_err"]
@@ -767,6 +768,31 @@ def test_a_non_finite_estimate_fails_its_bench_row_as_estimate_refuses_it(tmp_pa
     assert [line[2] for line in summary] == ["10", "2000"]
     assert [float(v) for v in summary[0][5:]] == [record["rel_err"]] * 2
     assert summary[1][5:] == ["", ""]
+
+
+def test_a_non_finite_estimate_on_a_probe_pool_reports_only_its_refusal(
+    tmp_path, capsys, monkeypatch
+):
+    # the two probe blocks of two columns run on pool workers, where numpy's
+    # warnings must be silenced as on the calling thread
+    monkeypatch.setattr(vnentropy.hutchinson, "BLOCK_ENTRIES", 128)
+    monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: 2)
+    task_counts = []
+    original = vnentropy.hutchinson.fan_out
+
+    def recording(fn, tasks):
+        task_counts.append(len(tasks))
+        return original(fn, tasks)
+
+    monkeypatch.setattr(vnentropy.hutchinson, "fan_out", recording)
+    path = tmp_path / "tri.mtx"
+    run_cli(capsys, "generate", "--family", "tridiagonal", "--n", "64", "--out", str(path))
+    code, out, err = run_cli(
+        capsys, "estimate", str(path), "--method", "chebyshev", "--m", "2000", "--s", "4",
+        "--u-mode", "manual:0.0001", "--no-timings",
+    )
+    assert (code, out, err) == (2, "", "vnentropy: error: estimate is not finite: nan\n")
+    assert task_counts == [2]
 
 
 def test_bench_wall_ms_charges_each_task_to_the_first_row_that_reads_it(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import mmap
 import threading
 import tracemalloc
 
@@ -248,6 +249,98 @@ def test_banded_matmat_does_not_depend_on_block_width(n):
         full = r.matmat(x)
         for w in (1, 2, 3, 4, 5, 8, 64, 127, 128, 129):
             assert np.array_equal(r.matmat(x[:, :w]), full[:, :w]), w
+
+
+def _bits(a):
+    """The bits of a float64 array, in which -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _csr_case(kind):
+    """A symmetric n=40 CSR with empty rows, or with int64 index arrays, or
+    storing -0.0 in a third of its entries."""
+    rng = np.random.default_rng(11)
+    a = sp.random(40, 40, density=0.15, random_state=rng, format="csr")
+    a = (a + a.T).tocsr()
+    if kind == "empty-rows":
+        keep = np.ones(40)
+        keep[[0, 3, 17, 39]] = 0.0
+        a = (sp.diags(keep) @ a @ sp.diags(keep)).tocsr()
+        a.eliminate_zeros()
+    if kind == "negative-zero":
+        a.sort_indices()
+        lower = np.repeat(np.arange(40), np.diff(a.indptr)) >= a.indices
+        a.data[lower & (rng.random(a.nnz) < 1 / 3)] = -0.0
+        mirror = a.T.tocsr()
+        mirror.sort_indices()
+        a.data = np.where(lower, a.data, mirror.data)
+    r = SparseSymMatrix(a)
+    if kind == "int64-indices":
+        r.csr.indices, r.csr.indptr = r.csr.indices.astype(np.int64), r.csr.indptr.astype(np.int64)
+    return r
+
+
+@pytest.mark.parametrize("kind", ["empty-rows", "int64-indices", "negative-zero"])
+def test_csr_matmat_into_is_bitwise_scipys_product(kind):
+    r = _csr_case(kind)
+    assert (np.diff(r.csr.indptr).min() == 0) == (kind == "empty-rows")
+    assert r.csr.indices.dtype == (np.int64 if kind == "int64-indices" else np.int32)
+    assert ((r.csr.data == 0.0) & np.signbit(r.csr.data)).any() == (kind == "negative-zero")
+    for width in (1, 2, 16, 129):
+        x = np.random.default_rng(width).standard_normal((40, width))
+        x[::7] = -0.0
+        expected = r.csr @ x
+        out = np.full((40, width), np.nan)  # so a missing zero fill shows
+        assert r.matmat_into(x, out) is out
+        assert np.array_equal(_bits(out), _bits(expected)), width
+        assert np.array_equal(_bits(r.matmat(x)), _bits(expected)), width
+
+
+@pytest.mark.parametrize("n", [300, 2100])  # below and above BAND_MIN_N
+def test_filled_matmat_into_is_bitwise_the_padded_gemm(n):
+    r = _filled(n, seed=n)
+    with one_blas_thread():
+        for width in (1, 2, 16, 129):
+            x = np.random.default_rng(width).standard_normal((n, width))
+            out = np.full((n, width), np.nan)
+            got = r.matmat_into(x, out)
+            if width == 1:
+                # gemv rounds differently, and einsum sums a contiguous column in
+                # another order than the strided first column of the n x 2 product
+                expected = (r.block @ np.repeat(x, 2, axis=1))[:, :1]
+                assert got.strides == (16, 8) and np.isnan(out).all()
+            else:
+                expected = r.block @ x
+                assert got is out
+            assert np.array_equal(_bits(got), _bits(expected)), width
+            assert np.array_equal(_bits(r.matmat(x)), _bits(expected)), width
+
+
+def test_matmat_into_refuses_a_wrong_or_overlapping_out():
+    r, x = _csr_case("empty-rows"), np.ones((40, 3))
+    for matrix in (r, SparseSymMatrix(block=r.to_dense())):
+        with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+            matrix.matmat_into(x, np.empty((40, 2)))
+        with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+            matrix.matmat_into(x, np.empty((40, 3), dtype=np.float32))
+        with pytest.raises(ValueError, match="out overlaps x"):
+            matrix.matmat_into(x, x)
+    with pytest.raises(ValueError, match="C-ordered"):
+        r.matmat_into(x, np.empty((40, 6))[:, ::2])
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="no MADV_HUGEPAGE here")
+def test_work_buffers_from_one_huge_page_up_are_their_own_mappings():
+    def mapped(a):
+        while isinstance(a, (np.ndarray, memoryview)):
+            a = a.base if isinstance(a, np.ndarray) else a.obj
+        return isinstance(a, mmap.mmap)
+
+    for shape, own in (((1024, 255), False), ((1024, 256), True), ((65536, 16), True)):
+        a = densmat.work_buffer(shape)
+        assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+        assert a.flags.writeable and mapped(a) == own, shape
+        a[-1, -1] = 1.0
 
 
 def _plain_refusal(a):

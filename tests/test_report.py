@@ -23,7 +23,7 @@ from vnentropy import (
 )
 import vnentropy.power
 import vnentropy.report
-from vnentropy.densmat import low_rank_probs
+from vnentropy.densmat import low_rank_probs, work_buffer
 from vnentropy.rng import gaussian_vector
 
 
@@ -113,15 +113,16 @@ def test_nte_matches_numpy_series_references(case):
 
 
 def counted_products(monkeypatch):
-    """Record (matrix, columns) for every SparseSymMatrix.matmat call."""
+    """Record (matrix, columns) for every SparseSymMatrix.matmat_into call,
+    which every matmat call also makes."""
     calls = []
-    matmat = SparseSymMatrix.matmat
+    matmat_into = SparseSymMatrix.matmat_into
 
-    def counting(self, x):
+    def counting(self, x, out):
         calls.append((self, x.shape[1]))
-        return matmat(self, x)
+        return matmat_into(self, x, out)
 
-    monkeypatch.setattr(SparseSymMatrix, "matmat", counting)
+    monkeypatch.setattr(SparseSymMatrix, "matmat_into", counting)
     return calls
 
 
@@ -143,8 +144,8 @@ def test_probe_products_are_halved_and_never_on_r(monkeypatch, estimator, per_pr
 @pytest.mark.parametrize(
     "moments_of",
     [
-        lambda op, G, m: taylor.moments(op.shifted(-1.0 / 0.7, 1.0).matmat, G, 0.7, m),
-        lambda op, G, m: chebyshev.moments(op.shifted(4.0 / 0.7, -2.0).matmat, G, m),
+        lambda op, G, m: taylor.moments(op.shifted(-1.0 / 0.7, 1.0).matmat_into, G.copy(), 0.7, m),
+        lambda op, G, m: chebyshev.moments(op.shifted(4.0 / 0.7, -2.0).matmat_into, G.copy(), m),
     ],
     ids=["taylor", "chebyshev"],
 )
@@ -155,6 +156,41 @@ def test_moments_at_degree_k_do_not_depend_on_m(moments_of):
     for m in range(1, 14):
         forms = moments_of(r, G, m)
         assert np.array_equal(forms, full[:, : forms.shape[1]]), m
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("storage", ["csr", "block"])
+@pytest.mark.parametrize(
+    "module, buffers, scale, shift",
+    [(taylor, 2, -1.0 / 0.7, 1.0), (chebyshev, 3, 4.0 / 0.7, -2.0)],
+    ids=["taylor", "chebyshev"],
+)
+def test_moments_bits_do_not_depend_on_apply_writing_into_out(
+    monkeypatch, module, buffers, scale, shift, storage, width
+):
+    # the probe block is one of the buffers the products rotate through
+    r, _ = generate_tridiagonal_poisson(40)
+    if storage == "block":
+        r = SparseSymMatrix(block=r.to_dense())
+    op = r.shifted(scale, shift)
+    made = []
+
+    def counted(shape):
+        made.append(shape)
+        return work_buffer(shape)
+
+    monkeypatch.setattr(module, "work_buffer", counted)
+    G = np.column_stack([gaussian_vector(RngStream(6).child(i), 40) for i in range(width)])
+    args = (0.7,) if module is taylor else ()
+    for m in (9, 10):
+        made.clear()
+        rotated = G.copy()
+        into = module.moments(op.matmat_into, rotated, *args, m)
+        fresh = module.moments(lambda x, out: op.matmat(x), G.copy(), *args, m)
+        assert np.array_equal(into.view(np.int64), fresh.view(np.int64)), m
+        assert made == [G.shape] * (buffers - 1) * 2
+        # a one-column product of a block is a new array, so the block is kept
+        assert np.array_equal(rotated, G) == (storage == "block" and width == 1)
 
 
 def test_shifted_operator_shares_the_index_arrays():
@@ -243,8 +279,8 @@ def test_estimates_are_invariant_under_permutation_similarity(case):
     cfg = EstimatorConfig(u_mode="six", m_override=m, s_override=6, seed=seed)
 
     def unpermuted(draw):
-        def drawn(stream, n):
-            x = np.empty(n)
+        def drawn(stream, n, out=None):
+            x = np.empty(n) if out is None else out
             x[perm] = draw(stream, n)
             return x
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vnentropy.rng import (
+    DRAW_CHUNK,
     RngStream,
     gaussian_vector,
     rademacher_vector,
@@ -35,6 +36,28 @@ def test_child_derivation_is_pure():
     expected_right = gaussian_vector(RngStream(7).child(1), 8)
     gaussian_vector(left, 100)
     assert np.array_equal(gaussian_vector(right, 8), expected_right)
+
+
+@pytest.mark.parametrize(
+    "n", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 3 * DRAW_CHUNK + 5]
+)
+def test_a_draw_into_a_block_column_is_the_one_shot_draw(n):
+    one_shot, into = RngStream(8, 3), RngStream(8, 3)
+    expected = gaussian_vector(one_shot, n)
+    block = np.full((n, 3), np.nan)  # C-ordered, so a column is strided
+    column = block[:, 1]
+    assert gaussian_vector(into, n, out=column) is column
+    assert np.array_equal(block[:, 1].view(np.int64), expected.view(np.int64))
+    assert np.isnan(block[:, [0, 2]]).all()
+    # the stream stands where the one-shot draw left it
+    assert np.array_equal(gaussian_vector(into, 5), gaussian_vector(one_shot, 5))
+
+
+def test_a_draw_refuses_an_out_of_another_shape():
+    with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+        gaussian_vector(RngStream(0), 4, out=np.empty(5))
+    with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+        gaussian_vector(RngStream(0), 4, out=np.empty((4, 1)))
 
 
 def test_draws_consume_the_stream():

@@ -21,7 +21,7 @@ def single_form(r, u, m, g):
     """sum_k g^T R (I - R/u)^k g / k for one probe, from the moments of a
     1-column block summed in degree order."""
     y = r.shifted(-1.0 / u, 1.0)
-    forms = moments(y.matmat, np.asarray(g, dtype=np.float64)[:, None], u, m)[0]
+    forms = moments(y.matmat_into, np.array(g, dtype=np.float64)[:, None], u, m)[0]
     return float(sum(f / k for k, f in enumerate(forms, start=1)))
 
 
@@ -75,8 +75,10 @@ def test_batched_probes_match_single_probe_path():
     r, _ = rotated_density([0.5, 0.3, 0.2], RngStream(1))
     probes = np.column_stack([gaussian_vector(RngStream(2).child(i), 3) for i in range(5)])
     y = r.shifted(-1.0, 1.0)
-    batched = moments(y.matmat, probes, 1.0, 8)
-    single = np.vstack([moments(y.matmat, probes[:, i : i + 1], 1.0, 8) for i in range(5)])
+    batched = moments(y.matmat_into, probes.copy(), 1.0, 8)
+    single = np.vstack(
+        [moments(y.matmat_into, probes[:, i : i + 1].copy(), 1.0, 8) for i in range(5)]
+    )
     assert np.allclose(batched, single, rtol=1e-13, atol=1e-15)
 
 
@@ -85,7 +87,7 @@ def test_moments_match_eigendecomposition_at_every_degree():
     u, m = 0.8, 17
     lam, v = np.linalg.eigh(r.to_dense())
     G = np.column_stack([gaussian_vector(RngStream(32).child(i), 5) for i in range(3)])
-    forms = moments(r.shifted(-1.0 / u, 1.0).matmat, G, u, m)
+    forms = moments(r.shifted(-1.0 / u, 1.0).matmat_into, G.copy(), u, m)
     assert forms.shape == (3, m)
     y = v.T @ G
     for k in range(1, m + 1):
@@ -136,7 +138,9 @@ def test_truncated_series_approaches_entropy_from_below(epsilon):
     u = 1.0
     m = default_m_taylor(u, model[-1], epsilon)
     y = 1.0 - probs / u
-    forms = moments(lambda x: y[:, None] * x, np.ones((probs.size, 1)), u, m)[0]
+    forms = moments(
+        lambda x, out: np.multiply(y[:, None], x, out=out), np.ones((probs.size, 1)), u, m
+    )[0]
     partials = math.log(1 / u) + np.cumsum(forms / np.arange(1, m + 1))
     assert np.all(np.diff(partials) >= -1e-15)  # monotone from below
     gap = exact - partials[-1]
