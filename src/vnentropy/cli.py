@@ -29,9 +29,9 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .report import (
     EstimatorConfig,
     RunRecord,
     check_assumptions,
-    power_estimate,
+    oracle,
     relative_error,
     run_record,
 )
@@ -162,10 +162,18 @@ def read_spectrum(path) -> np.ndarray:
     return np.sort(probs)[::-1].copy()
 
 
+# sum(p^2) over a symmetric matrix's spectrum is its squared Frobenius norm,
+# so a sidecar off by more than this relative gap is another matrix's.  Over
+# the generated families up to n = 4096, haar through the oracle, the largest
+# gap was 8.3e-15 (linuniform n = 4096, k = 10).
+SIDECAR_TOL = 1e-12
+
+
 def load_matrix(path) -> tuple[SparseSymMatrix, np.ndarray | None]:
     """Read a stored density matrix and its spectrum sidecar, if any; a
     trace off 1, or a sidecar that is not a list of at most n
-    probabilities summing to 1, raises ValueError."""
+    probabilities summing to 1 whose squares sum to the matrix's squared
+    Frobenius norm (within ``SIDECAR_TOL``), raises ValueError."""
     matrix = read_matrix_market(path)
     try:
         matrix.validate_density()
@@ -179,6 +187,13 @@ def load_matrix(path) -> tuple[SparseSymMatrix, np.ndarray | None]:
         validate_spectrum(probs)
         if probs.size > matrix.n:
             raise ValueError(f"{probs.size} probabilities for n={matrix.n}")
+        stored = (matrix.csr.data if matrix.block is None else matrix.block).ravel()
+        squares, frobenius = float(probs @ probs), float(stored @ stored)
+        if not abs(squares - frobenius) <= SIDECAR_TOL * frobenius:
+            raise ValueError(
+                f"the squared probabilities sum to {squares:.12g}, not to the matrix's "
+                f"squared Frobenius norm {frobenius:.12g}"
+            )
     except ValueError as exc:
         raise ValueError(f"{side}: {exc}") from None
     return matrix, probs
@@ -202,7 +217,7 @@ def generate_family(
 ) -> tuple[SparseSymMatrix, Callable[[], np.ndarray | None]]:
     """The matrix ``generate`` writes and a bench grid's family spec names,
     and a call that returns its spectrum where known; for the haar family
-    that call runs the oracle.
+    that call runs the matrix's one :func:`~vnentropy.report.oracle`.
 
     A family, size or decay the generators would refuse is a UsageError;
     so is a dense family whose build (by its ``DENSE_PEAK`` figure) would
@@ -222,8 +237,7 @@ def generate_family(
     stream = RngStream(seed)
     if family == "haar":
         matrix = generate_haar_like_matrix(n, stream)
-        known = n <= linalg.DEFAULT_ORACLE_LIMIT  # through the module, which a tracer may wrap
-        return matrix, lambda: linalg.exact_entropy(matrix)[1] if known else None
+        return matrix, lambda: oracle(matrix)[1] if n <= linalg.DEFAULT_ORACLE_LIMIT else None
     if family == "tridiagonal":
         matrix, probs = generate_tridiagonal_poisson(n)
     elif k is None:
@@ -290,26 +304,22 @@ class RunSpec:
     rank: int | None = None
 
 
-def run_method(
-    matrix: SparseSymMatrix, probs: np.ndarray | None, spec: RunSpec, power=None, oracle=None
-) -> RunRecord:
+def run_method(matrix: SparseSymMatrix, probs: np.ndarray | None, spec: RunSpec) -> RunRecord:
     """Run one estimator and return its one record, compared with the exact
     entropy of the known spectrum ``probs`` (``exact`` with the spectrum it
     computes); a series run's record holds every degree in ``estimates``.
     The one place that dispatches on the method, for ``estimate`` and
-    ``bench`` alike.  ``power`` (``power_estimate`` of the run's seed and
-    delta) and ``oracle`` (``linalg.exact_entropy(matrix)``) hand it a
-    sweep's shared results; a run computes what it reads and is not handed.
-    Floating-point faults raise no numpy warning: a non-finite estimate is
-    refused where a record is read (:func:`_read`), and that is its only
-    report."""
+    ``bench`` alike.  The power method and the oracle run once per matrix
+    (:func:`~vnentropy.report.power_estimate`, :func:`~vnentropy.report.oracle`),
+    so runs on one matrix share them.  Floating-point faults raise no numpy
+    warning: a non-finite estimate is refused where a record is read
+    (:func:`_read`), and that is its only report."""
     with np.errstate(all="ignore"):
         if spec.method in SERIES:
             run = taylor_entropy if spec.method == "taylor" else chebyshev_entropy
-            cfg = replace(spec.cfg, power=power, spectrum=None if oracle is None else oracle[1])
-            return run(matrix, cfg, probs)
+            return run(matrix, spec.cfg, probs)
         if spec.method == "exact":
-            estimate, probs = oracle or linalg.exact_entropy(matrix)
+            estimate, probs = oracle(matrix)
             warnings, fields = [], {"method": "exact", "seed": spec.seed}
         else:  # sketch
             out = sketch_entropy(matrix, spec.rank, spec.proj)
@@ -390,7 +400,7 @@ def cmd_estimate(args) -> int:
     sink = open(args.out, "a", encoding="ascii") if args.out else nullcontext(sys.stdout)
     with sink as out:
         if args.compute_exact and probs is None:
-            _, probs = linalg.exact_entropy(matrix)
+            _, probs = oracle(matrix)
         t0 = time.perf_counter()
         rec = run_method(matrix, probs, spec)
         wall_ms = (time.perf_counter() - t0) * 1e3
@@ -520,52 +530,39 @@ def _grid_matrix(spec) -> tuple[SparseSymMatrix, np.ndarray | None]:
     return matrix, spectrum()
 
 
-_ORACLE = ("oracle",)
-
-
-class _Unit(NamedTuple):
-    """One run of a sweep, and the shared results it reads, in the order
-    it reads them."""
-
-    spec: RunSpec
-    needs: list[tuple]
-
-
-def _bench_units(grid, n: int, probs: np.ndarray | None) -> tuple[list[tuple], list[_Unit]]:
+def _bench_units(grid, n: int) -> tuple[list[tuple], list[RunSpec]]:
     """The rows of a loaded grid, in CSV order, and the runs that fill them.
 
     A row is (labels, run index), its labels (method, m, s, u_mode, seed,
     rep) as the CSV prints them; m varies slowest within a method.  Each
     method makes one run per (s, u-mode, seed, repetition), and a series
     run computes every distinct m at once, into the ``estimates`` of its
-    one record.  A run needs the power method of its seed and delta unless u
-    is manual, then the oracle if it is exact or an nte run without a known
-    spectrum.  Out-of-range grid values raise ValueError or TypeError here,
-    before any run starts.
+    one record.  An exact run reads no seed or repetition, so one run fills
+    every exact row.  Out-of-range grid values raise ValueError or
+    TypeError here, before any run starts.
     """
     delta = float(grid.get("delta", 0.1))
-    rows, units = [], []
+    rows, specs = [], []
     for name, (method, kind, nte, reads) in grid["methods"]:
         ms, ss, us = (
             grid[key] if key in reads else [default]
             for key, default in (("m_values", None), ("s_values", None), ("u_modes", (None, None)))
         )
         cases = list(itertools.product(ss, us, grid["seeds"], range(grid.get("repetitions", 1))))
+        runs = cases[:1] if method == "exact" else cases
         rows += [
-            ((name, m, s, u_text, seed, rep), len(units) + c)
+            ((name, m, s, u_text, seed, rep), len(specs) + c % len(runs))
             for m in ms
             for c, (s, (u_text, _), seed, rep) in enumerate(cases)
         ]
-        for s, (_, u_mode), seed, rep in cases:
-            spec = _run_spec(
+        specs += [
+            _run_spec(
                 n, method, seed + (rep << 32), delta=delta, u_mode=u_mode,
                 m=tuple(ms), s=0 if nte else s, nte=nte, proj=kind, rank=grid.get("rank"),
             )
-            needs = [("power", spec.seed, delta)] if method in SERIES and u_mode[0] != "manual" else []
-            if method == "exact" or nte and probs is None:
-                needs.append(_ORACLE)
-            units.append(_Unit(spec, needs))
-    return rows, units
+            for s, (_, u_mode), seed, rep in runs
+        ]
+    return rows, specs
 
 
 def _attempt(fn, *args) -> tuple[object, float, str]:
@@ -580,54 +577,31 @@ def _attempt(fn, *args) -> tuple[object, float, str]:
     return value, (time.perf_counter() - t0) * 1e3, error
 
 
-def _compute_shared(key: tuple, matrix: SparseSymMatrix):
-    if key == _ORACLE:
-        return linalg.exact_entropy(matrix)
-    _, seed, delta = key
-    return power_estimate(matrix, seed, delta)
-
-
-def _run_unit(unit: _Unit, matrix, probs, shared: dict) -> tuple[object, float, str]:
-    """The unit's record, handed the shared results it reads; a failed
-    shared result fails the unit with its error."""
-    for key in unit.needs:
-        if shared[key][2]:
-            return None, 0.0, shared[key][2]
-    values = {key[0]: shared[key][0] for key in unit.needs}
-    return _attempt(run_method, matrix, probs, unit.spec, values.get("power"), values.get("oracle"))
-
-
 def cmd_bench(args) -> int:
-    """Run a grid's runs, sharing work between them, and write its rows as CSV.
+    """Run a grid's runs on the pool and write its rows as CSV.
 
-    Each shared result and each run runs once, on the pool, shared results
-    first.  A row reads its m from its run's one record (:func:`_read`), as
+    A row reads its m from its run's one record (:func:`_read`), as
     ``estimate`` prints it; a non-finite estimate fails the row.  A row's
-    ``wall_ms`` is the time of the work it adds beyond the rows above it:
-    the first row a run fills carries the run's time plus that of every
-    shared result no earlier row read, later rows carry only what is new
-    to them (often 0), failed rows nothing.  The column therefore sums to
-    the busy time of the tasks behind the filled rows.
+    ``wall_ms`` is its run's wall time, with any power method or oracle the
+    run computed or waited for (:func:`run_method`): the first row a run
+    fills carries it, later rows 0 and failed rows nothing, so when runs
+    wait on each other the column can exceed the pool's busy time.
     """
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
     grid = _load_grid(args.grid)
     matrix, probs = _grid_matrix(grid["matrix"])
     try:
-        rows, units = _bench_units(grid, matrix.n, probs)
+        rows, specs = _bench_units(grid, matrix.n)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"grid cell: {exc}") from exc
 
-    keys = list(dict.fromkeys(key for unit in units for key in unit.needs))
     # opened before any run starts, so an unwritable path costs no sweep
     sink = open(args.out, "w", newline="", encoding="ascii") if args.out else nullcontext(sys.stdout)
     with sink as out:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            done = pool.map(lambda key: _attempt(_compute_shared, key, matrix), keys)
-            shared = dict(zip(keys, done))
-            results = list(pool.map(lambda unit: _run_unit(unit, matrix, probs, shared), units))
-        cost = {key: ms for key, (_, ms, _) in shared.items()}
-        cost.update({u: ms for u, (_, ms, _) in enumerate(results)})
+            results = list(pool.map(lambda spec: _attempt(run_method, matrix, probs, spec), specs))
+        cost = {u: ms for u, (_, ms, _) in enumerate(results)}
 
         writer = csv.writer(out)
         writer.writerow(
@@ -642,7 +616,7 @@ def cmd_bench(args) -> int:
                 values, rec, error = (None, None, None), None, "ValueError"
             wall = ""
             if rec and not args.no_timings:
-                wall = f"{sum(cost.pop(key, 0.0) for key in (u, *units[u].needs)):.3f}"
+                wall = f"{cost.pop(u, 0.0):.3f}"
             writer.writerow([_fmt(v) for v in labels + values] + [wall, error])
             errs = summary.setdefault(labels[:4], [])
             if values[2] is not None:

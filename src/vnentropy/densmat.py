@@ -20,6 +20,8 @@ import itertools
 import math
 import mmap
 import os
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
@@ -50,6 +52,8 @@ BAND_ROWS = 256
 BAND_MIN_N = 2048
 # a work buffer of at least this many bytes (one transparent huge page) gets its own mapping
 HUGE_PAGE = 2**21
+# guards the lookup in SparseSymMatrix.once, never a computation
+_ONCE_LOCK = threading.Lock()
 
 
 class MatrixMarketError(ValueError):
@@ -76,8 +80,9 @@ class SparseSymMatrix:
     The constructor is the one gate for a matrix from outside the library.
     It stores a copy: a block through :meth:`_adopt`, a CSR made float64
     and canonical, refused unless square, exactly symmetric and finite, its
-    upper entries then given their lower mirrors' bits.  Instances are
-    immutable and safe for concurrent read-only use.
+    upper entries then given their lower mirrors' bits.  An instance's
+    entries never change, and it holds the results computed once from them
+    (:meth:`once`); it is safe for concurrent use.
     """
 
     csr: sp.csr_matrix | None = None
@@ -110,6 +115,23 @@ class SparseSymMatrix:
         r = object.__new__(cls)
         r.__dict__.update(csr=csr, block=block)
         return r
+
+    def once(self, key, compute):
+        """``compute()``, run at the first call with ``key`` (all the result
+        depends on besides the entries) on this instance; concurrent first
+        callers wait on it, and every later call returns its result or raises
+        its exception (any ``BaseException``) again.  A matrix from
+        :meth:`shifted`, or a new one with equal entries, computes its own."""
+        with _ONCE_LOCK:
+            results = self.__dict__.setdefault("_once", {})
+            first = key not in results
+            future = results.setdefault(key, Future())
+        if first:
+            try:
+                future.set_result(compute())
+            except BaseException as exc:
+                future.set_exception(exc)
+        return future.result()
 
     @property
     def n(self) -> int:

@@ -89,9 +89,10 @@ def check_oracle_size(n: int) -> None:
 
 
 def exact_entropy(R: SparseSymMatrix) -> tuple[float, np.ndarray]:
-    """Exact entropy from the dense eigenvalues, and the spectrum, descending;
-    the oracle for all tests.  It refuses n above ``DEFAULT_ORACLE_LIMIT``
-    rather than silently taking hours.
+    """Exact entropy from the dense eigenvalues, and the spectrum, descending
+    and read-only (:func:`~vnentropy.report.oracle` keeps it for every caller
+    of a matrix); the oracle for all tests.  It refuses n above
+    ``DEFAULT_ORACLE_LIMIT`` rather than silently taking hours.
 
     A matrix is exactly symmetric once made, so it goes to the eigensolver,
     dense, as it is.  Eigenvalues in ``[-1e-10 * n, 0]`` are treated as
@@ -103,4 +104,5 @@ def exact_entropy(R: SparseSymMatrix) -> tuple[float, np.ndarray]:
     if w[0] < floor:
         raise ValueError(f"eigenvalue {w[0]!r} below {floor!r}: not positive semidefinite")
     probs = np.clip(w[::-1], 0.0, None)
+    probs.flags.writeable = False
     return entropy_from_probs(probs, ENTROPY_CLAMP), probs

@@ -37,10 +37,8 @@ class EstimatorConfig:
 
     ``m_override`` may also be a tuple of degrees: one pass to the largest
     then reads the estimate at each, exactly as separate runs would give it.
-    ``power`` and ``spectrum`` hand a run work that an earlier run on the
-    same matrix already did, so it is not done again: the power method of
-    this ``seed`` and ``delta`` (see :func:`power_estimate`), and the
-    oracle's eigenvalues for an ``nte`` run without a known spectrum.
+    The power method of ``seed`` and ``delta`` and the oracle run once per
+    matrix (:func:`power_estimate`, :func:`oracle`), for every run on it.
     """
 
     epsilon: float = 0.1
@@ -52,8 +50,6 @@ class EstimatorConfig:
     s_override: int | None = None
     nte: bool = False
     seed: int = 0
-    power: PowerEstimate | None = field(default=None, compare=False)
-    spectrum: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
@@ -155,17 +151,23 @@ def run_record(
 
 def power_estimate(R: SparseSymMatrix, seed: int, delta: float) -> PowerEstimate:
     """The power method behind u for every polynomial run with this seed and
-    delta: t and q from ``delta``, trials from child stream 0 of ``seed``."""
+    delta: t and q from ``delta``, trials from child stream 0 of ``seed``.
+    It runs once per matrix, seed and delta (:meth:`SparseSymMatrix.once`)."""
     t, q = default_power_params(R.n, delta)
-    return power_method(R, t, q, RngStream(seed).child(0))
+    return R.once(("power", seed, delta), lambda: power_method(R, t, q, RngStream(seed).child(0)))
+
+
+def oracle(R: SparseSymMatrix) -> tuple[float, np.ndarray]:
+    """``linalg.exact_entropy(R)``, computed once per matrix."""
+    return R.once(("oracle",), lambda: linalg.exact_entropy(R))
 
 
 def resolve_u(R: SparseSymMatrix, cfg: EstimatorConfig) -> tuple[float, PowerEstimate | None]:
     """Upper bound u per the config's mode: manual, else from the power
-    method (``cfg.power`` when an earlier run already has it)."""
+    method (:func:`power_estimate`)."""
     if cfg.u_mode == "manual":
         return float(cfg.u_value), None
-    pe = cfg.power if cfg.power is not None else power_estimate(R, cfg.seed, cfg.delta)
+    pe = power_estimate(R, cfg.seed, cfg.delta)
     return u_from_p1(pe.p1_tilde, cfg.u_mode), pe
 
 
@@ -201,8 +203,8 @@ def polynomial_entropy(
     ``cfg.m_override`` or ``default_m(u, ell, epsilon)``, then traces
     ``series(u, largest degree)`` through its one ``moments`` recurrence and
     reads the partial sum at each degree: exactly over known eigenvalues
-    with ``cfg.nte`` (the known spectrum ``model``, else ``cfg.spectrum``,
-    else the dense oracle), otherwise with the probe driver over
+    with ``cfg.nte`` (the known spectrum ``model``, else the dense
+    :func:`oracle`), otherwise with the probe driver over
     ``cfg.s_override`` (else ``default_s``) probes that ``draw`` takes from
     child stream 1 of ``cfg.seed``.  Either way the series' shifted operator is built once,
     from the eigenvalues or from R.
@@ -228,9 +230,7 @@ def polynomial_entropy(
         return np.array(partial_sums)
 
     if cfg.nte:
-        probs = model if model is not None else cfg.spectrum
-        if probs is None:
-            probs = linalg.exact_entropy(R)[1]
+        probs = model if model is not None else oracle(R)[1]
         # The shifted operator of the eigenvalues padded to n with zeros, as
         # a diagonal, and one all-ones probe: its form is the exact trace.
         spectrum = np.full((R.n, 1), poly.shift)

@@ -610,6 +610,35 @@ def test_empty_spectrum_sidecar_exits_two_naming_it(tmp_path, capsys, contents):
     assert err == f"vnentropy: error: {side}: the file holds no probabilities\n"
 
 
+# per family, the generate flags of a matrix and of a twin whose spectrum
+# has other squares: the lowrank pair differs only in its decay
+SIDECAR_TWINS = {
+    "tridiagonal": (["--n", "16"], ["--n", "15"]),
+    "lowrank": (
+        ["--n", "512", "--k", "10", "--decay", "linear", "--seed", "1"],
+        ["--n", "512", "--k", "10", "--decay", "exponential", "--seed", "1"],
+    ),
+    "linuniform": (["--n", "40", "--k", "4", "--seed", "1"], ["--n", "40", "--k", "5", "--seed", "1"]),
+    "haar": (["--n", "40", "--seed", "1"], ["--n", "40", "--seed", "2"]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SIDECAR_TWINS))
+def test_a_sidecar_of_another_matrix_exits_two_naming_it(tmp_path, capsys, family):
+    path, twin = tmp_path / "r.mtx", tmp_path / "twin.mtx"
+    for flags, out in zip(SIDECAR_TWINS[family], (path, twin)):
+        run_cli(capsys, "generate", "--family", family, *flags, "--out", str(out))
+    args = ("estimate", str(path), "--method", "taylor", "--m", "30", "--s", "50", "--no-timings")
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (0, "") and "rel_err" in json.loads(out)
+    side = cli.sidecar_path(path)
+    side.write_bytes(cli.sidecar_path(twin).read_bytes())
+    for method_args in (args, (*args[:3], "exact")):
+        code, out, err = run_cli(capsys, *method_args)
+        assert code == 2 and out == ""
+        assert err.startswith(f"vnentropy: error: {side}: the squared probabilities sum to")
+
+
 @given(st.lists(st.floats(allow_nan=False, width=64), max_size=50))
 @settings(max_examples=100, deadline=None)
 def test_write_spectrum_writes_one_line_per_probability(tmp_path_factory, values):
@@ -798,14 +827,14 @@ def test_a_non_finite_estimate_on_a_probe_pool_reports_only_its_refusal(
 def test_bench_wall_ms_charges_each_task_to_the_first_row_that_reads_it(tmp_path, capsys, monkeypatch):
     attempt, charged = cli._attempt, []
 
-    def fixed_cost(fn, *args):  # every task costs 1 ms
+    def fixed_cost(fn, *args):  # every run costs 1 ms
         value, _, error = attempt(fn, *args)
         charged.append(error)
         return value, 1.0, error
 
     monkeypatch.setattr(cli, "_attempt", fixed_cost)
-    # no spectrum is known at n=12 once the oracle limit is 8, so the shared
-    # oracle fails: every exact and nte run fails without a task of its own
+    # no spectrum is known at n=12 once the oracle limit is 8, so the oracle
+    # fails: the one exact run and every nte run fail with its error
     monkeypatch.setattr(vnentropy.linalg, "DEFAULT_ORACLE_LIMIT", 8)
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({
@@ -816,18 +845,44 @@ def test_bench_wall_ms_charges_each_task_to_the_first_row_that_reads_it(tmp_path
     code, _, _ = run_cli(capsys, "bench", str(grid), "--out", str(out_csv), "--threads", "2")
     assert code == 0
     rows, _ = read_bench_csv(out_csv)
-    # 3 shared results (the power method of seeds 0 and 1, the failed
-    # oracle) and the 4 taylor runs
-    assert sorted(charged) == [""] * 6 + ["ValueError"]
+    # the 4 taylor runs, the one exact run and the 4 taylor_nte runs
+    assert sorted(charged) == [""] * 4 + ["ValueError"] * 5
     assert [(r["method"], r["error"], r["wall_ms"]) for r in rows] == [
         *[("exact", "ValueError", "")] * 2,
-        # m=2: a six run's first row carries it and its seed's power method
-        *[("taylor", "", "2.000")] * 2, *[("taylor", "", "1.000")] * 2,
-        *[("taylor", "", "0.000")] * 4,  # m=4: the same runs, nothing new
+        *[("taylor", "", "1.000")] * 4,  # m=2: each run's first row carries its time
+        *[("taylor", "", "0.000")] * 4,  # m=4: the same runs
         *[("taylor_nte", "ValueError", "")] * 8,
     ]
-    # every task that filled a row, once: all but the failed oracle
+    # every run that filled a row, once
     assert sum(float(r["wall_ms"] or 0) for r in rows) == charged.count("")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_bench_wall_ms_includes_the_power_method_a_run_computed_or_waited_for(
+    tmp_path, capsys, monkeypatch, threads
+):
+    power_method = vnentropy.report.power_method
+
+    def slow(*args):
+        time.sleep(0.2)
+        return power_method(*args)
+
+    monkeypatch.setattr(vnentropy.report, "power_method", slow)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "matrix": {"family": "tridiagonal", "n": 16}, "methods": ["taylor", "chebyshev"],
+        "m_values": [2], "s_values": [3], "seeds": [0],
+    }))
+    out_csv = tmp_path / "out.csv"
+    code, _, _ = run_cli(capsys, "bench", str(grid), "--out", str(out_csv), "--threads", threads)
+    assert code == 0
+    taylor, chebyshev = (float(r["wall_ms"]) for r in read_bench_csv(out_csv)[0])
+    assert taylor >= 200.0  # the taylor run computes the power method of seed 0
+    if threads == "1":
+        assert chebyshev < 150.0  # the chebyshev run reads it
+    else:
+        assert chebyshev >= 150.0  # the chebyshev run, started beside it, waits for it
+
 
 def test_bench_repetitions_add_rows_with_fresh_streams(tmp_path, capsys):
     grid = tmp_path / "grid.json"
@@ -1307,8 +1362,8 @@ GRID_CELLS = {
 def test_checked_in_grids_build_every_cell(path):
     grid = cli._load_grid(path)
     matrix, model = cli._grid_matrix(grid["matrix"])
-    rows, units = cli._bench_units(grid, matrix.n, model)
-    assert (len(rows), len(units)) == GRID_CELLS[path.stem]
+    rows, specs = cli._bench_units(grid, matrix.n)
+    assert (len(rows), len(specs)) == GRID_CELLS[path.stem]
 
 
 SHARING_GRID = {
@@ -1418,8 +1473,19 @@ def test_bench_computes_each_shared_result_once(tmp_path, capsys, monkeypatch, s
     assert len(power) == 4  # seeds 5 and 6, repetitions 0 and 1
     assert len({(stream.seed, stream.stream_id) for *_, stream in power}) == 4
     assert len(oracle) == 1
-    # one per run, 2 seeds x 2 repetitions of: exact, 3 u x 2 s per series, 3 u per nte
-    assert len(runs) == 4 * (1 + 2 * 6 + 2 * 3)
+    # one per run: exact once, then 2 seeds x 2 repetitions of 3 u x 2 s per
+    # series and 3 u per nte
+    assert len(runs) == 1 + 4 * (2 * 6 + 2 * 3)
+
+
+def test_a_haar_grid_runs_the_oracle_once(tmp_path, capsys, monkeypatch):
+    # the generator's spectrum and the exact run read the matrix's one oracle
+    oracle = []
+    counting(monkeypatch, vnentropy.linalg, "exact_entropy", oracle)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"matrix": {"family": "haar", "n": 50}, "methods": ["exact"], "seeds": [0]}))
+    code, _, _ = run_cli(capsys, "bench", str(grid), "--out", str(tmp_path / "out.csv"), "--no-timings")
+    assert code == 0 and len(oracle) == 1
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])

@@ -2,7 +2,9 @@ import hashlib
 import io
 import math
 import mmap
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -134,6 +136,70 @@ def test_a_matrix_stores_exactly_one_of_csr_and_block():
         SparseSymMatrix()
     with pytest.raises(ValueError, match="exactly one of csr and block"):
         SparseSymMatrix(csr=tri.csr, block=tri.to_dense())
+
+
+class Abort(BaseException):
+    """Not an Exception, as a KeyboardInterrupt is not."""
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["result", "exception"])
+def test_once_computes_once_for_eight_concurrent_callers(fails):
+    r = diagonal_matrix([0.5, 0.5])
+    calls, seen, start = [], [], threading.Barrier(8)
+
+    def compute():
+        calls.append(None)
+        time.sleep(0.01)  # the other callers arrive while it runs, and wait
+        if fails:
+            raise Abort()
+        return object()
+
+    def call():
+        start.wait()
+        try:
+            seen.append(r.once("key", compute))
+        except Abort as exc:
+            seen.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a race would show
+    try:
+        threads = [threading.Thread(target=call) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1 and len(seen) == 8
+    assert all(x is seen[0] for x in seen)
+    assert isinstance(seen[0], Abort) == fails
+    if fails:  # a later call raises it again, without computing
+        with pytest.raises(Abort) as excinfo:
+            r.once("key", compute)
+        assert excinfo.value is seen[0] and len(calls) == 1
+
+
+@pytest.mark.parametrize("family", ["csr", "block"])
+def test_once_keeps_one_result_per_key_and_per_instance(family):
+    if family == "csr":
+        r, again = generate_tridiagonal_poisson(4)[0], generate_tridiagonal_poisson(4)[0]
+    else:
+        r, again = diagonal_matrix([0.5, 0.5]), diagonal_matrix([0.5, 0.5])
+    calls = []
+
+    def compute(tag):
+        calls.append(tag)
+        return tag
+
+    assert r.once("a", lambda: compute("a")) == "a"
+    assert r.once("b", lambda: compute("b")) == "b"
+    assert r.once("a", lambda: compute("not run")) == "a"
+    # a shifted matrix and an equal new one hold their own results
+    assert r.shifted(1.0, 0.0).once("a", lambda: compute("shifted")) == "shifted"
+    assert again.once("a", lambda: compute("again")) == "again"
+    assert calls == ["a", "b", "shifted", "again"]
 
 
 def test_adopted_block_is_read_only_and_the_constructor_leaves_its_input_writable():

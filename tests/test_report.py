@@ -21,6 +21,7 @@ from vnentropy import (
     taylor,
     taylor_entropy,
 )
+import vnentropy.linalg
 import vnentropy.power
 import vnentropy.report
 from vnentropy.densmat import low_rank_probs, work_buffer
@@ -246,14 +247,30 @@ def test_one_pass_reads_every_degree_as_separate_runs_give_it(estimator, nte):
     assert joint.estimate == joint.estimates[9]
 
 
-def test_a_handed_power_estimate_replaces_the_power_method(monkeypatch):
+@pytest.mark.parametrize("estimator", [taylor_entropy, chebyshev_entropy], ids=["taylor", "chebyshev"])
+def test_a_second_run_on_one_matrix_and_seed_runs_no_power_method(estimator, monkeypatch):
     r, model = rotated_density([0.5, 0.3, 0.2], RngStream(44))
     cfg = EstimatorConfig(u_mode="raw", m_override=4, s_override=8, seed=3)
-    alone = taylor_entropy(r, cfg, model)
-    pe = vnentropy.report.power_estimate(r, 3, cfg.delta)
-    monkeypatch.setattr(vnentropy.report, "power_method", lambda *a: pytest.fail("power ran"))
-    shared = taylor_entropy(r, dataclasses.replace(cfg, power=pe), model)
-    assert shared.estimate == alone.estimate and shared.fields["u"] == alone.fields["u"]
+    first = estimator(r, cfg, model)
+    power_method, calls = vnentropy.report.power_method, []
+    monkeypatch.setattr(vnentropy.report, "power_method", lambda *a: calls.append(a) or power_method(*a))
+    again = estimator(r, cfg, model)
+    assert calls == [] and repr(again) == repr(first)  # repr writes every float's bits
+    # another seed or delta is another power method
+    estimator(r, dataclasses.replace(cfg, seed=4), model)
+    estimator(r, dataclasses.replace(cfg, delta=0.2), model)
+    assert len(calls) == 2
+
+
+def test_the_oracle_runs_once_per_matrix_and_its_spectrum_is_read_only(monkeypatch):
+    exact_entropy, calls = vnentropy.linalg.exact_entropy, []
+    monkeypatch.setattr(vnentropy.linalg, "exact_entropy", lambda r: calls.append(r) or exact_entropy(r))
+    r = diagonal_matrix([0.5, 0.3, 0.2])
+    first = vnentropy.report.oracle(r)
+    assert vnentropy.report.oracle(r) is first and calls == [r]
+    assert first[0] == exact_entropy(r)[0] and not first[1].flags.writeable
+    with pytest.raises(ValueError):
+        first[1][0] = 1.0
 
 
 @st.composite
