@@ -584,8 +584,8 @@ def cmd_bench(args) -> int:
     ``estimate`` prints it; a non-finite estimate fails the row.  A row's
     ``wall_ms`` is its run's wall time, with any power method or oracle the
     run computed or waited for (:func:`run_method`): the first row a run
-    fills carries it, later rows 0 and failed rows nothing, so when runs
-    wait on each other the column can exceed the pool's busy time.
+    fills carries it, whether the run failed or not, and later rows 0, so
+    when runs wait on each other the column can exceed the pool's busy time.
     """
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
@@ -614,9 +614,7 @@ def cmd_bench(args) -> int:
                 values = _read(rec, labels[1]) if rec else (None, None, None)
             except ValueError:
                 values, rec, error = (None, None, None), None, "ValueError"
-            wall = ""
-            if rec and not args.no_timings:
-                wall = f"{cost.pop(u, 0.0):.3f}"
+            wall = "" if args.no_timings else f"{cost.pop(u, 0.0):.3f}"
             writer.writerow([_fmt(v) for v in labels + values] + [wall, error])
             errs = summary.setdefault(labels[:4], [])
             if values[2] is not None:

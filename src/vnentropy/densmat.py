@@ -50,6 +50,9 @@ _PAIR_TASKS = 8
 # a filled product of at least BAND_MIN_N rows runs in bands of BAND_ROWS rows
 BAND_ROWS = 256
 BAND_MIN_N = 2048
+# a CSR product less another array runs in row bands of about this many
+# entries (256 KiB), each into one band temporary: 2048 rows at 16 columns
+CSR_BAND_ENTRIES = 2**15
 # a work buffer of at least this many bytes (one transparent huge page) gets its own mapping
 HUGE_PAGE = 2**21
 # guards the lookup in SparseSymMatrix.once, never a computation
@@ -226,14 +229,24 @@ class SparseSymMatrix:
         x = np.asarray(x, dtype=np.float64)
         return self.matmat_into(x, np.empty(x.shape))
 
-    def matmat_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Product with a dense matrix x of shape (n, s), written into the
-        float64 array ``out`` of the same shape, which must not overlap x;
-        returns the product, ``out`` but in one case below.
+    def matmat_into(
+        self, x: np.ndarray, out: np.ndarray, minus: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Product with a dense matrix x of shape (n, s), less ``minus``
+        when it is given, written into the float64 array ``out`` of the same
+        shape, which must not overlap x; returns the result, ``out`` but in
+        one case below.  ``minus``, a float64 array of x's shape, may be
+        ``out`` itself (a Chebyshev step writes 2X T_k - T_{k-1} over
+        T_{k-1}); otherwise it must overlap neither x nor ``out``.  Each
+        entry has the bits of the product followed by the subtraction.
 
         A CSR makes the zero-filled ``csr_matvec`` (one column) or
         ``csr_matvecs`` call of scipy's own ``csr @ x``, which has no
-        ``out=``, into ``out``, which must then be C-ordered.
+        ``out=``, into ``out``, which must then be C-ordered.  With
+        ``minus`` it makes one such call per band of about
+        ``CSR_BAND_ENTRIES`` entries of whole rows, on the band's slice of
+        ``indptr``, into one band temporary, and subtracts that band.  Each
+        row sums the same terms in the same order either way.
 
         A filled matrix multiplies through BLAS gemm.  Gemm rounds each
         column the same at any block width, but a one-column product would
@@ -250,7 +263,8 @@ class SparseSymMatrix:
         Smaller bands would reach OpenBLAS's small-matrix kernel at narrow
         widths, which rounds differently, so below ``BAND_MIN_N`` the
         product stays one call; so it does under a BLAS on more threads,
-        which already share the CPUs.
+        which already share the CPUs.  With ``minus``, each band (or the
+        one call) multiplies into a temporary of its size, then subtracts.
 
         The probe loop reuses its ``out`` arrays, made by
         :func:`work_buffer`, for every product of a block.  Measured on a
@@ -265,27 +279,40 @@ class SparseSymMatrix:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.n:
             raise ValueError(f"shape mismatch: matrix is {self.n}x{self.n}, got {x.shape}")
-        if out.shape != x.shape or out.dtype != np.float64:
-            raise ValueError(
-                f"out must be a float64 array of shape {x.shape}, got {out.dtype} {out.shape}"
-            )
-        if np.may_share_memory(x, out):
-            raise ValueError("out overlaps x")
+        for name, a in (("out", out), ("minus", minus)):
+            if a is None:
+                continue
+            if a.shape != x.shape or a.dtype != np.float64:
+                raise ValueError(
+                    f"{name} must be a float64 array of shape {x.shape}, got {a.dtype} {a.shape}"
+                )
+            if np.may_share_memory(x, a):
+                raise ValueError(f"{name} overlaps x")
+        if minus is not None and minus is not out and np.may_share_memory(out, minus):
+            raise ValueError("minus overlaps out but is not out")
         if self.block is not None:
             if x.shape[1] == 1:
                 pair = np.repeat(x, 2, axis=1)
-                return _banded_product(self.block, pair, np.empty(pair.shape))[:, :1]
-            return _banded_product(self.block, x, out)
+                col = _banded_product(self.block, pair, np.empty(pair.shape))[:, :1]
+                return col if minus is None else np.subtract(col, minus, out=col)
+            return _banded_product(self.block, x, out, minus)
         if not out.flags.c_contiguous:
             raise ValueError("out must be C-ordered for a CSR product")
-        csr, (n, s) = self.csr, x.shape
-        out.fill(0.0)
-        if s == 1:
-            _sparsetools.csr_matvec(n, n, csr.indptr, csr.indices, csr.data, x.ravel(), out.ravel())
-        else:
-            _sparsetools.csr_matvecs(
-                n, n, s, csr.indptr, csr.indices, csr.data, x.ravel(), out.ravel()
-            )
+        csr, (n, s), xs = self.csr, x.shape, x.ravel()
+        rows = n if minus is None else max(1, CSR_BAND_ENTRIES // max(s, 1))
+        band = out if minus is None else np.empty((min(rows, n), s))
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            y, indptr = band[: stop - start], csr.indptr[start : stop + 1]
+            y.fill(0.0)
+            if s == 1:
+                _sparsetools.csr_matvec(stop - start, n, indptr, csr.indices, csr.data, xs, y.ravel())
+            else:
+                _sparsetools.csr_matvecs(
+                    stop - start, n, s, indptr, csr.indices, csr.data, xs, y.ravel()
+                )
+            if minus is not None:
+                np.subtract(y, minus[start:stop], out=out[start:stop])
         return out
 
     def shifted(self, scale: float, shift: float) -> "SparseSymMatrix":
@@ -330,19 +357,27 @@ def validate_spectrum(probs: np.ndarray) -> None:
         raise ValueError(f"probabilities sum to {probs.sum():.12g}, not 1")
 
 
-def _banded_product(view: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """view @ x, written into and returned as ``out``, in row bands from
-    n = BAND_MIN_N up while the BLAS runs one thread (see ``matmat_into``)."""
+def _banded_product(
+    view: np.ndarray, x: np.ndarray, out: np.ndarray, minus: np.ndarray | None = None
+) -> np.ndarray:
+    """view @ x, or view @ x - minus, written into and returned as ``out``,
+    in row bands from n = BAND_MIN_N up while the BLAS runs one thread (see
+    ``matmat_into``); with ``minus``, each band's product goes to a
+    temporary of its own before the subtraction."""
     n = view.shape[0]
+
+    def band(rows: slice) -> None:
+        if minus is None:
+            np.matmul(view[rows], x, out=out[rows])
+        else:
+            np.subtract(view[rows] @ x, minus[rows], out=out[rows])
+
     blas = blas_thread_functions()
     # a BLAS on more threads, or one whose count is unknown, already shares the CPUs
     if n < BAND_MIN_N or blas is None or blas[0]() != 1:
-        return np.matmul(view, x, out=out)
+        band(slice(0, n))
+        return out
     edges = [*range(0, n - n % BAND_ROWS, BAND_ROWS), n]
-
-    def band(rows: slice) -> None:
-        np.matmul(view[rows], x, out=out[rows])
-
     fan_out(band, [slice(a, b) for a, b in zip(edges, edges[1:])])
     return out
 

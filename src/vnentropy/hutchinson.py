@@ -13,11 +13,15 @@ Each block task makes its own block with
 (``rng.gaussian_vector`` in pieces of ``DRAW_CHUNK`` words, with the bits
 of one whole draw).  The kernel then owns the block.  The series kernels'
 ``moments`` rotate their products through it and one more buffer of its
-shape (Taylor) or two (Chebyshev), each product written in place by
-``SparseSymMatrix.matmat_into``, and drop them all when they return.  So a
-task holds two or three n x b arrays, the per-column values aside; a
+shape, each product written in place by ``SparseSymMatrix.matmat_into``
+(a Chebyshev step writes 2X T_k - T_{k-1} over T_{k-1}), and drop them
+when they return.  So a task holds two n x b arrays, the per-column values
+aside, plus a product's band temporary (at most 256 KiB for a CSR); a
 one-column block of a filled matrix also holds the n x 2 padded product
-that ``matmat_into`` makes for it.  Tasks share no buffer.
+that ``matmat_into`` makes for it.  Tasks share no buffer.  On one CPU, a
+Chebyshev run (m = 20, s = 32) on tridiagonal n = 65536 raised the peak
+RSS by 17.4 MiB, two blocks of 8 MiB; a step that wrote its product
+into a third buffer took 25.4 MiB.
 
 A block holds about ``BLOCK_ENTRIES`` entries (8 MiB): ``PROBE_CHUNK``
 columns up to n = 8192, fewer beyond.  The widths depend on n and s only,
@@ -25,13 +29,17 @@ never on the machine.  When a block is that full (n >= 8192), the blocks
 go through :func:`~vnentropy.threads.fan_out`: on a pool of one thread per available CPU
 when the caller is the main thread, one after another elsewhere (for
 instance in a ``bench`` cell on its own ``--threads`` pool).  The sparse
-product, the reductions and the draws release the GIL.  Smaller matrices
+product, the reductions and the draws' ``ndtri`` release the GIL, but at
+n = 65536 only the draws gain from a second CPU: on a 2-vCPU Xeon virtual
+machine, 40 ``ndtri`` calls of 2^20 values took 605 ms on one thread and
+348 ms on two, while 40 products of 16 columns took 73 and 68 ms and 40
+reductions 26 and 30 ms, bound by memory bandwidth.  Smaller matrices
 keep their blocks serial: on a tiny one each draw is mostly Python
 overhead that holds the GIL, and a filled one from n = 2048 up spreads
 each product's row bands over the CPUs instead, or leaves them to a
 multithreaded BLAS (see ``SparseSymMatrix.matmat_into``); the two pools
-never nest.  Each worker runs one task at a time, so it holds two or three
-blocks' worth of buffers.
+never nest.  Each worker runs one task at a time, so it holds two blocks'
+worth of buffers.
 """
 
 from __future__ import annotations

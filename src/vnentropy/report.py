@@ -175,10 +175,13 @@ class PolynomialSeries(NamedTuple):
     """One polynomial estimator once u and m are fixed: the entropy estimate
     is offset + sum_k weights[k] trace(P_k(R)), and ``moments(apply, G)``
     returns the b x len(weights) forms g^T P_k(R) g of the columns g of G,
-    with ``apply(x, out)`` multiplying by the operator scale * R + shift * I
-    that the series' recurrence runs on, into ``out`` where it can (as
-    ``SparseSymMatrix.matmat_into``).  The last weight belongs to degree m;
-    neither the weights nor the forms of lower degrees depend on m."""
+    with ``apply(x, out, minus=None)`` multiplying by the operator
+    scale * R + shift * I that the series' recurrence runs on, less
+    ``minus`` when given (which may be ``out``), into ``out`` where it can
+    (as ``SparseSymMatrix.matmat_into``).  So a Taylor or Chebyshev block
+    task holds two n x b arrays, its block and one more.  The last weight
+    belongs to degree m; neither the weights nor the forms of lower degrees
+    depend on m."""
 
     moments: Callable[..., np.ndarray]
     weights: np.ndarray
@@ -235,9 +238,13 @@ def polynomial_entropy(
         # a diagonal, and one all-ones probe: its form is the exact trace.
         spectrum = np.full((R.n, 1), poly.shift)
         spectrum[: probs.size, 0] = poly.scale * probs + poly.shift
-        per_degree = traces(
-            lambda x, out: np.multiply(spectrum, x, out=out), np.ones((R.n, 1))
-        )[:, 0]
+
+        def diagonal(x, out, minus=None):
+            if minus is None:
+                return np.multiply(spectrum, x, out=out)
+            return np.subtract(spectrum * x, minus, out=out)
+
+        per_degree = traces(diagonal, np.ones((R.n, 1)))[:, 0]
         s_used = 0
     else:
         s_used = cfg.s_override if cfg.s_override else default_s(cfg.epsilon, cfg.delta)

@@ -76,7 +76,8 @@ def apply_gaussian(R: SparseSymMatrix, s: int, stream: RngStream) -> np.ndarray:
     if s < 1:
         raise ValueError("s must be at least 1")
     g = gaussian_vector(stream, R.n * s).reshape(R.n, s)
-    return R.matmat(g / math.sqrt(s))
+    g /= math.sqrt(s)
+    return R.matmat(g)
 
 
 def _hadamard_signs(rows: int, cols: np.ndarray) -> np.ndarray:
@@ -106,7 +107,9 @@ def apply_srht(R: SparseSymMatrix, s: int, stream: RngStream) -> np.ndarray:
     signs = rademacher_vector(stream.child(0), np2)
     sampled = uniform_indices(stream.child(1), np2, s)
     pi = signs[:n, None] * _hadamard_signs(n, sampled)
-    return R.matmat(pi) / math.sqrt(s)
+    sketch = R.matmat(pi)
+    sketch /= math.sqrt(s)
+    return sketch
 
 
 def apply_countsketch(R: SparseSymMatrix, s: int, stream: RngStream) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,11 @@ from vnentropy import (
     default_m_cheb,
     entropy_from_probs,
     generate_low_rank_density,
+    generate_tridiagonal_poisson,
 )
+from vnentropy import chebyshev
 from vnentropy.chebyshev import moments
+from vnentropy.densmat import work_buffer
 from vnentropy.rng import gaussian_vector, uniform_doubles
 
 
@@ -147,6 +151,31 @@ def test_moments_of_a_block_match_its_columns():
     block = moments(x2.matmat_into, G.copy(), 8)
     single = np.vstack([moments(x2.matmat_into, G[:, i : i + 1].copy(), 8) for i in range(5)])
     assert np.allclose(block, single, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("m", range(1, 12))
+def test_moments_hold_two_blocks(monkeypatch, m):
+    # each step writes 2X T_k - T_{k-1} over T_{k-1}: one n x b buffer
+    # besides G, and no product temporary beyond one CSR band (a quarter of
+    # a block at n = 8192, b = 16), so the traced peak stays below two blocks
+    r, _ = generate_tridiagonal_poisson(8192)
+    made = []
+
+    def counted(shape):
+        made.append(shape)
+        return work_buffer(shape)
+
+    monkeypatch.setattr(chebyshev, "work_buffer", counted)
+    op = r.shifted(4.0 / 0.7, -2.0)
+    G = np.column_stack([gaussian_vector(RngStream(5).child(i), 8192) for i in range(16)])
+    tracemalloc.start()
+    try:
+        moments(op.matmat_into, G, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert made == [G.shape]
+    assert peak < 2 * G.nbytes, peak / G.nbytes
 
 
 def test_default_m_examples():

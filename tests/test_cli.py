@@ -793,7 +793,8 @@ def test_a_non_finite_estimate_fails_its_bench_row_as_estimate_refuses_it(tmp_pa
     ]
     assert finite["error"] == "" and float(finite["wall_ms"]) >= 0.0
     assert (nan["m"], nan["error"]) == ("2000", "ValueError")
-    assert [nan[k] for k in ("estimate", "exact", "rel_err", "wall_ms")] == ["", "", "", ""]
+    # a later row of the run: its time is on the first
+    assert [nan[k] for k in ("estimate", "exact", "rel_err", "wall_ms")] == ["", "", "", "0.000"]
     assert [line[2] for line in summary] == ["10", "2000"]
     assert [float(v) for v in summary[0][5:]] == [record["rel_err"]] * 2
     assert summary[1][5:] == ["", ""]
@@ -848,13 +849,15 @@ def test_bench_wall_ms_charges_each_task_to_the_first_row_that_reads_it(tmp_path
     # the 4 taylor runs, the one exact run and the 4 taylor_nte runs
     assert sorted(charged) == [""] * 4 + ["ValueError"] * 5
     assert [(r["method"], r["error"], r["wall_ms"]) for r in rows] == [
-        *[("exact", "ValueError", "")] * 2,
+        ("exact", "ValueError", "1.000"),  # a failed run's first row carries its time too
+        ("exact", "ValueError", "0.000"),
         *[("taylor", "", "1.000")] * 4,  # m=2: each run's first row carries its time
         *[("taylor", "", "0.000")] * 4,  # m=4: the same runs
-        *[("taylor_nte", "ValueError", "")] * 8,
+        *[("taylor_nte", "ValueError", "1.000")] * 4,
+        *[("taylor_nte", "ValueError", "0.000")] * 4,
     ]
-    # every run that filled a row, once
-    assert sum(float(r["wall_ms"] or 0) for r in rows) == charged.count("")
+    # every run, once
+    assert sum(float(r["wall_ms"]) for r in rows) == len(charged)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

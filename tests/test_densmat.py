@@ -395,6 +395,89 @@ def test_matmat_into_refuses_a_wrong_or_overlapping_out():
         r.matmat_into(x, np.empty((40, 6))[:, ::2])
 
 
+def _band_edge_csr(n):
+    """A symmetric tridiagonal-pattern n x n CSR whose rows 3, 8, 13, ...
+    are empty and whose diagonal stores -0.0 at rows 0, 11, 22, ..."""
+    rng = np.random.default_rng(n)
+    off = rng.standard_normal(n - 1)
+    a = sp.diags([off, rng.standard_normal(n), off], offsets=[-1, 0, 1], format="csr")
+    keep = (np.arange(n) % 5 != 3).astype(np.float64)
+    a = (sp.diags(keep) @ a @ sp.diags(keep)).tocsr()
+    a.eliminate_zeros()
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    a.data[(rows == a.indices) & (rows % 11 == 0)] = -0.0
+    r = SparseSymMatrix(a)
+    assert np.diff(r.csr.indptr).min() == 0
+    assert ((r.csr.data == 0.0) & np.signbit(r.csr.data)).any()
+    return r
+
+
+def _product_less(r, x, minus, same):
+    """r.matmat_into(x, out, minus), with minus as out itself or beside it;
+    out, and a copy of it from before the call; and the product then the
+    subtraction.  The inputs are checked unchanged."""
+    x_before, minus_before = x.copy(), minus.copy()
+    out = minus.copy() if same else np.full(x.shape, np.nan)
+    out_before = out.copy()
+    got = r.matmat_into(x, out, out if same else minus)
+    assert np.array_equal(_bits(x), _bits(x_before))
+    assert np.array_equal(_bits(minus), _bits(minus_before))
+    return got, out, out_before, r.matmat_into(x, np.empty(x.shape)) - minus_before
+
+
+def _signed_draws(shape, seed):
+    a = np.random.default_rng(seed).standard_normal(shape)
+    a[::7] = -0.0
+    a[3::7] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["minus-is-out", "minus-beside-out"])
+@pytest.mark.parametrize(
+    "width, n",
+    [
+        *[(w, densmat.CSR_BAND_ENTRIES // w + d) for w in (1, 2, 16, 129) for d in (-1, 0, 1)],
+        *[(w, 65536) for w in (1, 2, 3, 16)],  # at width 3, a last band of 4 rows
+    ],
+)
+def test_csr_product_less_minus_is_bitwise_the_product_then_the_subtraction(width, n, same):
+    r = _band_edge_csr(n)
+    x, minus = _signed_draws((n, width), 1), _signed_draws((n, width), 2)
+    got, out, _, expected = _product_less(r, x, minus, same)
+    assert got is out
+    assert np.array_equal(_bits(got), _bits(expected))
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["minus-is-out", "minus-beside-out"])
+@pytest.mark.parametrize("n", [300, 2100])  # below and above BAND_MIN_N
+def test_filled_product_less_minus_is_bitwise_the_product_then_the_subtraction(n, same):
+    r = _filled(n, seed=n)
+    with one_blas_thread():
+        for width in (1, 2, 16, 129):
+            x, minus = _signed_draws((n, width), width), _signed_draws((n, width), 1000 + width)
+            got, out, out_before, expected = _product_less(r, x, minus, same)
+            assert np.array_equal(_bits(got), _bits(expected)), width
+            if width == 1:  # the first column of the padded product, out left as it is
+                assert got.strides == (16, 8)
+                assert np.array_equal(_bits(out), _bits(out_before))
+            else:
+                assert got is out
+
+
+def test_matmat_into_refuses_a_wrong_or_overlapping_minus():
+    r, x = _csr_case("empty-rows"), np.ones((40, 3))
+    for matrix in (r, SparseSymMatrix(block=r.to_dense())):
+        out = np.empty((40, 3))
+        with pytest.raises(ValueError, match="minus must be a float64 array of shape"):
+            matrix.matmat_into(x, out, np.empty((40, 2)))
+        with pytest.raises(ValueError, match="minus overlaps x"):
+            matrix.matmat_into(x, out, x)
+        with pytest.raises(ValueError, match="minus overlaps x"):
+            matrix.matmat_into(x[:, :2], out[:, :2], x[:, 1:])
+        with pytest.raises(ValueError, match="minus overlaps out but is not out"):
+            matrix.matmat_into(x, out, out[::-1])
+
+
 @pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="no MADV_HUGEPAGE here")
 def test_work_buffers_from_one_huge_page_up_are_their_own_mappings():
     def mapped(a):
