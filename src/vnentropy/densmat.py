@@ -159,10 +159,12 @@ class SparseSymMatrix:
         read-only, as the block of a filled matrix, past the gate.
 
         One pass over the tile pairs (I, J), J <= I, checks each pair for
-        exact symmetry and finiteness while it is in cache; with
-        ``symmetrize`` it first writes (a[I,J] + a[J,I].T) / 2 and its
-        transpose into the pair, the bits of (a + a.T) / 2 since addition
-        commutes.  Without, a pair that passes gets its lower triangle's
+        exact symmetry and finiteness while it is in cache.  With
+        ``symmetrize`` it writes (a[I,J] + a[J,I].T) / 2 and its transpose
+        into the pair, the bits of (a + a.T) / 2 since addition commutes,
+        so only their finiteness is left to check.  Without, a pair whose
+        two sides already hold mirrored bits needs only one side checked
+        for finiteness; any other that passes gets its lower triangle's
         bits in its upper one, where only a zero's sign can change.  So the
         block is bitwise equal to its transpose, and reads back from the
         lower triangle that :func:`write_matrix_market` writes.
@@ -187,12 +189,19 @@ class SparseSymMatrix:
                     lo = (a[i, j] + a[j, i].T) / 2.0
                     a[i, j] = lo
                     a[j, i] = lo.T
+                    ok = ok and np.isfinite(lo).all()  # the pair now mirrors bit for bit
+                    continue
+                if not ok:
+                    continue
+                lo, up = a[i, j], a[j, i].T
+                if (lo.view(np.int64) == up.view(np.int64)).all():
+                    ok = np.isfinite(lo).all()
+                    continue
                 # x - y is exactly 0 just when x == y, both finite
                 with np.errstate(invalid="ignore", over="ignore"):
-                    ok = ok and not (a[i, j] - a[j, i].T).any()
-                if ok and not symmetrize:  # only a zero's sign can differ
-                    t = a[i, j]
-                    a[j, i] = t.T if i != j else np.where(np.tri(len(t), dtype=bool), t, t.T)
+                    ok = not (lo - up).any()
+                if ok:  # only a zero's sign can differ
+                    a[j, i] = lo.T if i != j else np.where(np.tri(len(lo), dtype=bool), lo, lo.T)
             return ok
 
         starts = range(0, n, _TILE)
@@ -298,19 +307,13 @@ class SparseSymMatrix:
             return _banded_product(self.block, x, out, minus)
         if not out.flags.c_contiguous:
             raise ValueError("out must be C-ordered for a CSR product")
-        csr, (n, s), xs = self.csr, x.shape, x.ravel()
+        (n, s), x = x.shape, np.ascontiguousarray(x)
         rows = n if minus is None else max(1, CSR_BAND_ENTRIES // max(s, 1))
         band = out if minus is None else np.empty((min(rows, n), s))
         for start in range(0, n, rows):
             stop = min(start + rows, n)
-            y, indptr = band[: stop - start], csr.indptr[start : stop + 1]
-            y.fill(0.0)
-            if s == 1:
-                _sparsetools.csr_matvec(stop - start, n, indptr, csr.indices, csr.data, xs, y.ravel())
-            else:
-                _sparsetools.csr_matvecs(
-                    stop - start, n, s, indptr, csr.indices, csr.data, xs, y.ravel()
-                )
+            y = band[: stop - start]
+            csr_product_rows(self.csr, slice(start, stop), x, y)
             if minus is not None:
                 np.subtract(y, minus[start:stop], out=out[start:stop])
         return out
@@ -357,6 +360,24 @@ def validate_spectrum(probs: np.ndarray) -> None:
         raise ValueError(f"probabilities sum to {probs.sum():.12g}, not 1")
 
 
+def csr_product_rows(csr: sp.csr_matrix, rows: slice, x: np.ndarray, y: np.ndarray) -> None:
+    """Rows ``rows`` (a slice of unit step) of ``csr @ x`` written into
+    ``y``, for x a C-ordered float64 array of csr.shape[1] rows and y a
+    C-ordered float64 one of the slice's rows and x's width.  It makes the
+    zero-filled ``csr_matvec`` (one column) or ``csr_matvecs`` call of
+    scipy's own ``csr @ x``, which has no ``out=``, on the slice of
+    ``indptr``: each row sums the same terms in the same order as there."""
+    start, stop, _ = rows.indices(csr.shape[0])
+    indptr, xs, ys = csr.indptr[start : stop + 1], x.ravel(), y.ravel()
+    y.fill(0.0)
+    if x.shape[1] == 1:
+        _sparsetools.csr_matvec(stop - start, csr.shape[1], indptr, csr.indices, csr.data, xs, ys)
+    else:
+        _sparsetools.csr_matvecs(
+            stop - start, csr.shape[1], x.shape[1], indptr, csr.indices, csr.data, xs, ys
+        )
+
+
 def _banded_product(
     view: np.ndarray, x: np.ndarray, out: np.ndarray, minus: np.ndarray | None = None
 ) -> np.ndarray:
@@ -400,13 +421,13 @@ def work_buffer(shape: tuple[int, ...]) -> np.ndarray:
 
 # bytes per entry of the n x n matrix that each dense generator's build
 # peaks at under tracemalloc, rounded up from its measured peak at n = 1024
-# (haar with its oracle 24.00, in its Gaussian draw; linuniform 33.03 and
-# lowrank 8.36 n^2; haar reads 24.00 n^2 at 2048, lowrank 8.07 at 4096).
-# On top come about 0.2 MB of tile temporaries and one band of the writer
-# (under 1 MiB), so the figures bound a whole ``generate`` from n = 512 up
-# (traced at n = 1024: 24.05, 33.06 and 8.87 n^2; a haar one at n = 256,
-# 512 and 2048: 24.72, 24.13 and 24.01).
-DENSE_PEAK = {"haar": 25, "linuniform": 34, "lowrank": 9}
+# (haar with its oracle 16.00, its Gaussian draw and their product;
+# linuniform 33.03 and lowrank 8.36 n^2; haar reads 16.00 n^2 at 2048,
+# lowrank 8.07 at 4096).  On top come about 0.2 MB of tile temporaries and
+# one band of the writer (under 1 MiB), so the figures bound a whole
+# ``generate`` from n = 512 up (traced at n = 1024: 16.04, 33.06 and 8.92
+# n^2; a haar one at n = 256, 512 and 2048: 18.69, 16.14 and 16.01).
+DENSE_PEAK = {"haar": 17, "linuniform": 34, "lowrank": 9}
 
 
 def generate_haar_like_matrix(n: int, stream: RngStream) -> SparseSymMatrix:

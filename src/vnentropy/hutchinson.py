@@ -10,8 +10,11 @@ are scheduled and however many quantities one pass yields.
 Each block task makes its own block with
 :func:`~vnentropy.densmat.work_buffer` and fills it column by column:
 ``draw(stream, n, out=column)`` writes one probe straight into its column
-(``rng.gaussian_vector`` in pieces of ``DRAW_CHUNK`` words, with the bits
-of one whole draw).  The kernel then owns the block.  The series kernels'
+(``rng.gaussian_vector``, its words transformed ``DRAW_CHUNK`` at a time
+in small contiguous temporaries, with the bits of one whole draw).  A
+probe of fewer than two ``DRAW_PIECE`` words is drawn serially; a longer
+one (n >= 131072) runs its pieces by ``fan_out``'s rule, so one after
+another on a pool worker.  The kernel then owns the block.  The series kernels'
 ``moments`` rotate their products through it and one more buffer of its
 shape, each product written in place by ``SparseSymMatrix.matmat_into``
 (a Chebyshev step writes 2X T_k - T_{k-1} over T_{k-1}), and drop them

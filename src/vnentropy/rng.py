@@ -16,6 +16,11 @@ Frozen draw conventions (acceptance seeds depend on these):
 * Gaussians: inverse normal CDF (``scipy.special.ndtri``) of those uniforms;
 * Rademacher signs: low bit of a raw 64-bit word;
 * bounded integers: modulo rejection on raw 64-bit words (unbiased).
+
+A Gaussian draw may be computed in pieces with the same words:
+:func:`gaussian_vector` runs a large draw from a fresh stream as
+``DRAW_PIECE``-word pieces spread over the CPUs, each from its own Philox
+generator advanced to the piece's first word.
 """
 
 from __future__ import annotations
@@ -25,9 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
+from .threads import fan_out
+
 _MASK64 = (1 << 64) - 1
-# words per piece of a draw written into a given array
+# words per step of a draw's transform, each through one small temporary
 DRAW_CHUNK = 2**13
+# words per piece of a one-shot draw that the CPUs share: a multiple of 4,
+# the words of one Philox counter, so each piece starts on a counter
+DRAW_PIECE = 2**16
 # splitmix64 finalizer constants
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -75,11 +85,16 @@ class RngStream:
         derived = _splitmix64((self.stream_id * _GOLDEN + index + 1) & _MASK64)
         return RngStream(self.seed, derived)
 
+    def _philox(self, word: int = 0) -> np.random.Philox:
+        """A new generator of this stream, standing at ``word``, a multiple of 4."""
+        bitgen = np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
+        bitgen.advance(word // 4)
+        return bitgen
+
     def raw(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit words as a uint64 array."""
         if self._bitgen is None:
-            key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-            self._bitgen = np.random.Philox(key=key)
+            self._bitgen = self._philox()
         return np.atleast_1d(self._bitgen.random_raw(count))
 
 
@@ -91,28 +106,58 @@ def uniform_doubles(stream: RngStream, n: int) -> np.ndarray:
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
+def _fill_gaussian(words, out: np.ndarray) -> None:
+    """Write Gaussians into ``out`` from ``words(count)``, the next raw
+    words of one sequence, ``DRAW_CHUNK`` at a time: each chunk goes through
+    the operations of :func:`uniform_doubles` and ``ndtri``, in their order,
+    so with their bits, in place on its contiguous words and their doubles
+    until ``ndtri`` writes ``out``."""
+    for start in range(0, out.size, DRAW_CHUNK):
+        part = out[start : start + DRAW_CHUNK]
+        raw = words(part.size)
+        np.right_shift(raw, np.uint64(11), out=raw)
+        u = raw.astype(np.float64)
+        u += 0.5
+        u *= 2.0**-53
+        ndtri(u, out=part)
+
+
 def gaussian_vector(stream: RngStream, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """``n`` i.i.d. standard normal draws via the inverse-CDF transform.
 
     With ``out``, a float64 array of shape (n,) that may be strided (a
     column of a probe block), the draws are written into it and it is
-    returned.  They go ``DRAW_CHUNK`` words at a time through small
-    contiguous temporaries; Philox continues one sequence across
-    ``random_raw`` calls and the transform is element-wise, so ``out``
-    gets the bits of the one-shot draw and the stream ends at the same
-    place.
+    returned; without, into a new array.  The words go through the
+    transform ``DRAW_CHUNK`` at a time (see :func:`_fill_gaussian`).
+
+    A draw of at least two ``DRAW_PIECE``-word pieces from a stream that
+    has not drawn yet runs piece by piece through
+    :func:`~vnentropy.threads.fan_out`, so on a pool when called from the
+    main thread.  Each piece has its own generator of the stream, advanced
+    to the piece's first word; Philox is counter-based, so the pieces hold
+    the words of one serial draw, and the stream is then left standing
+    where that draw would leave it.  Any other draw runs serially on the
+    stream.  Either way ``out`` gets the bits of the one-shot draw.
     """
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
     if out is None:
-        return ndtri(uniform_doubles(stream, n))
-    if out.shape != (n,) or out.dtype != np.float64:
+        out = np.empty(n)
+    elif out.shape != (n,) or out.dtype != np.float64:
         raise ValueError(
             f"out must be a float64 array of shape ({n},), got {out.dtype} {out.shape}"
         )
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    for start in range(0, n, DRAW_CHUNK):
-        part = out[start : start + DRAW_CHUNK]
-        ndtri(uniform_doubles(stream, part.size), out=part)
+    if stream._bitgen is not None or n < 2 * DRAW_PIECE:
+        _fill_gaussian(stream.raw, out)
+        return out
+
+    def piece(start: int) -> None:
+        part = out[start : start + DRAW_PIECE]
+        _fill_gaussian(stream._philox(start).random_raw, part)
+
+    fan_out(piece, list(range(0, n, DRAW_PIECE)))
+    stream._bitgen = stream._philox(n - n % 4)
+    stream._bitgen.random_raw(n % 4)
     return out
 
 

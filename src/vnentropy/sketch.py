@@ -9,8 +9,8 @@ R~ = R Pi.  Three projections are provided:
   E[Pi Pi^T] = I;
 * ``srht``: subsampled randomized Hadamard transform
   sqrt(n'/s) * D H S with the dimension zero-padded to the next power of
-  two n'; only the s sampled columns of H are formed, entry by entry from
-  the bits of their row and column indices;
+  two n'; only the s sampled columns of H are formed, row block by row
+  block from the bits of their column indices;
 * ``countsketch``: one random +-1 per input coordinate, applied in
   O(nnz(R)).
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .densmat import SparseSymMatrix
+from .densmat import SparseSymMatrix, csr_product_rows
 from .linalg import check_oracle_size, entropy_from_probs, thin_singular_values
 from .rng import (
     RngStream,
@@ -33,9 +33,13 @@ from .rng import (
     rademacher_vector,
     uniform_indices,
 )
+from .threads import fan_out
 
 PROJECTION_KINDS = ("gaussian", "srht", "countsketch", "exact_debug")
 SKETCH_CLAMP = 1e-12
+# a countsketch of a filled matrix runs in this many groups of Pi^T's rows,
+# even shares for up to 8 CPUs
+_COUNT_GROUPS = 8
 
 
 @dataclass(frozen=True)
@@ -84,13 +88,18 @@ def _hadamard_signs(rows: int, cols: np.ndarray) -> np.ndarray:
     """Entries (-1)^popcount(i & j) of the unnormalised Sylvester-Hadamard
     matrix for i < rows and j in ``cols``, as a (rows, len(cols)) array.
 
-    The parity of popcount(x) is the low bit of x folded onto itself by
-    xor-shifts, which needs no numpy 2 ``bitwise_count``.
+    Built by doubling: for a power of two k and i < k, (k + i) & j is
+    (i & j) + (k & j), so row k + i is row i times -1 where j has the bit
+    k set.  Every entry is exactly +-1.0.
     """
-    x = np.arange(rows, dtype=np.int64)[:, None] & cols[None, :]
-    for shift in (32, 16, 8, 4, 2, 1):
-        x ^= x >> shift
-    return 1.0 - 2.0 * (x & 1)
+    h = np.empty((rows, cols.size))
+    h[:1] = 1.0
+    k = 1
+    while k < rows:
+        m = min(k, rows - k)
+        np.multiply(h[:m], 1.0 - 2.0 * ((cols & k) != 0), out=h[k : k + m])
+        k *= 2
+    return h
 
 
 def apply_srht(R: SparseSymMatrix, s: int, stream: RngStream) -> np.ndarray:
@@ -106,7 +115,8 @@ def apply_srht(R: SparseSymMatrix, s: int, stream: RngStream) -> np.ndarray:
     np2 = _next_pow2(n)
     signs = rademacher_vector(stream.child(0), np2)
     sampled = uniform_indices(stream.child(1), np2, s)
-    pi = signs[:n, None] * _hadamard_signs(n, sampled)
+    pi = _hadamard_signs(n, sampled)
+    pi *= signs[:n, None]
     sketch = R.matmat(pi)
     sketch /= math.sqrt(s)
     return sketch
@@ -120,14 +130,27 @@ def apply_countsketch(R: SparseSymMatrix, s: int, stream: RngStream) -> np.ndarr
     as (Pi^T R)^T, a sparse product with its block or its CSR: R is exactly
     symmetric and each entry sums over the same coordinates in the same
     order as R Pi would, so the sketch is bitwise the same.
+
+    A CSR makes one sparse product.  On a block, the s rows of Pi^T run in
+    ``_COUNT_GROUPS`` contiguous groups that depend on s only, through
+    :func:`~vnentropy.threads.fan_out` (so on a pool when called from the
+    main thread), each group with the kernel of ``Pi^T @ block`` on its
+    rows, into one s x n array: each row has the bits of the one product.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
     cols = uniform_indices(stream.child(0), s, R.n)
     signs = rademacher_vector(stream.child(1), R.n)
     pi_t = sp.csr_matrix((signs, (cols, np.arange(R.n))), shape=(s, R.n))
-    product = pi_t @ (R.csr if R.block is None else R.block)
-    return (product.toarray() if sp.issparse(product) else product).T
+    if R.block is None:
+        return (pi_t @ R.csr).toarray().T
+    product = np.empty((s, R.n))
+    edges = sorted({s * g // _COUNT_GROUPS for g in range(_COUNT_GROUPS + 1)})
+    fan_out(
+        lambda rows: csr_product_rows(pi_t, rows, R.block, product[rows]),
+        [slice(a, b) for a, b in zip(edges, edges[1:])],
+    )
+    return product.T
 
 
 def default_s_sketch(kind: str, n: int, k: int, epsilon: float) -> int:

@@ -548,6 +548,17 @@ def test_tiled_checks_refuse_like_the_plain_ones(monkeypatch, fault):
             with pytest.raises(ValueError) as excinfo:
                 build(a.copy())
             assert str(excinfo.value) == expected, cpus
+        # symmetrized, every pair mirrors and only finiteness is checked
+        with np.errstate(invalid="ignore"):
+            symmetrized = (a + a.T) / 2.0
+        refusal = _plain_refusal(symmetrized)
+        if refusal is None:
+            assert SparseSymMatrix._adopt(a.copy(), symmetrize=True).block.tobytes() == (
+                symmetrized.tobytes()
+            )
+        else:
+            with pytest.raises(ValueError, match=f"^{refusal}$"):
+                SparseSymMatrix._adopt(a.copy(), symmetrize=True)
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,18 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
+from vnentropy import rng
 from vnentropy.rng import (
     DRAW_CHUNK,
+    DRAW_PIECE,
     RngStream,
     gaussian_vector,
     rademacher_vector,
+    uniform_doubles,
     uniform_indices,
 )
 
@@ -51,6 +57,62 @@ def test_a_draw_into_a_block_column_is_the_one_shot_draw(n):
     assert np.isnan(block[:, [0, 2]]).all()
     # the stream stands where the one-shot draw left it
     assert np.array_equal(gaussian_vector(into, 5), gaussian_vector(one_shot, 5))
+
+
+def _serial(stream, n):
+    """The frozen transform of the stream's next n words, drawn in one call."""
+    return ndtri(uniform_doubles(stream, n))
+
+
+@pytest.mark.parametrize(
+    "n", [1, 3, 4, 5, DRAW_PIECE - 1, DRAW_PIECE, DRAW_PIECE + 1, 2 * DRAW_PIECE + 3]
+)
+def test_a_draw_in_pieces_has_the_bits_of_one_serial_draw(monkeypatch, n):
+    serial = RngStream(21, 5)
+    expected = _serial(serial, n).view(np.int64)
+    following = serial.raw(9)
+    pieces, fan_out = [], rng.fan_out
+
+    def counted(fn, tasks):
+        pieces.append(len(tasks))
+        return fan_out(fn, tasks)
+
+    monkeypatch.setattr(rng, "fan_out", counted)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: cpus)
+        for out in (None, np.full((n, 2), np.nan)[:, 1]):
+            stream = RngStream(21, 5)
+            got = gaussian_vector(stream, n, out=out)
+            assert np.array_equal(got.view(np.int64), expected), (cpus, out is None)
+            # the stream stands where the serial draw left it
+            assert np.array_equal(stream.raw(9), following)
+    # a draw of two pieces or more is split, any other is not
+    assert pieces == ([-(-n // DRAW_PIECE)] * 6 if n >= 2 * DRAW_PIECE else [])
+
+
+def test_a_draw_in_pieces_off_the_main_thread_has_the_serial_bits():
+    n = 2 * DRAW_PIECE + 3
+    expected = _serial(RngStream(4), n)
+    drawn = {}
+    worker = threading.Thread(
+        target=lambda: drawn.setdefault("g", gaussian_vector(RngStream(4), n))
+    )
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert np.array_equal(drawn["g"].view(np.int64), expected.view(np.int64))
+
+
+def test_a_stream_that_has_drawn_draws_serially(monkeypatch):
+    n = 2 * DRAW_PIECE + 3
+    serial = RngStream(6, 1)
+    serial.raw(4)
+    expected = _serial(serial, n)
+    monkeypatch.setattr(rng, "fan_out", lambda fn, tasks: pytest.fail("drew in pieces"))
+    stream = RngStream(6, 1)
+    stream.raw(4)  # a whole Philox counter, yet not a fresh stream
+    assert np.array_equal(gaussian_vector(stream, n).view(np.int64), expected.view(np.int64))
+    assert np.array_equal(stream.raw(5), serial.raw(5))
 
 
 def test_a_draw_refuses_an_out_of_another_shape():

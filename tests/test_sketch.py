@@ -47,6 +47,38 @@ def test_hadamard_columns_match_scipy(n_pad):
     assert np.array_equal(_hadamard_signs(rows, cols), expected)
 
 
+def _popcount_signs(rows, cols):
+    """(-1)^popcount(i & j) by folding i & j onto its low bit with xor-shifts."""
+    x = np.arange(rows, dtype=np.int64)[:, None] & cols[None, :]
+    for shift in (32, 16, 8, 4, 2, 1):
+        x ^= x >> shift
+    return 1.0 - 2.0 * (x & 1)
+
+
+@pytest.mark.parametrize("rows", [4096, 4097])
+def test_hadamard_columns_by_doubling_match_the_popcount_formula(rows):
+    n_pad = 1 << (rows - 1).bit_length()  # 4096 and 8192
+    cols = uniform_indices(RngStream(rows), n_pad, 300)
+    got = _hadamard_signs(rows, cols)
+    assert np.array_equal(got.view(np.int64), _popcount_signs(rows, cols).view(np.int64))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 257])
+def test_countsketch_of_a_block_in_row_groups_is_one_sparse_product(monkeypatch, s):
+    # the groups of Pi^T's rows run on 1 to 3 CPUs; a 1 x 1 block takes
+    # scipy's one-vector kernel
+    stream = RngStream(s)
+    for r in (generate_low_rank_density(300, 4, "linear", RngStream(2))[0], diagonal_matrix([1.0])):
+        cols = uniform_indices(stream.child(0), s, r.n)
+        signs = rademacher_vector(stream.child(1), r.n)
+        pi_t = scipy.sparse.csr_matrix((signs, (cols, np.arange(r.n))), shape=(s, r.n))
+        expected = (pi_t @ r.block).T
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr("vnentropy.threads.available_cpus", lambda: cpus)
+            sketch = apply_countsketch(r, s, stream)
+            assert np.array_equal(sketch.view(np.int64), expected.view(np.int64)), (r.n, cpus)
+
+
 def test_srht_builds_no_dense_copy_at_n_65536(monkeypatch):
     r, _ = generate_tridiagonal_poisson(65536)
 
